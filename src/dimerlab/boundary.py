@@ -34,7 +34,7 @@ from .rewrite import (
     Path,
     RelationSet,
     SearchBudget,
-    default_max_visited as rewrite_default_max_visited,
+    class_contains,
     paths_equal,
 )
 
@@ -307,38 +307,13 @@ def factors_through_boundary(
     budget ran out first.
     """
     Q = p.quiver
-    if budget is None:
-        budget = SearchBudget(
-            max_path_length=2 * R.max_side_length + len(p),
-            max_visited=rewrite_default_max_visited(),
-        )
     boundary = {v for v, kind in Q.vertices.items() if kind == "boundary"}
 
     def visits_boundary(arrows: tuple) -> bool:
         return any(Q.arrow_target[a] in boundary for a in arrows[:-1])
 
-    if visits_boundary(p.arrows):
-        return "composite"
-    seen = {p.arrows}
-    front = [p.arrows]
-    pruned = False
-    while front:
-        new_front = []
-        for key in front:
-            for _, _, _, res in R.sites(key):
-                if len(res) > budget.max_path_length:
-                    pruned = True
-                    continue
-                if res in seen:
-                    continue
-                if visits_boundary(res):
-                    return "composite"
-                if len(seen) >= budget.max_visited:
-                    return "truncated"
-                seen.add(res)
-                new_front.append(res)
-        front = new_front
-    return "truncated" if pruned else "generator"
+    found = class_contains(p, R, visits_boundary, budget)
+    return {True: "composite", False: "generator", None: "truncated"}[found]
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +324,6 @@ def factors_through_boundary(
 class GammaMatch:
     ok: bool
     rotation: int | None = None
-    reflected: bool = False
     vertex_map: dict | None = None
     assignment: dict | None = None  # Gamma arrow name -> GeneratorClass
     obstruction: str | None = None
@@ -358,11 +332,9 @@ class GammaMatch:
         return self.assignment[name].rep
 
 
-def match_gamma(
-    BP: BoundaryPresentation, G: GammaQuiver, allow_reflection: bool = False
-) -> GammaMatch:
-    """Search rotations (optionally reflections) of the boundary labels for a
-    bijection carrying the presentation's generators onto Gamma's arrows."""
+def match_gamma(BP: BoundaryPresentation, G: GammaQuiver) -> GammaMatch:
+    """Search rotations of the boundary labels for a bijection carrying the
+    presentation's generators onto Gamma's arrows."""
     mn = G.vertex_count
     if BP.boundary_count != mn:
         raise IncompatibleGammaError(
@@ -378,14 +350,8 @@ def match_gamma(
             ),
         )
 
-    modes = [(r, False) for r in range(mn)]
-    if allow_reflection:
-        modes += [(r, True) for r in range(mn)]
-    for r, refl in modes:
-        if refl:
-            vmap = {v: modl(r - (v - 1), mn) for v in range(1, mn + 1)}
-        else:
-            vmap = {v: modl(v + r, mn) for v in range(1, mn + 1)}
+    for r in range(mn):
+        vmap = {v: modl(v + r, mn) for v in range(1, mn + 1)}
         sig = Counter(
             (vmap[c.source], vmap[c.target], c.tag) for c in BP.classes
         )
@@ -393,13 +359,7 @@ def match_gamma(
             assignment = {
                 names[(vmap[c.source], vmap[c.target], c.tag)]: c for c in BP.classes
             }
-            return GammaMatch(
-                ok=True,
-                rotation=r,
-                reflected=refl,
-                vertex_map=vmap,
-                assignment=assignment,
-            )
+            return GammaMatch(ok=True, rotation=r, vertex_map=vmap, assignment=assignment)
     missing = [c.describe() for c in BP.classes if c.tag is None]
     detail = f"; untaggable classes: {missing[:4]}" if missing else ""
     return GammaMatch(
@@ -850,25 +810,30 @@ class VerificationOutcome:
         }
 
 
+def _extract(
+    T: Triangulation, m: int, budget: SearchBudget | None
+) -> tuple[RelationSet, BoundaryPresentation, GammaMatch]:
+    """Build, reduce, dualize, extract the presentation and match it against
+    Gamma(m, n); raises InconclusivePresentationError from the extraction."""
+    Q = dual_quiver(reduce_dimer(build_dimer(T, m)))
+    R = potential_relations(Q)
+    BP = boundary_generators(Q, R, budget)
+    return R, BP, match_gamma(BP, build_gamma(m, T.n))
+
+
 def verify_boundary_algebra(
-    T: Triangulation,
-    m: int,
-    budget: SearchBudget | None = None,
-    allow_reflection: bool = False,
+    T: Triangulation, m: int, budget: SearchBudget | None = None
 ) -> VerificationOutcome:
     """Run the full pipeline on one triangulation: build, reduce, dualize,
     extract, match against Gamma(m, n), verify relations and centrality."""
     outcome = VerificationOutcome(n=T.n, m=m, triangulation=T)
-    Q = dual_quiver(reduce_dimer(build_dimer(T, m)))
-    R = potential_relations(Q)
     try:
-        BP = boundary_generators(Q, R, budget)
+        R, BP, match = _extract(T, m, budget)
     except InconclusivePresentationError as exc:
         outcome.inconclusive.append(f"presentation: {exc}")
         return outcome
     outcome.generator_count = len(BP.classes)
     outcome.presentation = BP
-    match = match_gamma(BP, build_gamma(m, T.n), allow_reflection=allow_reflection)
     outcome.matched = match.ok
     outcome.rotation = match.rotation
     outcome.obstruction = match.obstruction
@@ -942,16 +907,8 @@ def verify_flip_transport(
     T2, move = flip(T, d)
     quad_old = {tri for tri in T.triangles if set(move.removed) <= set(tri)}
     quad_new = {tri for tri in T2.triangles if set(move.inserted) <= set(tri)}
-
-    def pipeline(tri: Triangulation):
-        Q = dual_quiver(reduce_dimer(build_dimer(tri, m)))
-        R = potential_relations(Q)
-        BP = boundary_generators(Q, R, budget)
-        match = match_gamma(BP, build_gamma(m, tri.n))
-        return Q, R, BP, match
-
-    _, R1, BP1, match1 = pipeline(T)
-    _, R2, BP2, match2 = pipeline(T2)
+    _, BP1, match1 = _extract(T, m, budget)
+    R2, BP2, match2 = _extract(T2, m, budget)
     cert = FlipTransportCertificate(
         move=move, matched_before=match1.ok, matched_after=match2.ok
     )

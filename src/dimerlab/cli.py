@@ -80,13 +80,9 @@ def _triangulation_from_args(args) -> Triangulation:
     return parse_triangulation_spec(args.n, spec)
 
 
-def _budget_from_args(args, fallback_length: int = 64) -> SearchBudget | None:
-    if args.budget_visited is None and args.budget_length is None:
-        return None  # per-query defaults
-    return SearchBudget(
-        max_path_length=args.budget_length or fallback_length,
-        max_visited=args.budget_visited or default_max_visited(),
-    )
+def _budget_from_args(args) -> SearchBudget:
+    # a dimension not given keeps its per-query default
+    return SearchBudget(max_path_length=args.budget_length, max_visited=args.budget_visited)
 
 
 def _emit(data: dict) -> None:
@@ -116,13 +112,17 @@ def _add_budget(sub):
         help=f"max visited paths per equality query (default {default_max_visited()})",
     )
     sub.add_argument(
-        "--budget-length", type=int, default=None, help="max intermediate path length"
+        "--budget-length",
+        type=int,
+        default=None,
+        help="max intermediate path length (default: per query)",
     )
 
 
 def cmd_build(args) -> int:
     T = _triangulation_from_args(args)
-    Q = dual_quiver(reduce_dimer(build_dimer(T, args.m)))
+    D = reduce_dimer(build_dimer(T, args.m))
+    Q = dual_quiver(D)
     if args.format == "dot":
         if args.what == "quiver":
             sys.stdout.write(Q.to_dot())
@@ -131,7 +131,7 @@ def cmd_build(args) -> int:
         return EXIT_OK
     out = {"version": __version__, "triangulation": T.to_json()}
     if args.what in ("dimer", "both"):
-        out["dimer"] = reduce_dimer(build_dimer(T, args.m)).to_json()
+        out["dimer"] = D.to_json()
     if args.what in ("quiver", "both"):
         out["quiver"] = Q.to_json()
     _emit(out)
@@ -141,9 +141,7 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     T = _triangulation_from_args(args)
     budget = _budget_from_args(args)
-    outcome = verify_boundary_algebra(
-        T, args.m, budget=budget, allow_reflection=args.reflect
-    )
+    outcome = verify_boundary_algebra(T, args.m, budget=budget)
     _emit(
         {
             "version": __version__,
@@ -156,23 +154,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK if outcome.passed else EXIT_FAILED
 
 
-def _budget_json(budget: SearchBudget | None) -> dict:
-    if budget is None:
-        return {"max_visited": default_max_visited(), "max_path_length": "per-query"}
+def _budget_json(budget: SearchBudget) -> dict:
     return {
-        "max_visited": budget.max_visited,
-        "max_path_length": budget.max_path_length,
+        "max_visited": budget.max_visited or default_max_visited(),
+        "max_path_length": budget.max_path_length or "per-query",
     }
 
 
 def _sweep_row(task) -> dict:
     import time
 
-    n, m, index, diagonals, budget_tuple, reflect, timings = task
+    n, m, index, diagonals, budget, timings = task
     T = Triangulation(n, [tuple(d) for d in diagonals])
-    budget = SearchBudget(*budget_tuple) if budget_tuple else None
     t0 = time.monotonic()
-    outcome = verify_boundary_algebra(T, m, budget=budget, allow_reflection=reflect)
+    outcome = verify_boundary_algebra(T, m, budget=budget)
     row = {
         "n": n,
         "m": m,
@@ -193,9 +188,6 @@ def _sweep_row(task) -> dict:
 
 def cmd_sweep(args) -> int:
     budget = _budget_from_args(args)
-    budget_tuple = (
-        (budget.max_path_length, budget.max_visited) if budget is not None else None
-    )
     tasks = []
     for m in args.m:
         for n in range(3, args.max_n + 1):
@@ -206,8 +198,7 @@ def cmd_sweep(args) -> int:
                         m,
                         index,
                         [list(d) for d in T.sorted_diagonals],
-                        budget_tuple,
-                        args.reflect,
+                        budget,
                         args.timings,
                     )
                 )
@@ -276,14 +267,12 @@ def make_parser() -> argparse.ArgumentParser:
     v = subs.add_parser("verify", help="verify one triangulation against Gamma(m, n)")
     _add_common(v)
     _add_budget(v)
-    v.add_argument("--reflect", action="store_true", help="also try reflected matchings")
     v.set_defaults(func=cmd_verify)
 
     s = subs.add_parser("sweep", help="verify every triangulation of a grid")
     s.add_argument("--max-n", type=int, required=True)
     s.add_argument("--m", type=int, nargs="+", required=True)
     s.add_argument("--workers", type=int, default=1)
-    s.add_argument("--reflect", action="store_true")
     s.add_argument(
         "--timings",
         action="store_true",

@@ -55,11 +55,14 @@ def default_max_visited() -> int:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    max_path_length: int
-    max_visited: int
+    """Limits of one search; a dimension left None takes its per-query
+    default (see default_budget)."""
+
+    max_path_length: int | None = None
+    max_visited: int | None = None
 
     def __post_init__(self):
-        if self.max_path_length <= 0 or self.max_visited <= 0:
+        if any(x is not None and x <= 0 for x in (self.max_path_length, self.max_visited)):
             raise RewriteError(f"budget must be positive, got {self}")
 
 
@@ -101,7 +104,7 @@ class Path:
     def __eq__(self, other):
         if not isinstance(other, Path):
             return NotImplemented
-        return self.key() == other.key()
+        return self.quiver is other.quiver and self.key() == other.key()
 
     def __hash__(self):
         return hash(self.key())
@@ -290,10 +293,14 @@ class EqualityVerdict:
         ]
 
 
-def default_budget(R: RelationSet, p: Path, q: Path) -> SearchBudget:
+def default_budget(R: RelationSet, *paths: Path, budget: SearchBudget | None = None) -> SearchBudget:
+    """The budget of one search over paths: the dimensions budget sets, and
+    per-query defaults for the rest (room for two relation substitutions
+    beyond the longest path; default_max_visited() states)."""
+    budget = budget or SearchBudget()
     return SearchBudget(
-        max_path_length=2 * R.max_side_length + max(len(p), len(q)),
-        max_visited=default_max_visited(),
+        max_path_length=budget.max_path_length or 2 * R.max_side_length + max(map(len, paths)),
+        max_visited=budget.max_visited or default_max_visited(),
     )
 
 
@@ -321,21 +328,74 @@ def _invert(steps: tuple) -> tuple:
     return tuple((pos, ridx, flip[d]) for pos, ridx, d in reversed(steps))
 
 
+_OVERFLOW = object()
+
+
+class _Closure:
+    """Breadth-first closure of one arrow tuple under the relation rewrites.
+
+    chains maps each state reached to the steps that reach it from the
+    start, front holds the last level, and pruned records whether a rewrite
+    was dropped for exceeding the length budget (the closure is then no
+    longer known to be complete).
+    """
+
+    __slots__ = ("chains", "front", "pruned")
+
+    def __init__(self, arrows: tuple):
+        self.chains: dict[tuple, tuple] = {arrows: ()}
+        self.front = [arrows]
+        self.pruned = False
+
+    @property
+    def complete(self) -> bool:
+        return not self.front and not self.pruned
+
+    def expand(self, R: RelationSet, max_len: int, hit, room: int):
+        """Advance one level, in site order.
+
+        room is the number of new states the budget still admits.  Returns
+        (state, steps) for the first new state with hit(state) true,
+        _OVERFLOW when a new state finds no room, and None when the level
+        is done.
+        """
+        chains = self.chains
+        new_front = []
+        for key in self.front:
+            chain = chains[key]
+            for pos, ridx, direction, res in R.sites(key):
+                if len(res) > max_len:
+                    self.pruned = True
+                    continue
+                if res in chains:
+                    continue
+                step_chain = chain + ((pos, ridx, direction),)
+                if hit(res):
+                    return res, step_chain
+                if room <= 0:
+                    return _OVERFLOW
+                room -= 1
+                chains[res] = step_chain
+                new_front.append(res)
+        self.front = new_front
+        return None
+
+
 def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = None) -> EqualityVerdict:
     """Decide p = q in the dimer algebra, within budget.
 
-    Bidirectional breadth-first closure under the relation rewrites; a
-    meeting point yields Equal with a certificate that is replayed before
-    being returned.  A differing abelian residue, or exhaustion of a
-    complete (never length-pruned) closure, yields Distinct.  Everything
-    else is Unknown.
+    Bidirectional breadth-first closure under the relation rewrites, always
+    expanding the smaller frontier; a meeting point yields Equal with a
+    certificate that is replayed before being returned.  A differing
+    abelian residue, or exhaustion of a complete (never length-pruned)
+    closure, yields Distinct.  Everything else is Unknown.  The residues
+    are compared before the search, so no Equal verdict contradicts them.
     """
     if p.source != q.source or p.target != q.target:
         raise IncomparablePathsError(
             f"endpoints differ: {p.source!r}->{p.target!r} vs {q.source!r}->{q.target!r}"
         )
-    if budget is None:
-        budget = default_budget(R, p, q)
+    budget = default_budget(R, p, q, budget=budget)
     if p.key() == q.key():
         return EqualityVerdict(EQUAL, certificate=(), visited=1, budget=budget)
     if budget.max_visited < 2:
@@ -343,66 +403,46 @@ def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = 
     if R.residue(p.arrows) != R.residue(q.arrows):
         return EqualityVerdict(DISTINCT, separating="abelian_invariant", visited=2, budget=budget)
 
-    kp, kq = p.arrows, q.arrows
-    side_p: dict[tuple, tuple] = {kp: ()}
-    side_q: dict[tuple, tuple] = {kq: ()}
-    front_p, front_q = [kp], [kq]
-    visited = 2
-    pruned_p = pruned_q = False
-    max_len = budget.max_path_length
-
-    def finish(meet_steps_p: tuple, meet_steps_q: tuple) -> EqualityVerdict:
-        cert = meet_steps_p + _invert(meet_steps_q)
-        final = replay_certificate(p, cert, R)
-        if final.key() != q.key():
-            raise OracleSoundnessError("certificate replay did not reach the target path")
-        if R.residue(p.arrows) != R.residue(q.arrows):
-            raise OracleSoundnessError("abelian invariant separated a proven-equal pair")
-        return EqualityVerdict(EQUAL, certificate=cert, visited=visited, budget=budget)
-
-    while front_p or front_q:
-        expand_p = bool(front_p) and (not front_q or len(front_p) <= len(front_q))
-        mine, other = (side_p, side_q) if expand_p else (side_q, side_p)
-        front = front_p if expand_p else front_q
-        new_front = []
-        overflow = False
-        for key in front:
-            chain = mine[key]
-            for pos, ridx, direction, res in R.sites(key):
-                if len(res) > max_len:
-                    if expand_p:
-                        pruned_p = True
-                    else:
-                        pruned_q = True
-                    continue
-                if res in mine:
-                    continue
-                step_chain = chain + ((pos, ridx, direction),)
-                if res in other:
-                    if expand_p:
-                        return finish(step_chain, other[res])
-                    return finish(other[res], step_chain)
-                if visited >= budget.max_visited:
-                    overflow = True
-                    break
-                mine[res] = step_chain
-                new_front.append(res)
-                visited += 1
-            if overflow:
-                break
-        if overflow:
-            return EqualityVerdict(UNKNOWN, visited=visited, budget=budget)
-        if expand_p:
-            front_p = new_front
-        else:
-            front_q = new_front
-        if not front_p and not pruned_p:
-            break
-        if not front_q and not pruned_q:
-            break
-
-    if (not front_p and not pruned_p) or (not front_q and not pruned_q):
-        return EqualityVerdict(
-            DISTINCT, separating="exhausted_closure", visited=visited, budget=budget
+    side_p, side_q = _Closure(p.arrows), _Closure(q.arrows)
+    while True:
+        expand_p = bool(side_p.front) and (
+            not side_q.front or len(side_p.front) <= len(side_q.front)
         )
-    return EqualityVerdict(UNKNOWN, visited=visited, budget=budget)
+        mine, other = (side_p, side_q) if expand_p else (side_q, side_p)
+        room = budget.max_visited - len(side_p.chains) - len(side_q.chains)
+        found = mine.expand(R, budget.max_path_length, other.chains.__contains__, room)
+        visited = len(side_p.chains) + len(side_q.chains)
+        if found is _OVERFLOW:
+            return EqualityVerdict(UNKNOWN, visited=visited, budget=budget)
+        if found is not None:
+            meet, steps = found
+            steps_p, steps_q = (steps, other.chains[meet]) if expand_p else (other.chains[meet], steps)
+            cert = steps_p + _invert(steps_q)
+            if replay_certificate(p, cert, R).key() != q.key():
+                raise OracleSoundnessError("certificate replay did not reach the target path")
+            return EqualityVerdict(EQUAL, certificate=cert, visited=visited, budget=budget)
+        if side_p.complete or side_q.complete:
+            return EqualityVerdict(
+                DISTINCT, separating="exhausted_closure", visited=visited, budget=budget
+            )
+        if not side_p.front and not side_q.front:
+            return EqualityVerdict(UNKNOWN, visited=visited, budget=budget)
+
+
+def class_contains(p: Path, R: RelationSet, hit, budget: SearchBudget | None = None) -> bool | None:
+    """Whether some path equal to p has hit(arrows) true: True when one is
+    found, False when the whole equality class was enumerated without one,
+    None when the budget ran out first."""
+    budget = default_budget(R, p, budget=budget)
+    if hit(p.arrows):
+        return True
+    closure = _Closure(p.arrows)
+    while closure.front:
+        found = closure.expand(
+            R, budget.max_path_length, hit, budget.max_visited - len(closure.chains)
+        )
+        if found is _OVERFLOW:
+            return None
+        if found is not None:
+            return True
+    return None if closure.pruned else False

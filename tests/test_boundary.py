@@ -256,9 +256,3 @@ def test_verify_boundary_algebra_outcome_json():
     data = out.to_json()
     assert data["passed"] and data["matched"]
     assert data["generators"] == 12
-
-
-def test_match_with_reflection_flag_still_succeeds():
-    BP, _ = fan_presentation(5, 2)
-    match = dl.match_gamma(BP, dl.build_gamma(2, 5), allow_reflection=True)
-    assert match.ok and not match.reflected

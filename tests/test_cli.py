@@ -69,6 +69,16 @@ def test_verify_starved_budget_exit_two():
     assert json.loads(out)["outcome"]["inconclusive"]
 
 
+def test_budget_dimension_not_given_keeps_per_query_default():
+    argv = ["verify", "--n", "5", "--m", "2", "--fan"]
+    code, out = run_cli(argv + ["--budget-visited", "1000000"])
+    _, default = run_cli(argv)
+    assert code == 0
+    data = json.loads(out)
+    assert data["budget"] == {"max_visited": 1000000, "max_path_length": "per-query"}
+    assert data["outcome"] == json.loads(default)["outcome"]
+
+
 def test_verify_edge_as_diagonal_exit_one(capsys):
     code, _ = run_cli(["verify", "--n", "5", "--m", "2", "--diagonals", "1-2"])
     assert code == 1

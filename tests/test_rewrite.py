@@ -51,6 +51,13 @@ def test_sites_preserve_endpoints():
                     assert s.result.target == p.target
 
 
+def test_paths_compare_equal_only_within_one_quiver():
+    _, _, Q1, _ = fan_pipeline(3, 2)
+    _, _, Q2, _ = fan_pipeline(5, 2)
+    assert Path(Q1, (0,)) == Path(Q1, (0,))
+    assert Path(Q1, (0,)) != Path(Q2, (0,))
+
+
 def test_reflexivity():
     _, _, Q, R = fan_pipeline(3, 2)
     p = Q.path((arrow_by_endpoints(Q, 2, 3),))
