@@ -78,11 +78,6 @@ class GammaQuiver:
     def vertex_count(self) -> int:
         return self.m * self.n
 
-    def arrow_multiset(self) -> Counter:
-        return Counter(
-            (src, tgt, name[0]) for name, (src, tgt) in self.arrows.items()
-        )
-
     def name_by_signature(self) -> dict:
         return {
             (src, tgt, name[0]): name for name, (src, tgt) in self.arrows.items()
@@ -340,8 +335,8 @@ def match_gamma(BP: BoundaryPresentation, G: GammaQuiver) -> GammaMatch:
         raise IncompatibleGammaError(
             f"presentation has {BP.boundary_count} boundary vertices, Gamma has {mn}"
         )
-    gamma_sig = G.arrow_multiset()
-    names = G.name_by_signature()
+    names = G.name_by_signature()  # a signature fixes the target and the family
+    gamma_sig = Counter(names.keys())
     if len(BP.classes) != len(G.arrows):
         return GammaMatch(
             ok=False,
@@ -435,80 +430,43 @@ def verify_theorem_relations(
     if not match.ok:
         raise BoundaryError(f"Gamma match required first: {match.obstruction}")
 
-    def rep(fam: str, k: int) -> Path:
-        return match.rep_of((fam, modl(k, mn)))
-
-    def chain(*parts: Path) -> Path:
-        out = parts[0]
-        for p in parts[1:]:
-            out = out * p
-        return out
-
-    def xprod(start: int, count: int) -> Path:
-        return chain(*[rep("x", start + i) for i in range(count)])
+    def read(word: list) -> tuple[str, Path]:
+        """Text and path of a word of Gamma arrows (letter, index)."""
+        names = [(fam, modl(i, mn)) for fam, i in word]
+        path = match.rep_of(names[0])
+        for name in names[1:]:
+            path = path * match.rep_of(name)
+        return " ".join(f"{fam}_{i}" for fam, i in names), path
 
     report = RelationReport()
-
-    def check(family: str, k: int, desc: str, lhs: Path, rhs: Path) -> None:
-        verdict = paths_equal(lhs, rhs, R, budget)
-        report.instances.append(RelationInstance(family, k, desc, verdict))
-
     for k in range(1, mn + 1):
         km = k % m
-        kp = (-k) % m
-        if m == 2:
-            if km == 0:
-                check(
-                    "IV",
-                    k,
-                    f"x_{modl(k + 1, mn)} x_{modl(k + 2, mn)} y_{k} = "
-                    f"y_{modl(k - 2, mn)} x_{modl(k - 1, mn)} x_{k}",
-                    chain(rep("x", k + 1), rep("x", k + 2), rep("y", k)),
-                    chain(rep("y", k - 2), rep("x", k - 1), rep("x", k)),
-                )
-        else:
-            if km not in (0, 1):
-                check(
-                    "I",
-                    k,
-                    f"x_{modl(k + 2 + 2 * kp, mn)} y_{k} = y_{modl(k + 1, mn)} z_{k}",
-                    chain(rep("x", k + 2 + 2 * kp), rep("y", k)),
-                    chain(rep("y", k + 1), rep("z", k)),
-                )
-            if km not in (0, 1, 2):
-                check(
-                    "II",
-                    k,
-                    f"x_{modl(k + 1, mn)} z_{k} = z_{modl(k - 1, mn)} x_{k}",
-                    chain(rep("x", k + 1), rep("z", k)),
-                    chain(rep("z", k - 1), rep("x", k)),
-                )
-            if km == 2:
-                check(
-                    "III",
-                    k,
-                    f"x_{modl(k + 1, mn)} z_{k} = "
-                    f"y_{modl(k - 2, mn)} x_{modl(k - 1, mn)} x_{k}",
-                    chain(rep("x", k + 1), rep("z", k)),
-                    chain(rep("y", k - 2), rep("x", k - 1), rep("x", k)),
-                )
-            if km == 0:
-                check(
-                    "IV",
-                    k,
-                    f"x_{modl(k + 1, mn)} x_{modl(k + 2, mn)} y_{k} = "
-                    f"z_{modl(k - 1, mn)} x_{k}",
-                    chain(rep("x", k + 1), rep("x", k + 2), rep("y", k)),
-                    chain(rep("z", k - 1), rep("x", k)),
-                )
-        if km != 1 % m:
-            check(
+        y_tail = k + 2 + 2 * ((-k) % m)
+        iii_rhs = [("y", k - 2), ("x", k - 1), ("x", k)]
+        iv_rhs = [("z", k - 1), ("x", k)] if m > 2 else iii_rhs  # m = 2: no z arrows
+        table = [
+            ("I", km not in (0, 1), [("x", y_tail), ("y", k)], [("y", k + 1), ("z", k)]),
+            ("II", km not in (0, 1, 2), [("x", k + 1), ("z", k)], [("z", k - 1), ("x", k)]),
+            ("III", km == 2, [("x", k + 1), ("z", k)], iii_rhs),
+            ("IV", km == 0, [("x", k + 1), ("x", k + 2), ("y", k)], iv_rhs),
+            (
                 "V",
-                k,
-                f"y_{modl(k + 2 + 2 * kp, mn)} y_{k} = "
-                f"x_{modl(k + 2 * m + 1, mn)}..x_{k} ({mn - 2 * m} arrows)",
-                chain(rep("y", k + 2 + 2 * kp), rep("y", k)),
-                xprod(k + 2 * m + 1, mn - 2 * m),
+                km != 1 % m,
+                [("y", y_tail), ("y", k)],
+                [("x", k + 2 * m + 1 + i) for i in range(mn - 2 * m)],
+            ),
+        ]
+        for family, applies, lhs_word, rhs_word in table:
+            if not applies:
+                continue
+            lhs_text, lhs = read(lhs_word)
+            rhs_text, rhs = read(rhs_word)
+            if family == "V":  # the long x side is shown by its two ends
+                first, *_, last = rhs_text.split()
+                rhs_text = f"{first}..{last} ({len(rhs_word)} arrows)"
+            verdict = paths_equal(lhs, rhs, R, budget)
+            report.instances.append(
+                RelationInstance(family, k, f"{lhs_text} = {rhs_text}", verdict)
             )
     return report
 
@@ -653,11 +611,12 @@ def _move_class(tag: tuple) -> str:
 def fan_generator_paths(m: int, n: int, Q: QuiverWithFaces) -> dict:
     """The named generator paths of the fan quiver, built structurally.
 
-    Yields a table name -> Path covering all of Gamma(m, n): x arrows, the
-    z paths (one internal stopover), and the y paths as class chains
-    (k'+1 apex-ward C moves and/or k'+1 outward B moves, or a full circular
-    A chain).  Raises FormulaMismatchError where the expected arrow does
-    not exist or is ambiguous.
+    Yields a table name -> Path covering all of Gamma(m, n), each path
+    starting at its Gamma arrow's source: x arrows, the z paths (one
+    internal stopover), and the y paths as class chains (k'+1 apex-ward C
+    moves and/or k'+1 outward B moves, or a full circular A chain).  Raises
+    FormulaMismatchError where the expected arrow does not exist or is
+    ambiguous.
     """
     if Q.m != m or Q.n != n:
         raise FormulaMismatchError(f"quiver is for (m,n)=({Q.m},{Q.n}), not ({m},{n})")
@@ -677,18 +636,26 @@ def fan_generator_paths(m: int, n: int, Q: QuiverWithFaces) -> dict:
         return hits[0]
 
     table: dict[tuple, Path] = {}
-    for k in range(1, mn + 1):
-        aid = Q.find_arrow(modl(k - 1, mn), k)
-        if aid is None:
-            raise FormulaMismatchError(f"missing boundary arrow x_{k}")
-        table[("x", k)] = Q.arrow_path(aid)
-
-    for h in range(1, mn + 1):
-        if h % m == 1 % m:
-            continue
-        kp = (-h) % m
-        tail = modl(h + 2 + 2 * kp, mn)
-        if h >= m * (n - 1) + 2:
+    for (fam, h), (tail, _) in sorted(build_gamma(m, n).arrows.items()):
+        if fam == "x":
+            aid = Q.find_arrow(tail, h)
+            if aid is None:
+                raise FormulaMismatchError(f"missing boundary arrow x_{h}")
+            arrows = [aid]
+        elif fam == "z":
+            stops = [
+                aid
+                for aid in Q.out_arrows[tail]
+                if Q.vertices[Q.arrow_target[aid]] == "internal"
+                and Q.find_arrow(Q.arrow_target[aid], h) is not None
+            ]
+            if len(stops) != 1:
+                raise FormulaMismatchError(
+                    f"z_{h} needs one internal stopover {tail}->v->{h}, found {len(stops)}"
+                )
+            v = Q.arrow_target[stops[0]]
+            arrows = [stops[0], Q.find_arrow(v, h)]
+        elif h >= m * (n - 1) + 2:
             arrows, v = [], tail
             for _ in range(mn):
                 if v == h:
@@ -699,6 +666,7 @@ def fan_generator_paths(m: int, n: int, Q: QuiverWithFaces) -> dict:
             if v != h:
                 raise FormulaMismatchError(f"alpha chain from {tail} misses {h}")
         else:
+            kp = (-h) % m
             if 2 <= h <= m:
                 steps = ["C"] * (kp + 1)
             elif m * (n - 2) + 2 <= h <= m * (n - 1):
@@ -714,24 +682,7 @@ def fan_generator_paths(m: int, n: int, Q: QuiverWithFaces) -> dict:
                 raise FormulaMismatchError(
                     f"y_{h} path lands on {v!r} instead of {h}"
                 )
-        table[("y", h)] = Q.path(arrows)
-
-    for h in range(1, mn + 1):
-        if h % m in (0, 1 % m):
-            continue
-        tail = modl(h + 1, mn)
-        stops = [
-            aid
-            for aid in Q.out_arrows[tail]
-            if Q.vertices[Q.arrow_target[aid]] == "internal"
-            and Q.find_arrow(Q.arrow_target[aid], h) is not None
-        ]
-        if len(stops) != 1:
-            raise FormulaMismatchError(
-                f"z_{h} needs one internal stopover {tail}->v->{h}, found {len(stops)}"
-            )
-        v = Q.arrow_target[stops[0]]
-        table[("z", h)] = Q.path((stops[0], Q.find_arrow(v, h)))
+        table[(fam, h)] = Q.path(arrows)
     return table
 
 
@@ -740,28 +691,20 @@ def check_fan_formulas(
     R: RelationSet,
     budget: SearchBudget | None = None,
     match: GammaMatch | None = None,
-):
-    """Assert each formula path equals the extracted class with its name."""
-    from .dimer import ValidationReport
-
+) -> RelationReport:
+    """Check that each formula path equals the extracted class with its name;
+    one instance per Gamma arrow, named like the arrow."""
     if match is None:
         match = match_gamma(BP, build_gamma(BP.m, BP.n))
     if not match.ok:
         raise BoundaryError(f"Gamma match required first: {match.obstruction}")
-    table = fan_generator_paths(BP.m, BP.n, BP.quiver)
-    rep = ValidationReport()
-    for name, path in sorted(table.items()):
-        cls = match.assignment.get(name)
-        if cls is None:
-            rep.add(f"{name[0]}_{name[1]}", False, "no extracted class with this name")
-            continue
-        verdict = paths_equal(path, cls.rep, R, budget)
-        rep.add(
-            f"{name[0]}_{name[1]}",
-            verdict.outcome == EQUAL,
-            "" if verdict.outcome == EQUAL else f"verdict {verdict.outcome}",
-        )
-    return rep
+    report = RelationReport()
+    for (fam, k), path in sorted(fan_generator_paths(BP.m, BP.n, BP.quiver).items()):
+        if (fam, k) not in match.assignment:
+            raise BoundaryError(f"no extracted class named {fam}_{k}")
+        verdict = paths_equal(path, match.rep_of((fam, k)), R, budget)
+        report.instances.append(RelationInstance(fam, k, f"{fam}_{k}", verdict))
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -234,36 +234,28 @@ def flip_sequence(src: Triangulation, dst: Triangulation) -> list[FlipMove]:
     """A shortest sequence of flips carrying `src` to `dst` (BFS on the flip graph)."""
     if src.n != dst.n:
         raise IncompatiblePolygonsError(f"cannot connect n={src.n} to n={dst.n}")
-    if src.key() == dst.key():
-        return []
     start, goal = src.key(), dst.key()
-    parent: dict[tuple, tuple] = {start: None}
+    parent: dict[tuple, tuple | None] = {start: None}  # key -> (previous key, move)
     queue = deque([src])
-    while queue:
+    while queue and goal not in parent:
         cur = queue.popleft()
         for d in cur.sorted_diagonals:
             nxt, move = flip(cur, d)
             k = nxt.key()
             if k in parent:
                 continue
-            parent[k] = (cur.key(), move, nxt)
+            parent[k] = (cur.key(), move)
             if k == goal:
-                queue.clear()
                 break
             queue.append(nxt)
-        else:
-            continue
-        break
     if goal not in parent:
         raise PolygonError("flip graph is connected; this should not happen")
     moves = []
     k = goal
     while parent[k] is not None:
-        prev, move, _ = parent[k]
+        k, move = parent[k]
         moves.append(move)
-        k = prev
-    moves.reverse()
-    return moves
+    return moves[::-1]
 
 
 def apply_moves(T: Triangulation, moves) -> Triangulation:

@@ -280,10 +280,6 @@ class EqualityVerdict:
     visited: int = 0
     budget: SearchBudget | None = None
 
-    @property
-    def is_equal(self) -> bool:
-        return self.outcome == EQUAL
-
     def certificate_json(self) -> list[dict]:
         if self.certificate is None:
             return []

@@ -1,9 +1,15 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dimerlab as dl
 from dimerlab.boundary import (
+    BoundaryError,
     BoundaryPresentation,
     FormulaMismatchError,
+    GammaMatch,
     GeneratorClass,
     IncompatibleGammaError,
     InconclusivePresentationError,
@@ -11,7 +17,7 @@ from dimerlab.boundary import (
     gamma_tail,
     modl,
 )
-from dimerlab.rewrite import EQUAL, SearchBudget, paths_equal
+from dimerlab.rewrite import EQUAL, UNKNOWN, EqualityVerdict, SearchBudget, paths_equal
 
 from helpers import fan_pipeline, fan_presentation, pipeline, presentation
 
@@ -153,6 +159,55 @@ def test_relation_v_x_side_length_general():
             assert f"({mn - 2 * m} arrows)" in inst.description
 
 
+def test_relation_texts_fan_3_3():
+    _, _, Q, R = fan_pipeline(3, 3)
+    BP, match = fan_presentation(3, 3)
+    report = dl.verify_theorem_relations(BP, R, match=match)
+    assert [(i.family, i.k, i.description) for i in report.instances] == [
+        ("I", 2, "x_6 y_2 = y_3 z_2"),
+        ("III", 2, "x_3 z_2 = y_9 x_1 x_2"),
+        ("V", 2, "y_6 y_2 = x_9..x_2 (3 arrows)"),
+        ("IV", 3, "x_4 x_5 y_3 = z_2 x_3"),
+        ("V", 3, "y_5 y_3 = x_1..x_3 (3 arrows)"),
+        ("I", 5, "x_9 y_5 = y_6 z_5"),
+        ("III", 5, "x_6 z_5 = y_3 x_4 x_5"),
+        ("V", 5, "y_9 y_5 = x_3..x_5 (3 arrows)"),
+        ("IV", 6, "x_7 x_8 y_6 = z_5 x_6"),
+        ("V", 6, "y_8 y_6 = x_4..x_6 (3 arrows)"),
+        ("I", 8, "x_3 y_8 = y_9 z_8"),
+        ("III", 8, "x_9 z_8 = y_6 x_7 x_8"),
+        ("V", 8, "y_3 y_8 = x_6..x_8 (3 arrows)"),
+        ("IV", 9, "x_1 x_2 y_9 = z_8 x_9"),
+        ("V", 9, "y_2 y_9 = x_7..x_9 (3 arrows)"),
+    ]
+
+
+@st.composite
+def m_and_triangulation(draw):
+    m = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(3, 4 if m == 4 else 7))
+    tris = dl.enumerate_triangulations(n)
+    return m, tris[draw(st.integers(0, len(tris) - 1))]
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(m_and_triangulation())
+def test_theorem_relations_random_triangulations(case):
+    m, T = case
+    n = T.n
+    _, _, Q, R = pipeline(n, m, T.sorted_diagonals)
+    BP, match = presentation(n, m, T.sorted_diagonals)
+    report = dl.verify_theorem_relations(BP, R, match=match)
+    assert report.passed
+    assert Counter(i.family for i in report.instances) == Counter(
+        I=n * (m - 2),
+        II=n * max(m - 3, 0),
+        III=n if m >= 3 else 0,
+        IV=n,
+        V=n * (m - 1),
+    )
+
+
 def test_central_element_triangle():
     _, _, Q, R = fan_pipeline(3, 2)
     BP, _ = fan_presentation(3, 2)
@@ -218,6 +273,27 @@ def test_fan_formulas_equal_extracted_classes(m, n):
     BP, match = fan_presentation(n, m)
     rep = dl.check_fan_formulas(BP, R, match=match)
     assert rep.passed, rep.failures()
+
+
+def test_fan_formulas_report_unknown_as_inconclusive(monkeypatch):
+    _, _, Q, R = fan_pipeline(4, 3)
+    BP, match = fan_presentation(4, 3)
+    monkeypatch.setattr(
+        "dimerlab.boundary.paths_equal", lambda *args: EqualityVerdict(UNKNOWN)
+    )
+    rep = dl.check_fan_formulas(BP, R, match=match)
+    assert rep.unknowns()
+    assert not rep.failures()
+    assert not rep.passed
+
+
+def test_fan_formulas_need_every_gamma_arrow_matched():
+    _, _, Q, R = fan_pipeline(4, 3)
+    BP, match = fan_presentation(4, 3)
+    partial = dict(match.assignment)
+    del partial[("y", 2)]
+    with pytest.raises(BoundaryError):
+        dl.check_fan_formulas(BP, R, match=GammaMatch(ok=True, assignment=partial))
 
 
 def test_flip_transport_m2_pentagon():
