@@ -18,7 +18,7 @@ print(f"fan({n},1), m={m}: {len(BP.classes)} generator classes "
 
 G = dl.build_gamma(m, n)
 match = dl.match_gamma(BP, G)
-print(f"match against Gamma({m},{n}): ok={match.ok}, rotation={match.rotation}")
+print(f"match against Gamma({m},{n}): ok={match.ok}")
 
 report = dl.verify_theorem_relations(BP, R, match=match)
 by_family = {}

@@ -4,9 +4,9 @@ The boundary algebra is spanned by paths that start and end on boundary
 vertices.  Its quiver is extracted from a dimer-model quiver by
 enumerating primitive boundary-to-boundary paths (interior vertices all
 internal), merging them up to path equality, and discarding classes equal
-to a composition of two others.  The surviving classes are matched, up to
-rotation of the boundary labels, against the canonical quiver Gamma(m, n):
-m*n cyclic vertices with arrow families
+to a composition of two others.  The surviving classes are matched, on
+the boundary labels the dual quiver fixes, against the canonical quiver
+Gamma(m, n): m*n cyclic vertices with arrow families
 
     x_k : k-1 -> k                     every k,
     y_k : k+2+2k' -> k   k' = (-k) mod m,   k != 1 (mod m),
@@ -45,10 +45,6 @@ class BoundaryError(ValueError):
 
 class InconclusivePresentationError(BoundaryError):
     """The search budget ran out while grouping boundary path classes."""
-
-    def __init__(self, message, pair=None):
-        super().__init__(message)
-        self.pair = pair
 
 
 class IncompatibleGammaError(BoundaryError):
@@ -140,7 +136,7 @@ def build_gamma(m: int, n: int) -> GammaQuiver:
 class GeneratorClass:
     source: int
     target: int
-    tag: str | None  # 'x' | 'y' | 'z' | None when outside the Gamma pattern
+    tag: str | None  # family of Gamma's arrow with these endpoints, if it has one
     rep: Path
     size: int  # number of primitive paths merged into the class
 
@@ -165,15 +161,6 @@ class BoundaryPresentation:
     def boundary_count(self) -> int:
         return len(self.quiver.boundary_vertices)
 
-    def by_signature(self) -> dict:
-        out = {}
-        for c in self.classes:
-            key = (c.source, c.target, c.tag)
-            if key in out:
-                raise BoundaryError(f"duplicate generator signature {key}")
-            out[key] = c
-        return out
-
     def to_json(self) -> dict:
         return {
             "m": self.m,
@@ -192,24 +179,14 @@ class BoundaryPresentation:
         }
 
 
-def intrinsic_tag(source: int, target: int, m: int, mn: int) -> str | None:
-    diff = (source - target) % mn
-    if diff == mn - 1:
-        return "x"
-    if diff == 1:
-        return "z"
-    if diff % 2 == 0 and 2 <= diff <= 2 * m - 2:
-        return "y"
-    return None
-
-
-def _primitive_paths(Q: QuiverWithFaces) -> list[tuple]:
-    """Arrow tuples from boundary to boundary through internal vertices only,
-    each visiting an internal vertex at most once."""
-    out = []
+def _primitive_paths(Q: QuiverWithFaces) -> dict[tuple, list[Path]]:
+    """Paths from boundary to boundary through internal vertices only, each
+    visiting an internal vertex at most once, by (source, target) in sorted
+    order; each list is in (length, arrows) order."""
+    found = defaultdict(list)
     internal = {v for v, kind in Q.vertices.items() if kind == "internal"}
 
-    def walk(prefix: list[int], at, seen: set) -> None:
+    def walk(source, prefix: list[int], at, seen: set) -> None:
         for aid in Q.out_arrows[at]:
             tgt = Q.arrow_target[aid]
             if tgt in internal:
@@ -217,15 +194,18 @@ def _primitive_paths(Q: QuiverWithFaces) -> list[tuple]:
                     continue
                 prefix.append(aid)
                 seen.add(tgt)
-                walk(prefix, tgt, seen)
+                walk(source, prefix, tgt, seen)
                 seen.remove(tgt)
                 prefix.pop()
             else:
-                out.append(tuple(prefix + [aid]))
+                found[(source, tgt)].append(tuple(prefix + [aid]))
 
     for s in Q.boundary_vertices:
-        walk([], s, set())
-    return sorted(out, key=lambda a: (len(a), a))
+        walk(s, [], s, set())
+    return {
+        ends: [Path(Q, a) for a in sorted(paths, key=lambda a: (len(a), a))]
+        for ends, paths in sorted(found.items())
+    }
 
 
 def boundary_generators(
@@ -236,41 +216,34 @@ def boundary_generators(
     Primitive paths (boundary to boundary through internal vertices) are
     grouped up to path equality, then every class whose representative
     factors through an intermediate boundary vertex is discarded as a
-    composition of two shorter classes.  Budget exhaustion anywhere raises
-    InconclusivePresentationError with the offending pair attached.
+    composition of two shorter classes.  Each class is tagged with the
+    family of the Gamma(m, n) arrow that has its endpoints (Gamma has at
+    most one arrow per pair).  Budget exhaustion anywhere raises
+    InconclusivePresentationError.
     """
-    buckets: dict[tuple, list[tuple]] = defaultdict(list)
-    for arrows in _primitive_paths(Q):
-        p = Path(Q, arrows)
-        buckets[(p.source, p.target)].append(arrows)
-
+    family = {ends: name[0] for name, ends in build_gamma(Q.m, Q.n).arrows.items()}
     classes = []
-    for (src, tgt), paths in sorted(buckets.items()):
-        groups: list[list[tuple]] = []
-        for arrows in paths:
-            p = Path(Q, arrows)
-            placed = False
+    for (src, tgt), paths in _primitive_paths(Q).items():
+        groups: list[list[Path]] = []  # each group's first path is its least
+        for p in paths:
             for g in groups:
-                verdict = paths_equal(p, Path(Q, g[0]), R, budget)
+                verdict = paths_equal(p, g[0], R, budget)
                 if verdict.outcome == EQUAL:
-                    g.append(arrows)
-                    placed = True
+                    g.append(p)
                     break
                 if verdict.outcome == UNKNOWN:
                     raise InconclusivePresentationError(
-                        f"cannot decide {arrows} vs {g[0]} within budget",
-                        pair=(arrows, g[0]),
+                        f"cannot decide {p.arrows} vs {g[0].arrows} within budget"
                     )
-            if not placed:
-                groups.append([arrows])
+            else:
+                groups.append([p])
         for g in groups:
-            rep = min(g, key=lambda a: (len(a), a))
             classes.append(
                 GeneratorClass(
                     source=src,
                     target=tgt,
-                    tag=intrinsic_tag(src, tgt, Q.m, Q.m * Q.n),
-                    rep=Path(Q, rep),
+                    tag=family.get((src, tgt)),
+                    rep=g[0],
                     size=len(g),
                 )
             )
@@ -282,8 +255,7 @@ def boundary_generators(
             continue
         if verdict == "truncated":
             raise InconclusivePresentationError(
-                f"cannot decide within budget whether {c.describe()} is a generator",
-                pair=(c.rep.arrows, None),
+                f"cannot decide within budget whether {c.describe()} is a generator"
             )
         survivors.append(c)
     survivors.sort(key=lambda c: (c.target, c.source, c.rep.arrows))
@@ -318,8 +290,6 @@ def factors_through_boundary(
 @dataclass
 class GammaMatch:
     ok: bool
-    rotation: int | None = None
-    vertex_map: dict | None = None
     assignment: dict | None = None  # Gamma arrow name -> GeneratorClass
     obstruction: str | None = None
 
@@ -328,38 +298,29 @@ class GammaMatch:
 
 
 def match_gamma(BP: BoundaryPresentation, G: GammaQuiver) -> GammaMatch:
-    """Search rotations of the boundary labels for a bijection carrying the
-    presentation's generators onto Gamma's arrows."""
+    """Carry the presentation's generators onto Gamma's arrows, each class to
+    the arrow with its (source, target, family) signature.
+
+    The boundary labels are the polygon's own (dual_quiver fixes them), so
+    no relabelling is searched.
+    """
     mn = G.vertex_count
     if BP.boundary_count != mn:
         raise IncompatibleGammaError(
             f"presentation has {BP.boundary_count} boundary vertices, Gamma has {mn}"
         )
     names = G.name_by_signature()  # a signature fixes the target and the family
-    gamma_sig = Counter(names.keys())
-    if len(BP.classes) != len(G.arrows):
+    if Counter((c.source, c.target, c.tag) for c in BP.classes) != Counter(names.keys()):
+        missing = [c.describe() for c in BP.classes if c.tag is None]
         return GammaMatch(
             ok=False,
             obstruction=(
-                f"generator count {len(BP.classes)} != arrow count {len(G.arrows)}"
+                f"the {len(BP.classes)} generators do not match the {len(G.arrows)} "
+                f"arrows of Gamma({G.m},{G.n}); untaggable classes: {missing[:4]}"
             ),
         )
-
-    for r in range(mn):
-        vmap = {v: modl(v + r, mn) for v in range(1, mn + 1)}
-        sig = Counter(
-            (vmap[c.source], vmap[c.target], c.tag) for c in BP.classes
-        )
-        if sig == gamma_sig:
-            assignment = {
-                names[(vmap[c.source], vmap[c.target], c.tag)]: c for c in BP.classes
-            }
-            return GammaMatch(ok=True, rotation=r, vertex_map=vmap, assignment=assignment)
-    missing = [c.describe() for c in BP.classes if c.tag is None]
-    detail = f"; untaggable classes: {missing[:4]}" if missing else ""
     return GammaMatch(
-        ok=False,
-        obstruction=f"no rotation aligns the generators with Gamma({G.m},{G.n}){detail}",
+        ok=True, assignment={names[(c.source, c.target, c.tag)]: c for c in BP.classes}
     )
 
 
@@ -410,7 +371,8 @@ def verify_theorem_relations(
     BP: BoundaryPresentation,
     R: RelationSet,
     budget: SearchBudget | None = None,
-    match: GammaMatch | None = None,
+    *,
+    match: GammaMatch,
 ) -> RelationReport:
     """Check every instance of the main theorem's relation families.
 
@@ -425,8 +387,6 @@ def verify_theorem_relations(
     """
     m, n = BP.m, BP.n
     mn = m * n
-    if match is None:
-        match = match_gamma(BP, build_gamma(m, n))
     if not match.ok:
         raise BoundaryError(f"Gamma match required first: {match.obstruction}")
 
@@ -441,7 +401,7 @@ def verify_theorem_relations(
     report = RelationReport()
     for k in range(1, mn + 1):
         km = k % m
-        y_tail = k + 2 + 2 * ((-k) % m)
+        y_tail = gamma_tail(k, m, mn)
         iii_rhs = [("y", k - 2), ("x", k - 1), ("x", k)]
         iv_rhs = [("z", k - 1), ("x", k)] if m > 2 else iii_rhs  # m = 2: no z arrows
         table = [
@@ -690,12 +650,11 @@ def check_fan_formulas(
     BP: BoundaryPresentation,
     R: RelationSet,
     budget: SearchBudget | None = None,
-    match: GammaMatch | None = None,
+    *,
+    match: GammaMatch,
 ) -> RelationReport:
     """Check that each formula path equals the extracted class with its name;
     one instance per Gamma arrow, named like the arrow."""
-    if match is None:
-        match = match_gamma(BP, build_gamma(BP.m, BP.n))
     if not match.ok:
         raise BoundaryError(f"Gamma match required first: {match.obstruction}")
     report = RelationReport()
@@ -717,7 +676,6 @@ class VerificationOutcome:
     m: int
     triangulation: Triangulation
     matched: bool = False
-    rotation: int | None = None
     generator_count: int = 0
     obstruction: str | None = None
     presentation: BoundaryPresentation | None = None
@@ -742,7 +700,8 @@ class VerificationOutcome:
             "m": self.m,
             "triangulation": self.triangulation.to_json(),
             "matched": self.matched,
-            "rotation": self.rotation,
+            # kept so the report keeps its shape: labels are matched unrotated
+            "rotation": 0 if self.matched else None,
             "generators": self.generator_count,
             "obstruction": self.obstruction,
             "presentation": self.presentation.to_json() if self.presentation else None,
@@ -778,11 +737,10 @@ def verify_boundary_algebra(
     outcome.generator_count = len(BP.classes)
     outcome.presentation = BP
     outcome.matched = match.ok
-    outcome.rotation = match.rotation
     outcome.obstruction = match.obstruction
     if not match.ok:
         return outcome
-    outcome.relations = verify_theorem_relations(BP, R, budget, match)
+    outcome.relations = verify_theorem_relations(BP, R, budget, match=match)
     outcome.central = verify_central_element(BP, R, budget)
     outcome.inconclusive.extend(
         f"relation {i.family}@{i.k}" for i in outcome.relations.unknowns()
@@ -850,20 +808,21 @@ def verify_flip_transport(
     T2, move = flip(T, d)
     quad_old = {tri for tri in T.triangles if set(move.removed) <= set(tri)}
     quad_new = {tri for tri in T2.triangles if set(move.inserted) <= set(tri)}
-    _, BP1, match1 = _extract(T, m, budget)
-    R2, BP2, match2 = _extract(T2, m, budget)
-    cert = FlipTransportCertificate(
-        move=move, matched_before=match1.ok, matched_after=match2.ok
-    )
+    cert = FlipTransportCertificate(move=move, matched_before=False, matched_after=False)
+    try:
+        _, _, match1 = _extract(T, m, budget)
+        R2, BP2, match2 = _extract(T2, m, budget)
+    except InconclusivePresentationError as exc:
+        cert.inconclusive.append(f"presentation: {exc}")
+        return cert
+    cert.matched_before, cert.matched_after = match1.ok, match2.ok
     if not (match1.ok and match2.ok):
         return cert
 
-    old_sig, new_sig = BP1.by_signature(), BP2.by_signature()
-    if set(old_sig) != set(new_sig):
-        cert.unaffected_identical = False
-        return cert
-    for key, old in sorted(old_sig.items(), key=str):
-        new = new_sig[key]
+    # both matches name every Gamma arrow exactly once
+    for name, old in match1.assignment.items():
+        new = match2.assignment[name]
+        key = (old.source, old.target, old.tag)
         old_tags, new_tags = _tag_sequence(old.rep), _tag_sequence(new.rep)
         touches_old = any(t[0] in quad_old for t in old_tags)
         touches_new = any(t[0] in quad_new for t in new_tags)
@@ -880,7 +839,7 @@ def verify_flip_transport(
             }
         elif old_tags != new_tags:
             cert.unaffected_identical = False
-    cert.relations_after = verify_theorem_relations(BP2, R2, budget, match2)
+    cert.relations_after = verify_theorem_relations(BP2, R2, budget, match=match2)
     cert.inconclusive.extend(
         f"relation {i.family}@{i.k}" for i in cert.relations_after.unknowns()
     )

@@ -74,12 +74,6 @@ class GLmDimer:
     def degree(self, v: NodeId) -> int:
         return len(self.rotation[v])
 
-    def neighbors(self, v: NodeId) -> tuple[NodeId, ...]:
-        return self.rotation[v]
-
-    def edges(self) -> list[frozenset]:
-        return sorted(self.edge_tags, key=lambda e: sorted(e))
-
     def whites(self) -> list[NodeId]:
         return sorted(v for v, rec in self.nodes.items() if rec.color == WHITE)
 
@@ -321,28 +315,16 @@ def reduce_dimer(D: GLmDimer, order: list[NodeId] | None = None) -> GLmDimer:
         for nb in spliced:
             rotation[nb] = [new if x in (w1, w2) else x for x in rotation[nb]]
 
-    def contractible() -> list[NodeId]:
-        return sorted(
-            v
-            for v, rec in nodes.items()
-            if rec.color == BLACK
-            and rec.location != LOC_BOUNDARY
-            and len(rotation[v]) == 2
-        )
-
-    first_pass = True
-    while True:
-        todo = contractible()
-        if not todo:
-            break
-        if first_pass and order is not None:
-            if sorted(order) != todo:
-                raise DimerError("order must be a permutation of the contractible blacks")
-            todo = list(order)
-        first_pass = False
-        for beta in todo:
-            if beta in nodes and len(rotation[beta]) == 2:
-                contract(beta)
+    # One pass suffices: a contraction merges two whites and leaves every
+    # black's degree alone (a case that would change one raises DimerError
+    # for a double edge first).
+    todo = D.contractible_blacks()
+    if order is not None:
+        if sorted(order) != todo:
+            raise DimerError("order must be a permutation of the contractible blacks")
+        todo = list(order)
+    for beta in todo:
+        contract(beta)
 
     return GLmDimer(
         m=D.m,

@@ -123,9 +123,6 @@ class QuiverWithFaces:
     def path(self, arrow_ids) -> Path:
         return Path(self, tuple(arrow_ids))
 
-    def arrow_path(self, aid: int) -> Path:
-        return Path(self, (aid,))
-
     def find_arrow(self, source, target) -> int | None:
         hits = [aid for aid in self.out_arrows.get(source, ()) if self.arrow_target[aid] == target]
         if len(hits) > 1:

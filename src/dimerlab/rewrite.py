@@ -152,7 +152,9 @@ class RelationSet:
         return len(self.relations)
 
     def sites(self, arrows: tuple) -> list[tuple]:
-        """All rewrite sites of a raw arrow tuple, deterministically ordered.
+        """All rewrite sites of a raw arrow tuple, in (position, relation,
+        direction) order: positions are scanned in order and each pattern
+        list holds ascending relations, 'lr' before 'rl'.
 
         Each site is (position, relation, direction, resulting tuple).
         """
@@ -164,7 +166,6 @@ class RelationSet:
                     out.append(
                         (pos, ridx, direction, arrows[:pos] + other + arrows[pos + len(side) :])
                     )
-        out.sort(key=lambda s: (s[0], s[1], s[2]))
         return out
 
     def lattice_basis(self) -> list[list[int]]:

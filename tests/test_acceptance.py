@@ -98,7 +98,7 @@ def test_criterion_3_gamma_matching_fans():
     bad = []
     for m, n in FAN_GRID:
         _, _, BP, match = fan_stack(m, n)
-        if not match.ok or match.rotation != 0 or len(BP.classes) != 3 * n * (m - 1):
+        if not match.ok or len(BP.classes) != 3 * n * (m - 1):
             bad.append((m, n, len(BP.classes), match.obstruction))
     dt = time.monotonic() - t0
     report(
@@ -135,7 +135,7 @@ def test_criterion_5_flip_invariance():
     bad = [
         (m, n, idx)
         for (m, n, idx), (_, _, _, BP, match) in stacks.items()
-        if not match.ok or match.rotation != 0 or len(BP.classes) != 3 * n * (m - 1)
+        if not match.ok or len(BP.classes) != 3 * n * (m - 1)
     ]
     dt = time.monotonic() - t0
     report(

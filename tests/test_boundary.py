@@ -82,7 +82,9 @@ def test_match_requires_equal_vertex_count():
         dl.match_gamma(BP, dl.build_gamma(2, 6))
 
 
-def test_match_is_rotation_covariant():
+def test_match_uses_the_boundary_labels_as_they_are():
+    # shifting every label by 3 (not a symmetry of Gamma(2, 5), which only
+    # has the even rotations) must not match
     BP, match = fan_presentation(5, 2)
     assert match.ok
     mn = 10
@@ -101,10 +103,8 @@ def test_match_is_rotation_covariant():
         ),
     )
     match2 = dl.match_gamma(shifted, dl.build_gamma(2, 5))
-    assert match2.ok
-    # Gamma(2, 5) is invariant under rotation by 2, so the matched rotation
-    # must undo the shift modulo that symmetry
-    assert (match2.rotation + shift - match.rotation) % 2 == 0
+    assert not match2.ok and match2.assignment is None
+    assert "Gamma(2,5)" in match2.obstruction
 
 
 def test_presentation_budget_exhaustion_is_inconclusive():

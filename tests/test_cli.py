@@ -136,6 +136,16 @@ def test_flip_check():
     assert json.loads(out)["certificate"]["ok"] is True
 
 
+def test_flip_check_starved_budget_prints_inconclusive_certificate():
+    argv = ["flip-check", "--n", "6", "--m", "3", "--fan", "--flip", "1-4"]
+    code, out = run_cli(argv + ["--budget-visited", "3"])
+    assert code == 2
+    cert = json.loads(out)["certificate"]
+    assert len(cert["inconclusive"]) == 1
+    assert cert["inconclusive"][0].startswith("presentation: ")
+    assert cert["ok"] is False
+
+
 def test_flip_check_bad_diagonal_exit_one():
     code, _ = run_cli(["flip-check", "--n", "5", "--m", "2", "--fan", "--flip", "1-2"])
     assert code == 1

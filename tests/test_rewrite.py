@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dimerlab as dl
 from dimerlab.quiver import Arrow, QuiverWithFaces, chordless_cycle_at
@@ -18,7 +20,7 @@ from dimerlab.rewrite import (
     rewrite_sites,
 )
 
-from helpers import fan_pipeline
+from helpers import fan_pipeline, pipeline
 
 
 def arrow_by_endpoints(Q, src, tgt):
@@ -258,3 +260,34 @@ def test_fan_m2_contains_the_product_chain_relations():
         v = paths_equal(lhs, z2 * u, R)
         assert v.outcome == EQUAL
         assert len(v.certificate) >= n - 2  # one step per gamma plus the y_4 start
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.data())
+def test_random_rewrite_walks(data):
+    # sites come in (position, relation, direction) order, the residue never
+    # changes along a walk, and replaying the walk's steps reaches its end.
+    # A bare relation side has one site only, so the walk starts from a side
+    # followed by a few random arrows.
+    m = data.draw(st.sampled_from([2, 3]))
+    n = data.draw(st.integers(3, 7))
+    tris = dl.enumerate_triangulations(n)
+    T = tris[data.draw(st.integers(0, len(tris) - 1))]
+    _, _, Q, R = pipeline(n, m, T.sorted_diagonals)
+    side = data.draw(st.sampled_from(R.relations[data.draw(st.integers(0, len(R) - 1))]))
+    arrows = side.arrows
+    for _ in range(data.draw(st.integers(0, 6))):
+        arrows += (data.draw(st.sampled_from(Q.out_arrows[Q.arrow_target[arrows[-1]]])),)
+    start = Q.path(arrows)
+    residue = R.residue(arrows)
+    steps = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        sites = R.sites(arrows)
+        order = [site[:3] for site in sites]
+        assert order == sorted(order)
+        if not sites:
+            break
+        pos, ridx, direction, arrows = data.draw(st.sampled_from(sites))
+        steps.append((pos, ridx, direction))
+        assert R.residue(arrows) == residue
+    assert replay_certificate(start, tuple(steps), R).arrows == arrows
