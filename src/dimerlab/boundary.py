@@ -757,7 +757,7 @@ class FlipTransportCertificate:
     matched_before: bool
     matched_after: bool
     affected: dict = field(default_factory=dict)
-    unaffected_identical: bool = True
+    unaffected_identical: bool | None = None  # None until the classes are compared
     relations_after: RelationReport | None = None
     inconclusive: list[str] = field(default_factory=list)
 
@@ -820,6 +820,7 @@ def verify_flip_transport(
         return cert
 
     # both matches name every Gamma arrow exactly once
+    cert.unaffected_identical = True
     for name, old in match1.assignment.items():
         new = match2.assignment[name]
         key = (old.source, old.target, old.tag)

@@ -213,6 +213,15 @@ def flip(T: Triangulation, d) -> tuple[Triangulation, FlipMove]:
     d = normalize_diagonal(T.n, d)
     if d not in T.diagonals:
         raise UnknownDiagonalError(f"{d} is not a diagonal of {T!r}")
+    inserted = _opposite_diagonal(T, d)
+    quad = tuple(sorted(d + inserted))
+    new_diags = (T.diagonals - {d}) | {inserted}
+    move = FlipMove(removed=d, inserted=inserted, quadrilateral=quad)
+    return Triangulation(T.n, new_diags), move
+
+
+def _opposite_diagonal(T: Triangulation, d: tuple[int, int]) -> tuple[int, int]:
+    """The other diagonal of the quadrilateral that T's diagonal d splits."""
     a, b = d
     others = [
         v
@@ -222,16 +231,15 @@ def flip(T: Triangulation, d) -> tuple[Triangulation, FlipMove]:
         if v not in (a, b)
     ]
     assert len(others) == 2
-    k, l = sorted(others)
-    inserted = (k, l)
-    quad = tuple(sorted((a, b, k, l)))
-    new_diags = (T.diagonals - {d}) | {inserted}
-    move = FlipMove(removed=d, inserted=inserted, quadrilateral=quad)
-    return Triangulation(T.n, new_diags), move
+    return tuple(sorted(others))
 
 
 def flip_sequence(src: Triangulation, dst: Triangulation) -> list[FlipMove]:
-    """A shortest sequence of flips carrying `src` to `dst` (BFS on the flip graph)."""
+    """A shortest sequence of flips carrying `src` to `dst` (BFS on the flip graph).
+
+    A neighbour's key is read off its diagonal set; the neighbour itself is
+    built by `flip` only when the key is new.
+    """
     if src.n != dst.n:
         raise IncompatiblePolygonsError(f"cannot connect n={src.n} to n={dst.n}")
     start, goal = src.key(), dst.key()
@@ -240,10 +248,11 @@ def flip_sequence(src: Triangulation, dst: Triangulation) -> list[FlipMove]:
     while queue and goal not in parent:
         cur = queue.popleft()
         for d in cur.sorted_diagonals:
-            nxt, move = flip(cur, d)
-            k = nxt.key()
+            diags = (cur.diagonals - {d}) | {_opposite_diagonal(cur, d)}
+            k = (cur.n, tuple(sorted(diags)))
             if k in parent:
                 continue
+            nxt, move = flip(cur, d)
             parent[k] = (cur.key(), move)
             if k == goal:
                 break

@@ -147,6 +147,7 @@ class RelationSet:
                     (side, other, ridx, direction)
                 )
         self._lattice_basis = None
+        self._reduction = None  # (pivot rows, per-arrow images), see residue
 
     def __len__(self):
         return len(self.relations)
@@ -184,10 +185,33 @@ class RelationSet:
         return self._lattice_basis
 
     def residue(self, arrows: tuple) -> tuple[int, ...]:
-        vec = [0] * len(self.quiver.arrows)
+        """The arrow-count vector of arrows, reduced modulo the relation lattice.
+
+        The reduction is additive.  The lattice basis is echelon with
+        positive pivot entries, and reducing brings the entry in each pivot
+        column into [0, pivot entry), which picks one representative per
+        coset of the lattice.  The sum of the arrows' reduced unit vectors
+        lies in the same coset as the count vector, so reducing that sum
+        gives the same tuple as reducing the count vector itself.  So each
+        arrow's image is reduced once per RelationSet; when every pivot
+        entry is 1 the images vanish in the pivot columns and the final
+        reduction subtracts nothing.
+        """
+        if self._reduction is None:
+            rows = _pivot_rows(self.lattice_basis())
+            dim = len(self.quiver.arrows)
+            images = []
+            for a in range(dim):
+                unit = [0] * dim
+                unit[a] = 1
+                images.append(tuple((j, x) for j, x in enumerate(_reduce(rows, unit)) if x))
+            self._reduction = rows, images
+        rows, images = self._reduction
+        vec = [0] * len(images)
         for a in arrows:
-            vec[a] += 1
-        return _lattice_reduce(self.lattice_basis(), vec)
+            for j, x in images[a]:
+                vec[j] += x
+        return _reduce(rows, vec)
 
 
 def _pivot(row: list[int]) -> int:
@@ -195,6 +219,10 @@ def _pivot(row: list[int]) -> int:
         if x:
             return j
     return -1
+
+
+def _pivot_rows(basis: list[list[int]]) -> list[tuple[int, list[int]]]:
+    return [(_pivot(row), row) for row in basis]
 
 
 def _lattice_insert(basis: list[list[int]], vec: list[int]) -> None:
@@ -239,9 +267,15 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _lattice_reduce(basis: list[list[int]], vec: list[int]) -> tuple[int, ...]:
+    return _reduce(_pivot_rows(basis), vec)
+
+
+def _reduce(rows: list[tuple[int, list[int]]], vec: list[int]) -> tuple[int, ...]:
+    """The canonical representative of vec modulo the lattice spanned by an
+    echelon basis with positive pivot entries, given as (pivot column, row)
+    pairs: its entry in each pivot column j lies in [0, row[j])."""
     v = list(vec)
-    for row in basis:
-        j = _pivot(row)
+    for j, row in rows:
         q = v[j] // row[j]
         if q:
             v = [x - q * y for x, y in zip(v, row)]

@@ -190,7 +190,7 @@ def m_and_triangulation(draw):
     return m, tris[draw(st.integers(0, len(tris) - 1))]
 
 
-@settings(max_examples=20, derandomize=True, deadline=None)
+@settings(max_examples=20)
 @given(m_and_triangulation())
 def test_theorem_relations_random_triangulations(case):
     m, T = case

@@ -143,6 +143,7 @@ def test_flip_check_starved_budget_prints_inconclusive_certificate():
     cert = json.loads(out)["certificate"]
     assert len(cert["inconclusive"]) == 1
     assert cert["inconclusive"][0].startswith("presentation: ")
+    assert cert["unaffected_identical"] is None  # no class was compared
     assert cert["ok"] is False
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -147,6 +148,28 @@ def test_flip_sequence_shortest_against_networkx():
             moves = dl.flip_sequence(src, dst)
             assert apply_moves(src, moves).key() == dst.key()
             assert len(moves) == nx.shortest_path_length(g, src.key(), dst.key())
+
+
+def test_flip_sequence_moves_match_a_plain_bfs():
+    # reference: breadth-first search that builds every neighbour with flip,
+    # diagonals in sorted order, keeping each triangulation's first discovery
+    tris = dl.enumerate_triangulations(7)
+    for src in tris:
+        parent = {src.key(): None}
+        queue = deque([src])
+        while queue:
+            cur = queue.popleft()
+            for d in cur.sorted_diagonals:
+                nxt, move = dl.flip(cur, d)
+                if nxt.key() not in parent:
+                    parent[nxt.key()] = (cur.key(), move)
+                    queue.append(nxt)
+        for dst in tris:
+            moves, k = [], dst.key()
+            while parent[k] is not None:
+                k, move = parent[k]
+                moves.append(move)
+            assert dl.flip_sequence(src, dst) == moves[::-1]
 
 
 def test_every_triangulation_reachable_from_fan():

@@ -1,10 +1,9 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dimerlab as dl
+from dimerlab.boundary import _primitive_paths
 from dimerlab.quiver import Arrow, QuiverWithFaces, chordless_cycle_at
 from dimerlab.rewrite import (
     DISTINCT,
@@ -165,6 +164,42 @@ def test_abelian_separation_matches_sympy_oracle():
     )
 
 
+@settings(max_examples=30)
+@given(st.data())
+def test_residue_is_the_reduced_count_vector(data):
+    # the residue sums per-arrow images; it must equal the direct reduction
+    # of the arrow-count vector, the empty multiset included
+    from dimerlab.rewrite import _lattice_reduce
+
+    m = data.draw(st.integers(2, 4))
+    n = data.draw(st.integers(3, 8))
+    tris = dl.enumerate_triangulations(n)
+    T = tris[data.draw(st.integers(0, len(tris) - 1))]
+    _, _, Q, R = pipeline(n, m, T.sorted_diagonals)
+    dim = len(Q.arrows)
+    arrows = tuple(data.draw(st.lists(st.integers(0, dim - 1), max_size=40)))
+    counts = [arrows.count(a) for a in range(dim)]
+    assert R.residue(arrows) == _lattice_reduce(R.lattice_basis(), counts)
+    assert R.residue(()) == (0,) * dim
+
+
+def test_residue_with_a_pivot_other_than_one():
+    # two loops a, b at one vertex with a a = b: the lattice is spanned by
+    # 2a - b, whose pivot is 2, so the sum of the arrows' reduced images
+    # must still be reduced once more.  No quiver of a triangulation has
+    # such a pivot.
+    arrows = [
+        Arrow(1, 1, "internal", ("t", (0, 0, 0), 0)),  # a
+        Arrow(1, 1, "internal", ("t", (0, 0, 0), 1)),  # b
+    ]
+    Q = QuiverWithFaces(1, 1, {1: "boundary"}, arrows, [])
+    R = RelationSet(Q, ((Path(Q, (0, 0)), Path(Q, (1,))),))
+    assert R.lattice_basis() == [[2, -1]]
+    assert R.residue((0, 0)) == R.residue((1,))
+    assert R.residue((0,)) != R.residue((1,))
+    assert R.residue((0, 0, 0)) == R.residue((0, 1)) == R.residue((1, 0))
+
+
 def test_distinct_by_abelian():
     _, _, Q, R = fan_pipeline(3, 2)
     p = Q.path((arrow_by_endpoints(Q, 1, 2),))
@@ -189,21 +224,51 @@ def test_distinct_by_exhausted_closure():
     assert v.outcome == DISTINCT and v.separating == "exhausted_closure"
 
 
-def test_equal_verdicts_symmetric_and_transitive():
-    rng = random.Random(5)
-    _, _, Q, R = fan_pipeline(5, 2)
-    pool = [lhs for lhs, _ in R.relations] + [rhs for _, rhs in R.relations]
+@settings(max_examples=40)
+@given(st.data())
+def test_equal_verdicts_symmetric_and_transitive(data):
+    # p, q and r share their endpoints.  Each starts from a primitive
+    # boundary path, a relation side or a chordless cycle at a boundary
+    # vertex (half the time the first one drawn, which has a rewrite site),
+    # takes a few random rewrites and is sometimes followed by the chordless
+    # cycle at its target, so both Equal and Distinct pairs occur.  Every
+    # Equal certificate must replay.  The choices come from a seeded Random:
+    # choices drawn one by one lean towards the first site, whose rewrite
+    # and its inverse mostly lead back to the start.
+    m = data.draw(st.sampled_from([2, 3, 4]))
+    n = data.draw(st.integers(3, 5 if m == 4 else 7))
+    tris = dl.enumerate_triangulations(n)
+    T = tris[data.draw(st.integers(0, len(tris) - 1))]
+    _, _, Q, R = pipeline(n, m, T.sorted_diagonals)
+    rng = data.draw(st.randoms(use_true_random=True))
+    pool = [p for paths in _primitive_paths(Q).values() for p in paths]
+    pool += [side for relation in R.relations for side in relation]
     pool += [chordless_cycle_at(Q, v) for v in Q.boundary_vertices]
-    for _ in range(30):
-        p = rng.choice(pool)
-        candidates = [q for q in pool if (q.source, q.target) == (p.source, p.target)]
-        q = rng.choice(candidates)
-        r = rng.choice(candidates)
-        v_pq = paths_equal(p, q, R)
-        v_qp = paths_equal(q, p, R)
-        assert v_pq.outcome == v_qp.outcome
-        if v_pq.outcome == EQUAL and paths_equal(q, r, R).outcome == EQUAL:
-            assert paths_equal(p, r, R).outcome == EQUAL
+    first = rng.choice([p for p in pool if R.sites(p.arrows)])
+    bucket = [p for p in pool if (p.source, p.target) == (first.source, first.target)]
+
+    def draw_path():
+        arrows = (first if rng.random() < 0.5 else rng.choice(bucket)).arrows
+        for _ in range(rng.randint(1, 5)):
+            sites = R.sites(arrows)
+            if not sites:
+                break
+            arrows = rng.choice(sites)[3]
+        p = Q.path(arrows)
+        if rng.random() < 0.25:
+            p = p * chordless_cycle_at(Q, p.target)
+        return p
+
+    def outcome(x, y):
+        v = paths_equal(x, y, R)
+        if v.outcome == EQUAL:
+            assert replay_certificate(x, v.certificate, R) == y
+        return v.outcome
+
+    p, q, r = draw_path(), draw_path(), draw_path()
+    assert outcome(p, q) == outcome(q, p)
+    if outcome(p, q) == EQUAL and outcome(q, r) == EQUAL:
+        assert outcome(p, r) == EQUAL
 
 
 def test_certificates_replay_across_suite():
@@ -262,7 +327,7 @@ def test_fan_m2_contains_the_product_chain_relations():
         assert len(v.certificate) >= n - 2  # one step per gamma plus the y_4 start
 
 
-@settings(max_examples=25, derandomize=True, deadline=None)
+@settings(max_examples=25)
 @given(st.data())
 def test_random_rewrite_walks(data):
     # sites come in (position, relation, direction) order, the residue never
