@@ -35,6 +35,7 @@ from .rewrite import (
     RelationSet,
     SearchBudget,
     class_contains,
+    default_budget,
     paths_equal,
 )
 
@@ -224,16 +225,19 @@ def boundary_generators(
     family = {ends: name[0] for name, ends in build_gamma(Q.m, Q.n).arrows.items()}
     classes = []
     for (src, tgt), paths in _primitive_paths(Q).items():
-        groups: list[list[Path]] = []  # each group's first path is its least
+        # each group's first path is its least and its last the nearest to
+        # the next path in (length, arrows) order, so p is compared with that
+        groups: list[list[Path]] = []
         for p in paths:
             for g in groups:
-                verdict = paths_equal(p, g[0], R, budget)
+                verdict = paths_equal(p, g[-1], R, budget)
                 if verdict.outcome == EQUAL:
                     g.append(p)
                     break
                 if verdict.outcome == UNKNOWN:
                     raise InconclusivePresentationError(
-                        f"cannot decide {p.arrows} vs {g[0].arrows} within budget"
+                        f"cannot decide {p.arrows} vs {g[-1].arrows} within "
+                        f"{_budget_text(verdict.budget)} (visited {verdict.visited})"
                     )
             else:
                 groups.append([p])
@@ -255,11 +259,16 @@ def boundary_generators(
             continue
         if verdict == "truncated":
             raise InconclusivePresentationError(
-                f"cannot decide within budget whether {c.describe()} is a generator"
+                f"cannot decide within {_budget_text(default_budget(R, c.rep, budget=budget))} "
+                f"whether {c.describe()} is a generator"
             )
         survivors.append(c)
     survivors.sort(key=lambda c: (c.target, c.source, c.rep.arrows))
     return BoundaryPresentation(quiver=Q, classes=tuple(survivors))
+
+
+def _budget_text(budget: SearchBudget) -> str:
+    return f"budget (max_path_length={budget.max_path_length}, max_visited={budget.max_visited})"
 
 
 def factors_through_boundary(

@@ -412,6 +412,47 @@ class _Closure:
         return None
 
 
+def _search(a: tuple, b: tuple, R: RelationSet, max_len: int, max_visited: int) -> tuple:
+    """Bidirectional closure search between two arrow tuples, always
+    expanding the smaller frontier.
+
+    Returns (outcome, steps, visited): steps rewrite a into b when the
+    outcome is EQUAL and are None otherwise; visited, the states of both
+    closures, never exceeds max_visited, which must be at least 2.  Distinct
+    means a closure was exhausted."""
+    side_a, side_b = _Closure(a), _Closure(b)
+    while True:
+        expand_a = bool(side_a.front) and (
+            not side_b.front or len(side_a.front) <= len(side_b.front)
+        )
+        mine, other = (side_a, side_b) if expand_a else (side_b, side_a)
+        room = max_visited - len(side_a.chains) - len(side_b.chains)
+        found = mine.expand(R, max_len, other.chains.__contains__, room)
+        visited = len(side_a.chains) + len(side_b.chains)
+        if found is _OVERFLOW:
+            return UNKNOWN, None, visited
+        if found is not None:
+            meet, steps = found
+            steps_a, steps_b = (steps, other.chains[meet]) if expand_a else (other.chains[meet], steps)
+            return EQUAL, steps_a + _invert(steps_b), visited
+        if side_a.complete or side_b.complete:
+            return DISTINCT, None, visited
+        if not side_a.front and not side_b.front:
+            return UNKNOWN, None, visited
+
+
+def _shared_ends(a: tuple, b: tuple) -> tuple[int, int]:
+    """Lengths of the longest common prefix and, of what remains, the
+    longest common suffix of two arrow tuples."""
+    i, short = 0, min(len(a), len(b))
+    while i < short and a[i] == b[i]:
+        i += 1
+    j = 0
+    while j < short - i and a[-1 - j] == b[-1 - j]:
+        j += 1
+    return i, j
+
+
 def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = None) -> EqualityVerdict:
     """Decide p = q in the dimer algebra, within budget.
 
@@ -421,6 +462,14 @@ def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = 
     abelian residue, or exhaustion of a complete (never length-pruned)
     closure, yields Distinct.  Everything else is Unknown.  The residues
     are compared before the search, so no Equal verdict contradicts them.
+
+    The search first runs on the cores where p and q differ, their longest
+    common prefix and suffix stripped, with the length bound shrunk by the
+    stripped arrows.  An Equal there, its positions shifted past the
+    prefix, rewrites p into q.  Any other outcome of the cores proves
+    nothing (a rewrite may cross a core's edge), so the search falls back
+    to the full paths.  Both searches draw on one max_visited budget and
+    visited is their sum.
     """
     if p.source != q.source or p.target != q.target:
         raise IncomparablePathsError(
@@ -434,30 +483,29 @@ def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = 
     if R.residue(p.arrows) != R.residue(q.arrows):
         return EqualityVerdict(DISTINCT, separating="abelian_invariant", visited=2, budget=budget)
 
-    side_p, side_q = _Closure(p.arrows), _Closure(q.arrows)
-    while True:
-        expand_p = bool(side_p.front) and (
-            not side_q.front or len(side_p.front) <= len(side_q.front)
+    a, b = p.arrows, q.arrows
+    i, j = _shared_ends(a, b)
+    core_a, core_b = a[i : len(a) - j], b[i : len(b) - j]
+    outcome, steps, visited = None, None, 0
+    if (i or j) and core_a and core_b:
+        outcome, steps, visited = _search(
+            core_a, core_b, R, budget.max_path_length - i - j, budget.max_visited
         )
-        mine, other = (side_p, side_q) if expand_p else (side_q, side_p)
-        room = budget.max_visited - len(side_p.chains) - len(side_q.chains)
-        found = mine.expand(R, budget.max_path_length, other.chains.__contains__, room)
-        visited = len(side_p.chains) + len(side_q.chains)
-        if found is _OVERFLOW:
+        if outcome == EQUAL:
+            steps = tuple((pos + i, ridx, d) for pos, ridx, d in steps)
+    if outcome != EQUAL:
+        if budget.max_visited - visited < 2:
             return EqualityVerdict(UNKNOWN, visited=visited, budget=budget)
-        if found is not None:
-            meet, steps = found
-            steps_p, steps_q = (steps, other.chains[meet]) if expand_p else (other.chains[meet], steps)
-            cert = steps_p + _invert(steps_q)
-            if replay_certificate(p, cert, R).key() != q.key():
-                raise OracleSoundnessError("certificate replay did not reach the target path")
-            return EqualityVerdict(EQUAL, certificate=cert, visited=visited, budget=budget)
-        if side_p.complete or side_q.complete:
-            return EqualityVerdict(
-                DISTINCT, separating="exhausted_closure", visited=visited, budget=budget
-            )
-        if not side_p.front and not side_q.front:
-            return EqualityVerdict(UNKNOWN, visited=visited, budget=budget)
+        outcome, steps, more = _search(
+            a, b, R, budget.max_path_length, budget.max_visited - visited
+        )
+        visited += more
+    if outcome == EQUAL:
+        if replay_certificate(p, steps, R).key() != q.key():
+            raise OracleSoundnessError("certificate replay did not reach the target path")
+        return EqualityVerdict(EQUAL, certificate=steps, visited=visited, budget=budget)
+    separating = "exhausted_closure" if outcome == DISTINCT else None
+    return EqualityVerdict(outcome, separating=separating, visited=visited, budget=budget)
 
 
 def class_contains(p: Path, R: RelationSet, hit, budget: SearchBudget | None = None) -> bool | None:

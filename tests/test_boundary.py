@@ -1,3 +1,6 @@
+import hashlib
+import json
+import os
 from collections import Counter
 
 import pytest
@@ -17,9 +20,18 @@ from dimerlab.boundary import (
     gamma_tail,
     modl,
 )
-from dimerlab.rewrite import EQUAL, UNKNOWN, EqualityVerdict, SearchBudget, paths_equal
+from dimerlab.rewrite import (
+    ENV_BUDGET_VISITED,
+    EQUAL,
+    UNKNOWN,
+    EqualityVerdict,
+    SearchBudget,
+    paths_equal,
+)
 
 from helpers import fan_pipeline, fan_presentation, pipeline, presentation
+
+REFERENCE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference.json")
 
 
 def test_gamma_counts():
@@ -107,12 +119,36 @@ def test_match_uses_the_boundary_labels_as_they_are():
     assert "Gamma(2,5)" in match2.obstruction
 
 
-def test_presentation_budget_exhaustion_is_inconclusive():
+def test_presentation_budget_exhaustion_is_inconclusive(monkeypatch):
     _, _, Q, R = fan_pipeline(5, 2)
-    with pytest.raises(InconclusivePresentationError):
+    with pytest.raises(InconclusivePresentationError) as info:
         # a length cap of 1 prunes every rewrite, so composite classes can
         # never exhibit their boundary-crossing form
         dl.boundary_generators(Q, R, SearchBudget(max_path_length=1, max_visited=10))
+    assert "is a generator" in str(info.value)
+    assert "budget (max_path_length=1, max_visited=10)" in str(info.value)
+
+    # a starved grouping query: the error names the two paths compared,
+    # the query's budget and how many states it visited
+    queries = []
+
+    def recorded(p, q, R, budget=None):
+        verdict = paths_equal(p, q, R, budget)
+        queries.append((p, q, verdict))
+        return verdict
+
+    monkeypatch.setattr(dl.boundary, "paths_equal", recorded)
+    _, _, Q, R = fan_pipeline(6, 3)
+    with pytest.raises(InconclusivePresentationError) as info:
+        dl.boundary_generators(Q, R, SearchBudget(max_visited=3))
+    p, q, verdict = queries[-1]
+    assert verdict.outcome == UNKNOWN
+    assert str(info.value) == (
+        f"cannot decide {p.arrows} vs {q.arrows} within budget "
+        f"(max_path_length={verdict.budget.max_path_length}, max_visited=3) "
+        f"(visited {verdict.visited})"
+    )
+    assert 0 < verdict.visited <= 3
 
 
 def test_generator_minimality_m2():
@@ -325,6 +361,18 @@ def test_double_flip_restores_presentation():
     assert [
         (c.source, c.target, c.tag, c.rep.arrows) for c in BP1.classes
     ] == [(c.source, c.target, c.tag, c.rep.arrows) for c in BP3.classes]
+
+
+@pytest.mark.parametrize("m, n", [(3, 8), (4, 5), (4, 6), (5, 4)])
+def test_fan_outputs_match_the_benchmark_reference(m, n, monkeypatch):
+    # the report bytes of the benchmark's fans, against the digests the
+    # benchmark checks (perfbench/reference.json, under its pinned budget)
+    with open(REFERENCE) as f:
+        reference = json.load(f)
+    monkeypatch.setenv(ENV_BUDGET_VISITED, str(reference["budget_visited"]))
+    out = dl.verify_boundary_algebra(dl.fan_triangulation(n, 1), m)
+    data = json.dumps(out.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(data).hexdigest() == reference["fan-extract"][f"{m},{n}"]
 
 
 def test_verify_boundary_algebra_outcome_json():

@@ -13,7 +13,9 @@ from dimerlab.rewrite import (
     Path,
     RelationSet,
     SearchBudget,
+    _search,
     abelian_invariant,
+    default_budget,
     paths_equal,
     replay_certificate,
     rewrite_sites,
@@ -26,6 +28,14 @@ def arrow_by_endpoints(Q, src, tgt):
     aid = Q.find_arrow(src, tgt)
     assert aid is not None
     return aid
+
+
+def loops(count, relations):
+    """A quiver of count loops 0, 1, ... at one vertex, with relations given
+    as pairs of arrow tuples."""
+    arrows = [Arrow(1, 1, "internal", ("t", (0, 0, 0), k)) for k in range(count)]
+    Q = QuiverWithFaces(1, 1, {1: "boundary"}, arrows, [])
+    return Q, RelationSet(Q, [(Path(Q, l), Path(Q, r)) for l, r in relations])
 
 
 def test_trivial_path_has_no_sites():
@@ -188,12 +198,7 @@ def test_residue_with_a_pivot_other_than_one():
     # 2a - b, whose pivot is 2, so the sum of the arrows' reduced images
     # must still be reduced once more.  No quiver of a triangulation has
     # such a pivot.
-    arrows = [
-        Arrow(1, 1, "internal", ("t", (0, 0, 0), 0)),  # a
-        Arrow(1, 1, "internal", ("t", (0, 0, 0), 1)),  # b
-    ]
-    Q = QuiverWithFaces(1, 1, {1: "boundary"}, arrows, [])
-    R = RelationSet(Q, ((Path(Q, (0, 0)), Path(Q, (1,))),))
+    Q, R = loops(2, [((0, 0), (1,))])
     assert R.lattice_basis() == [[2, -1]]
     assert R.residue((0, 0)) == R.residue((1,))
     assert R.residue((0,)) != R.residue((1,))
@@ -222,6 +227,124 @@ def test_distinct_by_exhausted_closure():
     R = RelationSet(Q, ((Path(Q, (0, 2)), Path(Q, (1, 2))),))
     v = paths_equal(Path(Q, (0,)), Path(Q, (1,)), R)
     assert v.outcome == DISTINCT and v.separating == "exhausted_closure"
+
+
+def four_loops():
+    # four loops a, b, c, d with a b = c and c = a d: a b and a d share the
+    # prefix a, and their cores b and d have no rewrite site
+    a, b, c, d = range(4)
+    Q, R = loops(4, [((a, b), (c,)), ((c,), (a, d))])
+    return Q, R, Path(Q, (a, b)), Path(Q, (a, d))
+
+
+def test_core_search_falls_back_to_the_full_paths():
+    # the cores b and d are Distinct on their own (both closures are
+    # complete), yet a b = c = a d: only the full search sees the rewrite
+    # that crosses the core's edge
+    Q, R, p, q = four_loops()
+    core = _search((1,), (3,), R, 10, 100)
+    assert core[0] == DISTINCT
+    v = paths_equal(p, q, R)
+    assert v.outcome == EQUAL
+    assert replay_certificate(p, v.certificate, R) == q
+    assert v.visited > core[2]  # the core's states count too
+
+
+def test_core_search_shares_one_budget():
+    # the core search and the fallback draw on one max_visited; running out
+    # is Unknown, never Distinct
+    Q, R, p, q = four_loops()
+    outcomes = set()
+    for max_visited in range(2, 12):
+        v = paths_equal(p, q, R, SearchBudget(max_visited=max_visited))
+        assert v.visited <= max_visited
+        assert v.outcome in (EQUAL, UNKNOWN)
+        outcomes.add(v.outcome)
+    assert outcomes == {EQUAL, UNKNOWN}
+
+    # two paths of fan (6, 3) that share a prefix and a suffix
+    _, _, Q, R = fan_pipeline(6, 3)
+    p = Q.path((13, 26, 23, 22, 36, 34, 50, 51, 52))
+    q = Q.path((13, 9, 8, 24, 22, 36, 37, 38, 52))
+    assert paths_equal(p, q, R).outcome == EQUAL
+    for max_visited in range(2, 12):
+        v = paths_equal(p, q, R, SearchBudget(max_visited=max_visited))
+        assert v.visited <= max_visited
+        assert v.outcome in (EQUAL, UNKNOWN)
+        if v.outcome == EQUAL:
+            assert replay_certificate(p, v.certificate, R) == q
+
+
+def test_core_search_keeps_the_length_bound():
+    # a b = a c c = a e passes through a path of length 3: the cores b and
+    # e are searched under the full bound less the shared prefix, so a
+    # bound of 2 leaves the query Unknown on the cores as on the full paths
+    a, b, c, e = range(4)
+    Q, R = loops(4, [((b,), (c, c)), ((c, c), (e,))])
+    p, q = Path(Q, (a, b)), Path(Q, (a, e))
+    assert paths_equal(p, q, R, SearchBudget(max_path_length=2)).outcome == UNKNOWN
+    v = paths_equal(p, q, R, SearchBudget(max_path_length=3))
+    assert v.outcome == EQUAL
+    assert replay_certificate(p, v.certificate, R) == q
+
+
+def full_search_outcome(p, q, R, budget):
+    """The verdict of the search on the full paths alone."""
+    if p.key() == q.key():
+        return EQUAL
+    if R.residue(p.arrows) != R.residue(q.arrows):
+        return DISTINCT
+    return _search(p.arrows, q.arrows, R, budget.max_path_length, budget.max_visited)[0]
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_core_search_agrees_with_the_full_search(data):
+    # x is a primitive path or a relation side; y is another path of the
+    # pool with x's endpoints, or a random rewrite walk from x that does not
+    # revisit a path.  Both get one random prefix and suffix.  Whenever the
+    # full search alone is definite, paths_equal must reach the same
+    # outcome under the same budget, and no other definite outcome under a
+    # starved one.  Every certificate must replay and visited must stay
+    # within the budget.
+    m = data.draw(st.sampled_from([2, 3, 4]))
+    n = data.draw(st.integers(3, 5 if m == 4 else 7))
+    tris = dl.enumerate_triangulations(n)
+    T = tris[data.draw(st.integers(0, len(tris) - 1))]
+    _, _, Q, R = pipeline(n, m, T.sorted_diagonals)
+    rng = data.draw(st.randoms(use_true_random=True))
+    pool = [p for paths in _primitive_paths(Q).values() for p in paths]
+    pool += [side for relation in R.relations for side in relation]
+    x = rng.choice(pool).arrows
+    ends = (Q.arrow_source[x[0]], Q.arrow_target[x[-1]])
+    others = [p.arrows for p in pool if (p.source, p.target) == ends and p.arrows != x]
+    if others and rng.random() < 0.5:
+        y = rng.choice(others)
+    else:
+        y, seen = x, {x}
+        for _ in range(rng.randint(1, 6)):
+            sites = [site[3] for site in R.sites(y) if site[3] not in seen]
+            if not sites:
+                break
+            y = rng.choice(sites)
+            seen.add(y)
+    prefix, suffix = [], []
+    for _ in range(rng.randint(0, 4)):
+        prefix.insert(0, rng.choice(Q.in_arrows[Q.arrow_source[(prefix or x)[0]]]))
+    for _ in range(rng.randint(0, 4)):
+        suffix.append(rng.choice(Q.out_arrows[Q.arrow_target[(suffix or x)[-1]]]))
+    p = Q.path(tuple(prefix) + x + tuple(suffix))
+    q = Q.path(tuple(prefix) + y + tuple(suffix))
+
+    budget = default_budget(R, p, q, budget=SearchBudget(max_visited=20_000))
+    full = full_search_outcome(p, q, R, budget)
+    for max_visited in (budget.max_visited, rng.randint(2, 40)):
+        v = paths_equal(p, q, R, SearchBudget(budget.max_path_length, max_visited))
+        assert v.visited <= max_visited
+        if v.outcome == EQUAL:
+            assert replay_certificate(p, v.certificate, R) == q
+        if full != UNKNOWN and (v.outcome != UNKNOWN or max_visited == budget.max_visited):
+            assert v.outcome == full
 
 
 @settings(max_examples=40)
