@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .dimer import build_dimer, reduce_dimer
 from .polygon import Triangulation, flip
@@ -36,6 +37,7 @@ from .rewrite import (
     SearchBudget,
     class_contains,
     default_budget,
+    default_max_visited,
     paths_equal,
 )
 
@@ -732,6 +734,16 @@ def _extract(
     return R, BP, match_gamma(BP, build_gamma(m, T.n))
 
 
+@lru_cache(maxsize=1)
+def _extract_last(
+    T: Triangulation, m: int, max_path_length: int | None, max_visited: int
+) -> tuple[RelationSet, BoundaryPresentation, GammaMatch]:
+    """_extract under a resolved budget, keeping the last result: along a
+    flip walk each move's before-side is the previous move's after-side.
+    A raised InconclusivePresentationError is never kept."""
+    return _extract(T, m, SearchBudget(max_path_length, max_visited))
+
+
 def verify_boundary_algebra(
     T: Triangulation, m: int, budget: SearchBudget | None = None
 ) -> VerificationOutcome:
@@ -807,8 +819,9 @@ def verify_flip_transport(
 ) -> FlipTransportCertificate:
     """Exhibit how one diagonal flip transports the boundary presentation.
 
-    Both sides are extracted and matched against Gamma(m, n); generator
-    classes touching the flip quadrilateral get their old and new
+    Both sides are extracted and matched against Gamma(m, n), reusing the
+    last extraction when it was of the same triangulation, m and budget;
+    generator classes touching the flip quadrilateral get their old and new
     representatives recorded (the new one split into connecting paths
     around the arrows of the new quadrilateral), classes away from it must
     keep literally identical representatives, and the full relation suite
@@ -818,9 +831,12 @@ def verify_flip_transport(
     quad_old = {tri for tri in T.triangles if set(move.removed) <= set(tri)}
     quad_new = {tri for tri in T2.triangles if set(move.inserted) <= set(tri)}
     cert = FlipTransportCertificate(move=move, matched_before=False, matched_after=False)
+    # resolved now, so a changed DIMERLAB_BUDGET_VISITED misses the reuse
+    given = budget or SearchBudget()
+    limits = (given.max_path_length, given.max_visited or default_max_visited())
     try:
-        _, _, match1 = _extract(T, m, budget)
-        R2, BP2, match2 = _extract(T2, m, budget)
+        _, _, match1 = _extract_last(T, m, *limits)
+        R2, BP2, match2 = _extract_last(T2, m, *limits)
     except InconclusivePresentationError as exc:
         cert.inconclusive.append(f"presentation: {exc}")
         return cert

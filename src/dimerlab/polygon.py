@@ -69,7 +69,9 @@ class Triangulation:
     """A triangulation of the convex n-gon, stored as its diagonal set.
 
     Invariants (checked at construction): exactly n-3 diagonals, pairwise
-    noncrossing.  Instances are immutable and hashable.
+    noncrossing.  Instances are immutable and hashable.  `flip` builds its
+    result with `_flipped`, which trusts them: a flip of a valid
+    triangulation is valid.
     """
 
     n: int
@@ -90,6 +92,15 @@ class Triangulation:
                     raise InvalidPolygonError(f"diagonals {ds[i]} and {ds[j]} cross")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "diagonals", diags)
+
+    @classmethod
+    def _flipped(cls, n: int, diagonals: frozenset, triangles: tuple) -> "Triangulation":
+        """A triangulation known to be valid, with its triangles given, unchecked."""
+        T = object.__new__(cls)
+        object.__setattr__(T, "n", n)
+        object.__setattr__(T, "diagonals", diagonals)
+        T.__dict__["triangles"] = triangles  # what the cached property would compute
+        return T
 
     @cached_property
     def sorted_diagonals(self) -> tuple[tuple[int, int], ...]:
@@ -121,6 +132,17 @@ class Triangulation:
                         out.append((a, b, c))
         assert len(out) == n - 2
         return tuple(out)
+
+    @cached_property
+    def opposite(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """Each diagonal's opposite: the other diagonal of the quadrilateral
+        formed by the two triangles on it."""
+        apexes = {d: [] for d in self.diagonals}
+        for a, b, c in self.triangles:
+            for side, v in (((a, b), c), ((a, c), b), ((b, c), a)):
+                if side in apexes:
+                    apexes[side].append(v)
+        return {d: tuple(sorted(vs)) for d, vs in apexes.items()}
 
     def key(self) -> tuple:
         return (self.n, self.sorted_diagonals)
@@ -209,29 +231,20 @@ def enumerate_triangulations(n: int) -> list[Triangulation]:
 
 
 def flip(T: Triangulation, d) -> tuple[Triangulation, FlipMove]:
-    """Flip diagonal `d`: replace it by the opposite diagonal of its quadrilateral."""
+    """Flip diagonal `d`: replace it by the opposite diagonal of its quadrilateral.
+
+    The two triangles on `d` give way to the two on the new diagonal; the
+    result is not revalidated.
+    """
     d = normalize_diagonal(T.n, d)
     if d not in T.diagonals:
         raise UnknownDiagonalError(f"{d} is not a diagonal of {T!r}")
-    inserted = _opposite_diagonal(T, d)
-    quad = tuple(sorted(d + inserted))
-    new_diags = (T.diagonals - {d}) | {inserted}
-    move = FlipMove(removed=d, inserted=inserted, quadrilateral=quad)
-    return Triangulation(T.n, new_diags), move
-
-
-def _opposite_diagonal(T: Triangulation, d: tuple[int, int]) -> tuple[int, int]:
-    """The other diagonal of the quadrilateral that T's diagonal d splits."""
+    inserted = T.opposite[d]
+    move = FlipMove(removed=d, inserted=inserted, quadrilateral=tuple(sorted(d + inserted)))
     a, b = d
-    others = [
-        v
-        for tri in T.triangles
-        if a in tri and b in tri
-        for v in tri
-        if v not in (a, b)
-    ]
-    assert len(others) == 2
-    return tuple(sorted(others))
+    kept = [tri for tri in T.triangles if not (a in tri and b in tri)]
+    triangles = tuple(sorted(kept + [tuple(sorted(inserted + (v,))) for v in d]))
+    return Triangulation._flipped(T.n, (T.diagonals - {d}) | {inserted}, triangles), move
 
 
 def flip_sequence(src: Triangulation, dst: Triangulation) -> list[FlipMove]:
@@ -248,7 +261,7 @@ def flip_sequence(src: Triangulation, dst: Triangulation) -> list[FlipMove]:
     while queue and goal not in parent:
         cur = queue.popleft()
         for d in cur.sorted_diagonals:
-            diags = (cur.diagonals - {d}) | {_opposite_diagonal(cur, d)}
+            diags = (cur.diagonals - {d}) | {cur.opposite[d]}
             k = (cur.n, tuple(sorted(diags)))
             if k in parent:
                 continue
@@ -271,7 +284,8 @@ def apply_moves(T: Triangulation, moves) -> Triangulation:
     """Replay a flip sequence (used to check flip_sequence results)."""
     cur = T
     for mv in moves:
-        cur, got = flip(cur, mv.removed)
+        nxt, got = flip(cur, mv.removed)
         if got.inserted != mv.inserted:
             raise PolygonError(f"move {mv} does not replay on {cur!r}")
+        cur = nxt
     return cur

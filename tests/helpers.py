@@ -2,6 +2,8 @@
 
 import functools
 
+from hypothesis import strategies as st
+
 import dimerlab as dl
 
 
@@ -42,3 +44,23 @@ CRITERION3_GRID = (
 )
 
 CRITERION5_GRID = [(2, n) for n in range(4, 8)] + [(3, n) for n in (4, 5)]
+
+
+@st.composite
+def triangulations(draw, max_n):
+    """A triangulation of an n-gon, 3 <= n <= max_n, built through the
+    validating constructor: the triangle on each chord (lo, hi) is chosen
+    by its third vertex, as in enumerate_triangulations."""
+    n = draw(st.integers(3, max_n))
+    diagonals = []
+
+    def split(lo, hi):
+        if hi - lo < 2:
+            return
+        k = draw(st.integers(lo + 1, hi - 1))
+        diagonals.extend((a, b) for a, b in ((lo, k), (k, hi)) if b - a >= 2)
+        split(lo, k)
+        split(k, hi)
+
+    split(1, n)
+    return dl.Triangulation(n, diagonals)

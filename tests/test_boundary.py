@@ -16,6 +16,7 @@ from dimerlab.boundary import (
     GeneratorClass,
     IncompatibleGammaError,
     InconclusivePresentationError,
+    _extract_last,
     factors_through_boundary,
     gamma_tail,
     modl,
@@ -351,6 +352,32 @@ def test_flip_transport_affected_reps_are_valid_paths():
         assert entry["new"] == entry["delta_prefix"] + entry["core"] + entry["delta_suffix"]
 
 
+def test_flip_transport_reuse_is_never_stale(monkeypatch):
+    # each side's extraction is reused only under the budget it ran with,
+    # as resolved at the call: the before-side T2 below was extracted
+    # last, under the default budget, and a starved call must not see it
+    T, m = dl.fan_triangulation(6, 1), 3
+    T2, move = dl.flip(T, (1, 4))
+    starved = SearchBudget(max_visited=3)
+    _extract_last.cache_clear()
+    expected = dl.verify_flip_transport(T2, move.inserted, m, starved).to_json()
+    assert expected["inconclusive"] and not expected["ok"]
+    assert dl.verify_flip_transport(T, (1, 4), m).ok
+    assert dl.verify_flip_transport(T2, move.inserted, m, starved).to_json() == expected
+    monkeypatch.setenv(ENV_BUDGET_VISITED, "3")
+    assert dl.verify_flip_transport(T2, move.inserted, m).to_json() == expected
+
+
+def test_flip_transport_certificates_match_without_reuse():
+    src = dl.fan_triangulation(7, 1)
+    cur = src
+    for move in dl.flip_sequence(src, dl.fan_triangulation(7, 4)):
+        reused = dl.verify_flip_transport(cur, move.removed, 2).to_json()
+        _extract_last.cache_clear()
+        assert reused == dl.verify_flip_transport(cur, move.removed, 2).to_json()
+        cur, _ = dl.flip(cur, move.removed)
+
+
 def test_double_flip_restores_presentation():
     T = dl.fan_triangulation(5, 1)
     T2, mv = dl.flip(T, (1, 3))
@@ -373,6 +400,28 @@ def test_fan_outputs_match_the_benchmark_reference(m, n, monkeypatch):
     out = dl.verify_boundary_algebra(dl.fan_triangulation(n, 1), m)
     data = json.dumps(out.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(data).hexdigest() == reference["fan-extract"][f"{m},{n}"]
+
+
+def test_flip_walk_outputs_match_the_benchmark_reference(monkeypatch):
+    # one walk from each flip-walk pool (the first at n = 11 and the
+    # cheapest at n = 8), replayed as the benchmark walks it, against its
+    # digest of the certificate list
+    with open(REFERENCE) as f:
+        reference = json.load(f)
+    monkeypatch.setenv(ENV_BUDGET_VISITED, str(reference["budget_visited"]))
+    walks = reference["flip-walk"]
+    large = next(w for w in walks if w["n"] == 11)
+    small = min((w for w in walks if w["n"] == 8), key=lambda w: w["residue_calls"])
+    for w in (large, small):
+        fan = dl.fan_triangulation(w["n"], 1)
+        target = dl.Triangulation(w["n"], [tuple(d) for d in w["diagonals"]])
+        certs, cur = [], fan
+        for move in dl.flip_sequence(fan, target):
+            certs.append(dl.verify_flip_transport(cur, move.removed, w["m"]).to_json())
+            cur, _ = dl.flip(cur, move.removed)
+        assert cur.key() == target.key() and len(certs) == w["moves"]
+        data = json.dumps(certs, sort_keys=True).encode()
+        assert hashlib.sha256(data).hexdigest() == w["sha256"]
 
 
 def test_verify_boundary_algebra_outcome_json():

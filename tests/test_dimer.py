@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dimerlab as dl
 from dimerlab.dimer import (
@@ -11,7 +13,7 @@ from dimerlab.dimer import (
     trace_faces,
 )
 
-from helpers import fan_pipeline
+from helpers import fan_pipeline, triangulations
 
 
 def test_m_below_two_rejected():
@@ -135,6 +137,14 @@ def test_reduction_confluence_random_orders():
             rng.shuffle(order)
             got = dl.reduce_dimer(D, order=order)
             assert got.canonical_form() == reference
+
+
+@settings(max_examples=40)
+@given(triangulations(9), st.integers(2, 4), st.data())
+def test_reduction_confluence_random_triangulations(T, m, data):
+    D = dl.build_dimer(T, m)
+    order = data.draw(st.permutations(D.contractible_blacks()))
+    assert dl.reduce_dimer(D, order=order).canonical_form() == dl.reduce_dimer(D).canonical_form()
 
 
 def test_json_round_trip():

@@ -2,15 +2,20 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
 
 import dimerlab as dl
 from dimerlab.polygon import (
+    FlipMove,
     IncompatiblePolygonsError,
     InvalidPolygonError,
+    PolygonError,
     UnknownDiagonalError,
     apply_moves,
     diagonals_cross,
 )
+
+from helpers import triangulations
 
 
 def catalan(k):
@@ -115,6 +120,28 @@ def test_flip_is_involution():
             t3, mv2 = dl.flip(t2, mv.inserted)
             assert t3.key() == t.key()
             assert mv2.inserted == mv.removed
+
+
+@settings(max_examples=60)
+@given(triangulations(12))
+def test_flip_equals_validated_construction(T):
+    # flip builds its result unchecked; each one must be what the
+    # validating constructor makes of the same diagonals
+    for d in T.sorted_diagonals:
+        T2, move = dl.flip(T, d)
+        fresh = dl.Triangulation(T.n, T2.diagonals)
+        assert T2.key() == fresh.key()
+        assert T2.triangles == fresh.triangles
+        assert T2.opposite == fresh.opposite
+        assert T2.opposite[move.inserted] == move.removed
+
+
+def test_apply_moves_names_the_triangulation_it_failed_on():
+    T = dl.fan_triangulation(6, 1)
+    bad = FlipMove(removed=(1, 4), inserted=(2, 5), quadrilateral=(1, 2, 4, 5))
+    with pytest.raises(PolygonError) as info:
+        apply_moves(T, [bad])
+    assert str(info.value).endswith("on Triangulation(n=6, diagonals=[(1, 3), (1, 4), (1, 5)])")
 
 
 def test_flip_sequence_identity():
