@@ -256,13 +256,13 @@ def boundary_generators(
 
     survivors = []
     for c in classes:
-        verdict = factors_through_boundary(c.rep, R, budget)
+        verdict, visited = factors_through_boundary(c.rep, R, budget)
         if verdict == "composite":
             continue
         if verdict == "truncated":
             raise InconclusivePresentationError(
                 f"cannot decide within {_budget_text(default_budget(R, c.rep, budget=budget))} "
-                f"whether {c.describe()} is a generator"
+                f"whether {c.describe()} is a generator (visited {visited})"
             )
         survivors.append(c)
     survivors.sort(key=lambda c: (c.target, c.source, c.rep.arrows))
@@ -275,14 +275,14 @@ def _budget_text(budget: SearchBudget) -> str:
 
 def factors_through_boundary(
     p: Path, R: RelationSet, budget: SearchBudget | None = None
-) -> str:
+) -> tuple[str, int]:
     """Whether some path equal to p visits a boundary vertex strictly inside.
 
     Such a path splits into two shorter boundary-to-boundary paths, so the
     class of p is a composition of shorter classes and is no generator.
-    Returns 'composite' when a split is found, 'generator' when the whole
-    equality class was enumerated without one, and 'truncated' when the
-    budget ran out first.
+    Returns the verdict and the states visited.  The verdict is 'composite'
+    when a split is found, 'generator' when the whole equality class was
+    enumerated without one, and 'truncated' when the budget ran out first.
     """
     Q = p.quiver
     boundary = {v for v, kind in Q.vertices.items() if kind == "boundary"}
@@ -290,8 +290,8 @@ def factors_through_boundary(
     def visits_boundary(arrows: tuple) -> bool:
         return any(Q.arrow_target[a] in boundary for a in arrows[:-1])
 
-    found = class_contains(p, R, visits_boundary, budget)
-    return {True: "composite", False: "generator", None: "truncated"}[found]
+    found, visited = class_contains(p, R, visits_boundary, budget)
+    return {True: "composite", False: "generator", None: "truncated"}[found], visited
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,10 @@ def _sweep_row(task) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    if args.max_n < 3:  # a grid without a polygon would pass vacuously
+        raise CliError(f"--max-n must be at least 3, got {args.max_n}")
+    if args.workers < 1:
+        raise CliError(f"--workers must be at least 1, got {args.workers}")
     budget = _budget_from_args(args)
     tasks = []
     for m in args.m:

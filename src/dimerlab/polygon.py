@@ -8,7 +8,6 @@ No coordinates are ever used.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -247,37 +246,89 @@ def flip(T: Triangulation, d) -> tuple[Triangulation, FlipMove]:
     return Triangulation._flipped(T.n, (T.diagonals - {d}) | {inserted}, triangles), move
 
 
-def flip_sequence(src: Triangulation, dst: Triangulation) -> list[FlipMove]:
-    """A shortest sequence of flips carrying `src` to `dst` (BFS on the flip graph).
+def _neighbours(T: Triangulation):
+    """(diagonal, key of the triangulation its flip gives) for each diagonal
+    of T, in sorted order; nothing is built."""
+    for d in T.sorted_diagonals:
+        yield d, (T.n, tuple(sorted((T.diagonals - {d}) | {T.opposite[d]})))
 
-    A neighbour's key is read off its diagonal set; the neighbour itself is
-    built by `flip` only when the key is new.
+
+def flip_sequence(src: Triangulation, dst: Triangulation) -> list[FlipMove]:
+    """A shortest sequence of flips carrying `src` to `dst`: the one a plain
+    breadth-first search from `src` returns.
+
+    Name a move by the index of its removed diagonal in the sorted diagonals
+    of the triangulation it flips.  A plain BFS, which dequeues in order,
+    tries diagonals in sorted order and keeps each triangulation's first
+    discovery, returns the lexicographically least shortest move sequence.
+    By induction on the level: the queue holds each level in lexicographic
+    order of the tree paths, and a triangulation's parent is the first
+    dequeued one on the level above that is adjacent to it.  Its tree path
+    is therefore the least shortest path, and the next level is enqueued in
+    lexicographic order of (parent's path, index), which is the order of
+    its tree paths.
+
+    The same sequence is found from both ends in three steps:
+
+    1. Distance.  Whole levels are expanded from `src` and from `dst`, the
+       smaller frontier first, until a new level meets the other side's
+       seen set.  D is the least sum of the two depths of a meeting key.
+    2. Distance to go.  `togo` starts as the backward side's depths: the
+       exact distance to `dst` of every key within the backward depth.  The
+       expanded forward levels are then read from the top down: a key at
+       level i gets togo D - i when one of its neighbours has togo
+       D - i - 1.  Every togo is exact, and every key of a shortest path
+       gets one: at a forward level not expanded, the key is within the
+       backward depth of `dst`; at an expanded level i, its successor on
+       the path, at level i + 1, got one first.
+    3. Walk.  From `src`, each step flips the first diagonal in sorted
+       order whose neighbour has togo one less than now: the least index
+       that stays on a shortest path.
+
+    Neighbour keys are read off the diagonal sets; `flip` builds only the
+    triangulations a level expands and the D returned moves.
     """
     if src.n != dst.n:
         raise IncompatiblePolygonsError(f"cannot connect n={src.n} to n={dst.n}")
-    start, goal = src.key(), dst.key()
-    parent: dict[tuple, tuple | None] = {start: None}  # key -> (previous key, move)
-    queue = deque([src])
-    while queue and goal not in parent:
-        cur = queue.popleft()
-        for d in cur.sorted_diagonals:
-            diags = (cur.diagonals - {d}) | {cur.opposite[d]}
-            k = (cur.n, tuple(sorted(diags)))
-            if k in parent:
-                continue
-            nxt, move = flip(cur, d)
-            parent[k] = (cur.key(), move)
-            if k == goal:
-                break
-            queue.append(nxt)
-    if goal not in parent:
-        raise PolygonError("flip graph is connected; this should not happen")
-    moves = []
-    k = goal
-    while parent[k] is not None:
-        k, move = parent[k]
+    # per side (0 from src, 1 from dst): key -> depth, and the newest level
+    # as (T, d) pairs, each standing for flip(T, d) (T itself when d is None)
+    seen = ({src.key(): 0}, {dst.key(): 0})
+    fronts = [[(src, None)], [(dst, None)]]
+    forward = []  # the forward levels expanded, as triangulations
+    meets = seen[0].keys() & seen[1].keys()
+    while not meets:
+        side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+        own, other = seen[side], seen[1 - side]
+        if not fronts[side]:
+            raise PolygonError("flip graph is connected; this should not happen")
+        level, new = [], []
+        for T, d in fronts[side]:
+            cur = T if d is None else flip(T, d)[0]
+            level.append(cur)
+            depth = own[cur.key()] + 1
+            for e, k in _neighbours(cur):
+                if k not in own:
+                    own[k] = depth
+                    new.append((cur, e))
+                    if k in other:
+                        meets.add(k)
+        if side == 0:
+            forward.append(level)
+        fronts[side] = new
+    D = min(seen[0][k] + seen[1][k] for k in meets)
+
+    togo = dict(seen[1])
+    for i in range(len(forward) - 1, -1, -1):
+        for T in forward[i]:
+            if any(togo.get(k) == D - i - 1 for _, k in _neighbours(T)):
+                togo[T.key()] = D - i
+
+    moves, cur = [], src
+    for t in range(D - 1, -1, -1):
+        d = next(d for d, k in _neighbours(cur) if togo.get(k) == t)
+        cur, move = flip(cur, d)
         moves.append(move)
-    return moves[::-1]
+    return moves
 
 
 def apply_moves(T: Triangulation, moves) -> Triangulation:

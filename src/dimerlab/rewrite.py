@@ -508,20 +508,23 @@ def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = 
     return EqualityVerdict(outcome, separating=separating, visited=visited, budget=budget)
 
 
-def class_contains(p: Path, R: RelationSet, hit, budget: SearchBudget | None = None) -> bool | None:
-    """Whether some path equal to p has hit(arrows) true: True when one is
-    found, False when the whole equality class was enumerated without one,
-    None when the budget ran out first."""
+def class_contains(
+    p: Path, R: RelationSet, hit, budget: SearchBudget | None = None
+) -> tuple[bool | None, int]:
+    """Whether some path equal to p has hit(arrows) true, and how many
+    states the search visited.  The verdict is True when one is found,
+    False when the whole equality class was enumerated without one, None
+    when the budget ran out first."""
     budget = default_budget(R, p, budget=budget)
     if hit(p.arrows):
-        return True
+        return True, 1
     closure = _Closure(p.arrows)
     while closure.front:
         found = closure.expand(
             R, budget.max_path_length, hit, budget.max_visited - len(closure.chains)
         )
         if found is _OVERFLOW:
-            return None
+            return None, len(closure.chains)
         if found is not None:
-            return True
-    return None if closure.pruned else False
+            return True, len(closure.chains)
+    return (None if closure.pruned else False), len(closure.chains)

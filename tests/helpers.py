@@ -1,6 +1,8 @@
-"""Shared pipeline builders, cached so the suite builds each quiver once."""
+"""Shared pipeline builders, cached so the suite builds each quiver once,
+and references the tests compare the library against."""
 
 import functools
+from collections import deque
 
 from hypothesis import strategies as st
 
@@ -47,11 +49,11 @@ CRITERION5_GRID = [(2, n) for n in range(4, 8)] + [(3, n) for n in (4, 5)]
 
 
 @st.composite
-def triangulations(draw, max_n):
-    """A triangulation of an n-gon, 3 <= n <= max_n, built through the
+def triangulations(draw, max_n, min_n=3):
+    """A triangulation of an n-gon, min_n <= n <= max_n, built through the
     validating constructor: the triangle on each chord (lo, hi) is chosen
     by its third vertex, as in enumerate_triangulations."""
-    n = draw(st.integers(3, max_n))
+    n = draw(st.integers(min_n, max_n))
     diagonals = []
 
     def split(lo, hi):
@@ -64,3 +66,29 @@ def triangulations(draw, max_n):
 
     split(1, n)
     return dl.Triangulation(n, diagonals)
+
+
+def plain_bfs_tree(src, dst=None):
+    """Reference for flip_sequence: breadth-first search from src that
+    builds every neighbour with flip, diagonals in sorted order, keeping
+    each triangulation's first discovery.  Maps each key to (parent key,
+    move), None at src.  With dst given, it stops once dst is found."""
+    parent = {src.key(): None}
+    queue = deque([src])
+    while queue and (dst is None or dst.key() not in parent):
+        cur = queue.popleft()
+        for d in cur.sorted_diagonals:
+            nxt, move = dl.flip(cur, d)
+            if nxt.key() not in parent:
+                parent[nxt.key()] = (cur.key(), move)
+                queue.append(nxt)
+    return parent
+
+
+def plain_bfs_moves(parent, dst):
+    """The moves of plain_bfs_tree's tree path to dst."""
+    moves, k = [], dst.key()
+    while parent[k] is not None:
+        k, move = parent[k]
+        moves.append(move)
+    return moves[::-1]

@@ -128,6 +128,8 @@ def test_presentation_budget_exhaustion_is_inconclusive(monkeypatch):
         dl.boundary_generators(Q, R, SearchBudget(max_path_length=1, max_visited=10))
     assert "is a generator" in str(info.value)
     assert "budget (max_path_length=1, max_visited=10)" in str(info.value)
+    # every rewrite is pruned, so the search visits only the start
+    assert str(info.value).endswith(" is a generator (visited 1)")
 
     # a starved grouping query: the error names the two paths compared,
     # the query's budget and how many states it visited
@@ -160,7 +162,7 @@ def test_generator_minimality_m2():
         BP, match = fan_presentation(n, 2)
         assert match.ok
         for c in BP.classes:
-            assert factors_through_boundary(c.rep, R) == "generator"
+            assert factors_through_boundary(c.rep, R)[0] == "generator"
             for c1 in BP.classes:
                 if c1.source != c.source:
                     continue

@@ -97,11 +97,18 @@ def test_sweep_m2_up_to_six():
     assert rep["all_matched"] is True
 
 
-def test_sweep_empty_grid():
+def test_sweep_empty_grid(capsys):
+    # a grid with no polygon is refused, not passed with no rows
     code, out = run_cli(["sweep", "--max-n", "2", "--m", "2"])
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["rows"] == [] and rep["all_matched"] is True
+    assert code == 1 and out == ""
+    assert "--max-n must be at least 3, got 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_sweep_rejects_fewer_than_one_worker(capsys, workers):
+    code, out = run_cli(["sweep", "--max-n", "4", "--m", "2", "--workers", workers])
+    assert code == 1 and out == ""
+    assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
 
 
 def test_sweep_deterministic_and_parallel_agrees():

@@ -1,8 +1,10 @@
+import json
+import os
 import random
-from collections import deque
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dimerlab as dl
 from dimerlab.polygon import (
@@ -13,9 +15,12 @@ from dimerlab.polygon import (
     UnknownDiagonalError,
     apply_moves,
     diagonals_cross,
+    flip,
 )
 
-from helpers import triangulations
+from helpers import plain_bfs_moves, plain_bfs_tree, triangulations
+
+REFERENCE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference.json")
 
 
 def catalan(k):
@@ -178,25 +183,44 @@ def test_flip_sequence_shortest_against_networkx():
 
 
 def test_flip_sequence_moves_match_a_plain_bfs():
-    # reference: breadth-first search that builds every neighbour with flip,
-    # diagonals in sorted order, keeping each triangulation's first discovery
     tris = dl.enumerate_triangulations(7)
     for src in tris:
-        parent = {src.key(): None}
-        queue = deque([src])
-        while queue:
-            cur = queue.popleft()
-            for d in cur.sorted_diagonals:
-                nxt, move = dl.flip(cur, d)
-                if nxt.key() not in parent:
-                    parent[nxt.key()] = (cur.key(), move)
-                    queue.append(nxt)
+        parent = plain_bfs_tree(src)
         for dst in tris:
-            moves, k = [], dst.key()
-            while parent[k] is not None:
-                k, move = parent[k]
-                moves.append(move)
-            assert dl.flip_sequence(src, dst) == moves[::-1]
+            assert dl.flip_sequence(src, dst) == plain_bfs_moves(parent, dst)
+
+
+@st.composite
+def triangulation_pairs(draw, min_n, max_n):
+    src = draw(triangulations(max_n, min_n))
+    return src, draw(triangulations(src.n, src.n))
+
+
+@settings(max_examples=40)
+@given(triangulation_pairs(8, 10))
+def test_flip_sequence_matches_a_plain_bfs_on_random_pairs(pair):
+    # the drawn pairs lie up to 8 flips apart, so the two searches meet at
+    # odd and even depths and from frontiers of unequal size
+    src, dst = pair
+    assert dl.flip_sequence(src, dst) == plain_bfs_moves(plain_bfs_tree(src, dst), dst)
+
+
+def test_flip_sequence_builds_few_triangulations(monkeypatch):
+    # the first n = 11 walk of the flip-walk benchmark: a plain BFS from the
+    # fan calls flip 3,461 times to return its 8 moves
+    with open(REFERENCE) as f:
+        w = next(w for w in json.load(f)["flip-walk"] if w["n"] == 11)
+    calls = []
+
+    def counted(T, d):
+        calls.append(d)
+        return flip(T, d)
+
+    monkeypatch.setattr(dl.polygon, "flip", counted)
+    target = dl.Triangulation(11, [tuple(d) for d in w["diagonals"]])
+    moves = dl.flip_sequence(dl.fan_triangulation(11, 1), target)
+    assert len(moves) == w["moves"]
+    assert len(calls) < 3461 // 2
 
 
 def test_every_triangulation_reachable_from_fan():

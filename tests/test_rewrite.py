@@ -15,6 +15,7 @@ from dimerlab.rewrite import (
     SearchBudget,
     _search,
     abelian_invariant,
+    class_contains,
     default_budget,
     paths_equal,
     replay_certificate,
@@ -227,6 +228,15 @@ def test_distinct_by_exhausted_closure():
     R = RelationSet(Q, ((Path(Q, (0, 2)), Path(Q, (1, 2))),))
     v = paths_equal(Path(Q, (0,)), Path(Q, (1,)), R)
     assert v.outcome == DISTINCT and v.separating == "exhausted_closure"
+
+
+def test_class_contains_reports_how_far_it_got():
+    # loops a = b = c: the class of a has three states
+    Q, R = loops(3, [((0,), (1,)), ((1,), (2,))])
+    a = Path(Q, (0,))
+    assert class_contains(a, R, lambda arrows: False) == (False, 3)
+    assert class_contains(a, R, lambda arrows: False, SearchBudget(max_visited=2)) == (None, 2)
+    assert class_contains(a, R, lambda arrows: arrows == (0,)) == (True, 1)
 
 
 def four_loops():
