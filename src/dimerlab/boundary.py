@@ -285,7 +285,7 @@ def factors_through_boundary(
     enumerated without one, and 'truncated' when the budget ran out first.
     """
     Q = p.quiver
-    boundary = {v for v, kind in Q.vertices.items() if kind == "boundary"}
+    boundary = Q.boundary_vertex_set
 
     def visits_boundary(arrows: tuple) -> bool:
         return any(Q.arrow_target[a] in boundary for a in arrows[:-1])
@@ -473,11 +473,10 @@ def verify_central_element(
     one chordless cycle per boundary vertex.
     """
     Q = BP.quiver
+    u = {v: chordless_cycle_at(Q, v) for v in Q.boundary_vertices}
     report = CentralElementReport()
     for c in BP.classes:
-        u_s = chordless_cycle_at(Q, c.source)
-        u_t = chordless_cycle_at(Q, c.target)
-        verdict = paths_equal(u_s * c.rep, c.rep * u_t, R, budget)
+        verdict = paths_equal(u[c.source] * c.rep, c.rep * u[c.target], R, budget)
         report.entries.append((c.describe(), verdict))
     return report
 
@@ -736,12 +735,19 @@ def _extract(
 
 @lru_cache(maxsize=1)
 def _extract_last(
-    T: Triangulation, m: int, max_path_length: int | None, max_visited: int
+    T: Triangulation, m: int, budget: SearchBudget
 ) -> tuple[RelationSet, BoundaryPresentation, GammaMatch]:
-    """_extract under a resolved budget, keeping the last result: along a
-    flip walk each move's before-side is the previous move's after-side.
-    A raised InconclusivePresentationError is never kept."""
-    return _extract(T, m, SearchBudget(max_path_length, max_visited))
+    """_extract under a budget from _run_budget, keeping the last result:
+    along a flip walk each move's before-side is the previous move's
+    after-side.  A raised InconclusivePresentationError is never kept."""
+    return _extract(T, m, budget)
+
+
+def _run_budget(budget: SearchBudget | None) -> SearchBudget:
+    """budget with max_visited resolved, so that a whole run reads
+    DIMERLAB_BUDGET_VISITED once instead of once per query."""
+    budget = budget or SearchBudget()
+    return SearchBudget(budget.max_path_length, budget.max_visited or default_max_visited())
 
 
 def verify_boundary_algebra(
@@ -749,6 +755,7 @@ def verify_boundary_algebra(
 ) -> VerificationOutcome:
     """Run the full pipeline on one triangulation: build, reduce, dualize,
     extract, match against Gamma(m, n), verify relations and centrality."""
+    budget = _run_budget(budget)
     outcome = VerificationOutcome(n=T.n, m=m, triangulation=T)
     try:
         R, BP, match = _extract(T, m, budget)
@@ -832,11 +839,10 @@ def verify_flip_transport(
     quad_new = {tri for tri in T2.triangles if set(move.inserted) <= set(tri)}
     cert = FlipTransportCertificate(move=move, matched_before=False, matched_after=False)
     # resolved now, so a changed DIMERLAB_BUDGET_VISITED misses the reuse
-    given = budget or SearchBudget()
-    limits = (given.max_path_length, given.max_visited or default_max_visited())
+    budget = _run_budget(budget)
     try:
-        _, _, match1 = _extract_last(T, m, *limits)
-        R2, BP2, match2 = _extract_last(T2, m, *limits)
+        _, _, match1 = _extract_last(T, m, budget)
+        R2, BP2, match2 = _extract_last(T2, m, budget)
     except InconclusivePresentationError as exc:
         cert.inconclusive.append(f"presentation: {exc}")
         return cert

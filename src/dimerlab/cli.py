@@ -192,8 +192,9 @@ def cmd_sweep(args) -> int:
     if args.workers < 1:
         raise CliError(f"--workers must be at least 1, got {args.workers}")
     budget = _budget_from_args(args)
+    ms = sorted(set(args.m))  # a repeated value runs once
     tasks = []
-    for m in args.m:
+    for m in ms:
         for n in range(3, args.max_n + 1):
             for index, T in enumerate(enumerate_triangulations(n)):
                 tasks.append(
@@ -215,7 +216,7 @@ def cmd_sweep(args) -> int:
     report = {
         "version": __version__,
         "budget": _budget_json(budget),
-        "grid": {"max_n": args.max_n, "m": sorted(args.m)},
+        "grid": {"max_n": args.max_n, "m": ms},
         "rows": rows,
         "all_matched": all(r["passed"] for r in rows),
     }

@@ -77,6 +77,9 @@ class QuiverWithFaces:
         self.m = m
         self.n = n
         self.vertices = dict(vertices)  # vid -> 'boundary' | 'internal'
+        self.boundary_vertex_set = frozenset(
+            v for v, kind in self.vertices.items() if kind == "boundary"
+        )
         self.arrows = list(arrows)
         self.faces = tuple(faces)
         self.arrow_source = [a.source for a in self.arrows]
@@ -95,7 +98,7 @@ class QuiverWithFaces:
 
     @property
     def boundary_vertices(self) -> list[int]:
-        return sorted(v for v, kind in self.vertices.items() if kind == "boundary")
+        return sorted(self.boundary_vertex_set)
 
     @property
     def internal_vertices(self) -> list:

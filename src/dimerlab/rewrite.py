@@ -16,6 +16,7 @@ a complete finite closure).
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -146,8 +147,8 @@ class RelationSet:
                 self._patterns.setdefault(side[0], []).append(
                     (side, other, ridx, direction)
                 )
-        self._lattice_basis = None
-        self._reduction = None  # (pivot rows, per-arrow images), see residue
+        self._lattice_basis = None  # sparse rows, see _basis
+        self._reduction = None  # (rows of the final reduction, per-arrow images), see residue
 
     def __len__(self):
         return len(self.relations)
@@ -170,18 +171,17 @@ class RelationSet:
         return out
 
     def lattice_basis(self) -> list[list[int]]:
-        """Row-echelon integer basis of the span of count(lhs) - count(rhs)."""
+        """Row-echelon integer basis of the span of count(lhs) - count(rhs),
+        with positive pivot entries, as dense rows."""
+        dim = len(self.quiver.arrows)
+        return [[row.get(c, 0) for c in range(dim)] for _, row in self._basis()]
+
+    def _basis(self) -> list[tuple[int, dict[int, int]]]:
+        """lattice_basis as sparse (pivot column, {column: entry}) rows."""
         if self._lattice_basis is None:
-            dim = len(self.quiver.arrows)
-            basis: list[list[int]] = []  # pivot columns strictly increasing
-            for lhs, rhs in self.relations:
-                vec = [0] * dim
-                for a in lhs.arrows:
-                    vec[a] += 1
-                for a in rhs.arrows:
-                    vec[a] -= 1
-                _lattice_insert(basis, vec)
-            self._lattice_basis = basis
+            self._lattice_basis = _echelon(
+                [_combine(1, Counter(l.arrows), -1, Counter(r.arrows)) for l, r in self.relations]
+            )
         return self._lattice_basis
 
     def residue(self, arrows: tuple) -> tuple[int, ...]:
@@ -193,19 +193,22 @@ class RelationSet:
         coset of the lattice.  The sum of the arrows' reduced unit vectors
         lies in the same coset as the count vector, so reducing that sum
         gives the same tuple as reducing the count vector itself.  So each
-        arrow's image is reduced once per RelationSet; when every pivot
-        entry is 1 the images vanish in the pivot columns and the final
-        reduction subtracts nothing.
+        arrow's image is reduced once per RelationSet.  The images vanish in
+        each pivot column whose entry is 1, so the final reduction starts at
+        the first row whose pivot entry exceeds 1 (no triangulation's quiver
+        has one).  Being additive, the residues of two paths differ exactly
+        when those of their cores differ, which paths_equal compares.
         """
         if self._reduction is None:
-            rows = _pivot_rows(self.lattice_basis())
+            rows = self._basis()
             dim = len(self.quiver.arrows)
             images = []
             for a in range(dim):
                 unit = [0] * dim
                 unit[a] = 1
                 images.append(tuple((j, x) for j, x in enumerate(_reduce(rows, unit)) if x))
-            self._reduction = rows, images
+            first = next((i for i, (j, row) in enumerate(rows) if row[j] > 1), len(rows))
+            self._reduction = rows[first:], images
         rows, images = self._reduction
         vec = [0] * len(images)
         for a in arrows:
@@ -214,41 +217,44 @@ class RelationSet:
         return _reduce(rows, vec)
 
 
-def _pivot(row: list[int]) -> int:
-    for j, x in enumerate(row):
-        if x:
-            return j
-    return -1
+def _echelon(vectors: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    """Row-echelon basis, with positive pivot entries, of the lattice that
+    sparse vectors span, as (pivot column, row) pairs.  Where a row's pivot
+    entry does not divide the vector's, the row becomes their gcd
+    combination and the vector the one that clears the pivot column."""
+    rows: list[tuple[int, dict[int, int]]] = []
+    for v in vectors:
+        i = 0
+        while v:
+            j = min(v)
+            while i < len(rows) and rows[i][0] < j:
+                i += 1
+            if i == len(rows) or rows[i][0] > j:
+                if v[j] < 0:
+                    v = {c: -x for c, x in v.items()}
+                rows.insert(i, (j, v))
+                break
+            row = rows[i][1]
+            d, b = row[j], v[j]
+            if b % d == 0:
+                v = _combine(1, v, -(b // d), row)
+            else:
+                g, x, y = _xgcd(d, b)
+                rows[i] = (j, _combine(x, row, y, v))
+                v = _combine(d // g, v, -(b // g), row)
+    return rows
 
 
-def _pivot_rows(basis: list[list[int]]) -> list[tuple[int, list[int]]]:
-    return [(_pivot(row), row) for row in basis]
-
-
-def _lattice_insert(basis: list[list[int]], vec: list[int]) -> None:
-    v = list(vec)
-    i = 0
-    while True:
-        j = _pivot(v)
-        if j < 0:
-            return
-        while i < len(basis) and _pivot(basis[i]) < j:
-            i += 1
-        if i == len(basis) or _pivot(basis[i]) > j:
-            if v[j] < 0:
-                v = [-x for x in v]
-            basis.insert(i, v)
-            return
-        row = basis[i]
-        d, b = row[j], v[j]
-        if b % d == 0:
-            q = b // d
-            v = [x - q * y for x, y in zip(v, row)]
+def _combine(a: int, u: dict[int, int], b: int, w: dict[int, int]) -> dict[int, int]:
+    """a u + b w for sparse vectors u, w and a nonzero a, without zero entries."""
+    out = {c: a * x for c, x in u.items()}
+    for c, x in w.items():
+        y = out.get(c, 0) + b * x
+        if y:
+            out[c] = y
         else:
-            g, x, y = _xgcd(d, b)
-            new_row = [x * r + y * w for r, w in zip(row, v)]
-            v = [(d // g) * w - (b // g) * r for r, w in zip(row, v)]
-            basis[i] = new_row
+            out.pop(c, None)
+    return out
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -267,18 +273,21 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _lattice_reduce(basis: list[list[int]], vec: list[int]) -> tuple[int, ...]:
-    return _reduce(_pivot_rows(basis), vec)
+    """_reduce with the basis as lattice_basis gives it."""
+    rows = [{c: x for c, x in enumerate(row) if x} for row in basis]
+    return _reduce([(min(row), row) for row in rows], vec)
 
 
-def _reduce(rows: list[tuple[int, list[int]]], vec: list[int]) -> tuple[int, ...]:
+def _reduce(rows: list[tuple[int, dict[int, int]]], vec: list[int]) -> tuple[int, ...]:
     """The canonical representative of vec modulo the lattice spanned by an
-    echelon basis with positive pivot entries, given as (pivot column, row)
-    pairs: its entry in each pivot column j lies in [0, row[j])."""
+    echelon basis with positive pivot entries, given as sparse (pivot
+    column, row) pairs: its entry in each pivot column j lies in [0, row[j])."""
     v = list(vec)
     for j, row in rows:
         q = v[j] // row[j]
         if q:
-            v = [x - q * y for x, y in zip(v, row)]
+            for c, x in row.items():
+                v[c] -= q * x
     return tuple(v)
 
 
@@ -463,13 +472,15 @@ def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = 
     closure, yields Distinct.  Everything else is Unknown.  The residues
     are compared before the search, so no Equal verdict contradicts them.
 
-    The search first runs on the cores where p and q differ, their longest
-    common prefix and suffix stripped, with the length bound shrunk by the
-    stripped arrows.  An Equal there, its positions shifted past the
-    prefix, rewrites p into q.  Any other outcome of the cores proves
-    nothing (a rewrite may cross a core's edge), so the search falls back
-    to the full paths.  Both searches draw on one max_visited budget and
-    visited is their sum.
+    The cores of p and q are what remains after stripping their longest
+    common prefix and suffix.  The residue is additive, so the residues of
+    p and q differ exactly when those of the cores do, and the cores'
+    residues are the ones compared.  The search first runs on the cores,
+    with the length bound shrunk by the stripped arrows.  An Equal there,
+    its positions shifted past the prefix, rewrites p into q.  Any other
+    outcome of the cores proves nothing (a rewrite may cross a core's
+    edge), so the search falls back to the full paths.  Both searches draw
+    on one max_visited budget and visited is their sum.
     """
     if p.source != q.source or p.target != q.target:
         raise IncomparablePathsError(
@@ -480,12 +491,12 @@ def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = 
         return EqualityVerdict(EQUAL, certificate=(), visited=1, budget=budget)
     if budget.max_visited < 2:
         return EqualityVerdict(UNKNOWN, visited=0, budget=budget)
-    if R.residue(p.arrows) != R.residue(q.arrows):
-        return EqualityVerdict(DISTINCT, separating="abelian_invariant", visited=2, budget=budget)
-
     a, b = p.arrows, q.arrows
     i, j = _shared_ends(a, b)
     core_a, core_b = a[i : len(a) - j], b[i : len(b) - j]
+    if R.residue(core_a) != R.residue(core_b):
+        return EqualityVerdict(DISTINCT, separating="abelian_invariant", visited=2, budget=budget)
+
     outcome, steps, visited = None, None, 0
     if (i or j) and core_a and core_b:
         outcome, steps, visited = _search(

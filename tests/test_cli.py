@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import os
 import sys
 
 import pytest
@@ -7,6 +9,9 @@ import pytest
 import dimerlab as dl
 from dimerlab.cli import main, parse_triangulation_spec
 from dimerlab.quiver import QuiverWithFaces
+from dimerlab.rewrite import ENV_BUDGET_VISITED
+
+REFERENCE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference.json")
 
 
 def run_cli(argv):
@@ -117,6 +122,27 @@ def test_sweep_deterministic_and_parallel_agrees():
     assert serial == serial2
     _, parallel = run_cli(["sweep", "--max-n", "5", "--m", "2", "--workers", "2"])
     assert parallel == serial
+
+
+def test_sweep_runs_a_repeated_m_once():
+    code, repeated = run_cli(["sweep", "--max-n", "4", "--m", "3", "2", "3"])
+    _, once = run_cli(["sweep", "--max-n", "4", "--m", "2", "3"])
+    assert code == 0 and repeated == once
+    assert json.loads(once)["grid"]["m"] == [2, 3]
+
+
+def test_sweep_output_matches_the_benchmark_reference(monkeypatch):
+    # the stdout bytes of the benchmark's sweep, against the digest the
+    # benchmark checks (perfbench/reference.json, under its pinned budget)
+    with open(REFERENCE) as f:
+        reference = json.load(f)
+    monkeypatch.setenv(ENV_BUDGET_VISITED, str(reference["budget_visited"]))
+    argv = ["sweep", "--max-n", "7", "--m", "2", "3"]
+    ref = reference["sweep-n7"]
+    assert ref["argv"] == argv
+    code, out = run_cli(argv)
+    assert code == ref["exit_code"]
+    assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"]
 
 
 def test_sweep_m3():

@@ -143,17 +143,23 @@ def sympy_in_lattice(rows, vec):
     return all(Rational(x).q == 1 for x in sol)
 
 
-def test_abelian_separation_matches_sympy_oracle():
-    _, _, Q, R = fan_pipeline(3, 2)
-    dim = len(Q.arrows)
+def relation_vectors(Q, R):
+    """count(lhs) - count(rhs) of every relation, as dense rows."""
     rows = []
     for lhs, rhs in R.relations:
-        vec = [0] * dim
+        vec = [0] * len(Q.arrows)
         for a in lhs.arrows:
             vec[a] += 1
         for a in rhs.arrows:
             vec[a] -= 1
         rows.append(vec)
+    return rows
+
+
+def test_abelian_separation_matches_sympy_oracle():
+    _, _, Q, R = fan_pipeline(3, 2)
+    dim = len(Q.arrows)
+    rows = relation_vectors(Q, R)
 
     p = Q.path((arrow_by_endpoints(Q, 1, 2),))
     u = chordless_cycle_at(Q, 2)
@@ -192,6 +198,35 @@ def test_residue_is_the_reduced_count_vector(data):
     counts = [arrows.count(a) for a in range(dim)]
     assert R.residue(arrows) == _lattice_reduce(R.lattice_basis(), counts)
     assert R.residue(()) == (0,) * dim
+
+
+@settings(max_examples=15)
+@given(st.data())
+def test_lattice_basis_spans_exactly_the_relation_lattice(data):
+    # the basis is echelon with positive pivot entries, as _lattice_reduce
+    # needs.  Every relation reduces to zero, so the basis spans at least
+    # the relation lattice; every basis row is an integer combination of
+    # relations, so it spans no more.  The oracle needs independent rows,
+    # so it gets a maximal independent subset of the relations, whose
+    # lattice lies inside theirs.
+    from sympy import Matrix
+
+    from dimerlab.rewrite import _lattice_reduce
+
+    m = data.draw(st.integers(2, 4))
+    n = data.draw(st.integers(3, 8))
+    tris = dl.enumerate_triangulations(n)
+    T = tris[data.draw(st.integers(0, len(tris) - 1))]
+    _, _, Q, R = pipeline(n, m, T.sorted_diagonals)
+    rows = relation_vectors(Q, R)
+    basis = R.lattice_basis()
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    assert pivots == sorted(set(pivots))
+    assert all(row[j] > 0 for j, row in zip(pivots, basis))
+    zero = (0,) * len(Q.arrows)
+    assert all(_lattice_reduce(basis, vec) == zero for vec in rows)
+    _, independent = Matrix(rows).T.rref()
+    assert all(sympy_in_lattice([rows[i] for i in independent], row) for row in basis)
 
 
 def test_residue_with_a_pivot_other_than_one():
@@ -355,6 +390,47 @@ def test_core_search_agrees_with_the_full_search(data):
             assert replay_certificate(p, v.certificate, R) == q
         if full != UNKNOWN and (v.outcome != UNKNOWN or max_visited == budget.max_visited):
             assert v.outcome == full
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_core_residues_decide_like_the_full_residues(data):
+    # paths_equal compares the residues of the cores only; it must answer
+    # Distinct by the abelian invariant exactly when the residues of the
+    # full paths differ.  x is a primitive path, a relation side or a
+    # chordless cycle; y is another of them with x's endpoints, x followed
+    # by the chordless cycle at its target, or a rewrite of x.  Both get
+    # one random prefix and suffix.
+    m = data.draw(st.sampled_from([2, 3, 4]))
+    n = data.draw(st.integers(3, 5 if m == 4 else 7))
+    tris = dl.enumerate_triangulations(n)
+    T = tris[data.draw(st.integers(0, len(tris) - 1))]
+    _, _, Q, R = pipeline(n, m, T.sorted_diagonals)
+    rng = data.draw(st.randoms(use_true_random=True))
+    pool = [p for paths in _primitive_paths(Q).values() for p in paths]
+    pool += [side for relation in R.relations for side in relation]
+    pool += [chordless_cycle_at(Q, v) for v in Q.boundary_vertices]
+    x = rng.choice(pool)
+    others = [p for p in pool if (p.source, p.target) == (x.source, x.target) and p != x]
+    sites = R.sites(x.arrows)
+    kind = rng.randrange(3)
+    if kind == 0 and others:
+        y = rng.choice(others)
+    elif kind == 1 or not sites:
+        y = x * chordless_cycle_at(Q, x.target)
+    else:
+        y = Q.path(rng.choice(sites)[3])
+    prefix, suffix = [], []
+    for _ in range(rng.randint(0, 4)):
+        prefix.insert(0, rng.choice(Q.in_arrows[Q.arrow_source[(prefix or x.arrows)[0]]]))
+    for _ in range(rng.randint(0, 4)):
+        suffix.append(rng.choice(Q.out_arrows[Q.arrow_target[(suffix or y.arrows)[-1]]]))
+    p = Q.path(tuple(prefix) + x.arrows + tuple(suffix))
+    q = Q.path(tuple(prefix) + y.arrows + tuple(suffix))
+
+    v = paths_equal(p, q, R, SearchBudget(max_visited=50))
+    by_residue = v.outcome == DISTINCT and v.separating == "abelian_invariant"
+    assert by_residue == (R.residue(p.arrows) != R.residue(q.arrows))
 
 
 @settings(max_examples=40)
