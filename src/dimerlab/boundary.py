@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 from .dimer import build_dimer, reduce_dimer
 from .polygon import Triangulation, flip
@@ -39,6 +40,7 @@ from .rewrite import (
     default_budget,
     default_max_visited,
     paths_equal,
+    shared_ends,
 )
 
 
@@ -211,39 +213,97 @@ def _primitive_paths(Q: QuiverWithFaces) -> dict[tuple, list[Path]]:
     }
 
 
+def _linked_parts(
+    paths: list[Path], R: RelationSet, budget: SearchBudget | None
+) -> list[list[Path]]:
+    """Split paths, listed in (length, arrows) order, into parts joined by
+    one-step links, each part in that order and the parts in the order of
+    their least members.
+
+    Two paths are linked when one rewrites into the other in one step or
+    both rewrite into the same word: a certificate of one or two rewrites,
+    found without a search, so max_visited does not bound it.  A link
+    through a word longer than an explicit max_path_length is not made;
+    the per-query default always allows one rewrite.
+    """
+    if len(paths) < 2:
+        return [paths]
+    cap = budget.max_path_length if budget else None
+    root = list(range(len(paths)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    owner: dict[tuple, int] = {}  # word -> the first path reaching it
+    for i, p in enumerate(paths):
+        words = [res for *_, res in R.sites(p.arrows) if cap is None or len(res) <= cap]
+        for word in (p.arrows, *words):
+            j = owner.setdefault(word, i)
+            if j != i:
+                a, b = find(i), find(j)
+                root[max(a, b)] = min(a, b)
+    parts: dict[int, list[Path]] = {}
+    for i, p in enumerate(paths):
+        parts.setdefault(find(i), []).append(p)
+    return list(parts.values())
+
+
+def _path_classes(
+    paths: list[Path], R: RelationSet, budget: SearchBudget | None
+) -> list[list[Path]]:
+    """The equality classes of paths listed in (length, arrows) order, each
+    led by its least member, in the order of their least members.
+
+    Paths joined by one-step links form parts (_linked_parts).  Each part,
+    in the order of its least member, is compared with each class so far
+    by paths_equal on the one pair (part member, class member) with the
+    longest common prefix plus suffix, the pair that leaves the smallest
+    cores to search; Equal merges the part into the class.  The members of
+    a part are equal, and so are those of a class, so every pair has the
+    same decided verdict.  Unknown raises InconclusivePresentationError.
+    """
+    classes: list[list[Path]] = []
+    for part in _linked_parts(paths, R, budget):
+        for c in classes:
+            p, q = max(
+                product(part, c), key=lambda pq: sum(shared_ends(pq[0].arrows, pq[1].arrows))
+            )
+            verdict = paths_equal(p, q, R, budget)
+            if verdict.outcome == EQUAL:
+                c.extend(part)
+                break
+            if verdict.outcome == UNKNOWN:
+                raise InconclusivePresentationError(
+                    f"cannot decide {p.arrows} vs {q.arrows} within "
+                    f"{_budget_text(verdict.budget)} (visited {verdict.visited})"
+                )
+        else:
+            classes.append(part)
+    return classes
+
+
 def boundary_generators(
     Q: QuiverWithFaces, R: RelationSet, budget: SearchBudget | None = None
 ) -> BoundaryPresentation:
     """Extract the generator classes of the boundary algebra.
 
     Primitive paths (boundary to boundary through internal vertices) are
-    grouped up to path equality, then every class whose representative
-    factors through an intermediate boundary vertex is discarded as a
-    composition of two shorter classes.  Each class is tagged with the
-    family of the Gamma(m, n) arrow that has its endpoints (Gamma has at
-    most one arrow per pair).  Budget exhaustion anywhere raises
+    grouped up to path equality per (source, target), by one-step links
+    and then searches only between the linked parts (_path_classes).
+    Every class whose representative, its least path, factors through an
+    intermediate boundary vertex is discarded as a composition of two
+    shorter classes.  Each class is tagged with the family of the
+    Gamma(m, n) arrow that has its endpoints (Gamma has at most one arrow
+    per pair).  Budget exhaustion anywhere raises
     InconclusivePresentationError.
     """
     family = {ends: name[0] for name, ends in build_gamma(Q.m, Q.n).arrows.items()}
     classes = []
     for (src, tgt), paths in _primitive_paths(Q).items():
-        # each group's first path is its least and its last the nearest to
-        # the next path in (length, arrows) order, so p is compared with that
-        groups: list[list[Path]] = []
-        for p in paths:
-            for g in groups:
-                verdict = paths_equal(p, g[-1], R, budget)
-                if verdict.outcome == EQUAL:
-                    g.append(p)
-                    break
-                if verdict.outcome == UNKNOWN:
-                    raise InconclusivePresentationError(
-                        f"cannot decide {p.arrows} vs {g[-1].arrows} within "
-                        f"{_budget_text(verdict.budget)} (visited {verdict.visited})"
-                    )
-            else:
-                groups.append([p])
-        for g in groups:
+        for g in _path_classes(paths, R, budget):
             classes.append(
                 GeneratorClass(
                     source=src,

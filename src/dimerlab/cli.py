@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .boundary import (
@@ -208,6 +207,8 @@ def cmd_sweep(args) -> int:
                     )
                 )
     if args.workers > 1 and tasks:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:
@@ -301,9 +302,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        # the parser reads DIMERLAB_BUDGET_VISITED for its help text
+        args = make_parser().parse_args(argv)
         return args.func(args)
     except InconclusivePresentationError as exc:
         sys.stderr.write(f"inconclusive: {exc}\n")

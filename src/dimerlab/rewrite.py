@@ -450,7 +450,7 @@ def _search(a: tuple, b: tuple, R: RelationSet, max_len: int, max_visited: int) 
             return UNKNOWN, None, visited
 
 
-def _shared_ends(a: tuple, b: tuple) -> tuple[int, int]:
+def shared_ends(a: tuple, b: tuple) -> tuple[int, int]:
     """Lengths of the longest common prefix and, of what remains, the
     longest common suffix of two arrow tuples."""
     i, short = 0, min(len(a), len(b))
@@ -492,7 +492,7 @@ def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = 
     if budget.max_visited < 2:
         return EqualityVerdict(UNKNOWN, visited=0, budget=budget)
     a, b = p.arrows, q.arrows
-    i, j = _shared_ends(a, b)
+    i, j = shared_ends(a, b)
     core_a, core_b = a[i : len(a) - j], b[i : len(b) - j]
     if R.residue(core_a) != R.residue(core_b):
         return EqualityVerdict(DISTINCT, separating="abelian_invariant", visited=2, budget=budget)

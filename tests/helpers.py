@@ -7,6 +7,7 @@ from collections import deque
 from hypothesis import strategies as st
 
 import dimerlab as dl
+from dimerlab import boundary
 
 
 @functools.lru_cache(maxsize=None)
@@ -92,3 +93,39 @@ def plain_bfs_moves(parent, dst):
         k, move = parent[k]
         moves.append(move)
     return moves[::-1]
+
+
+def pairwise_classes(paths, R, budget=None):
+    """Reference for boundary._path_classes: each path, in (length, arrows)
+    order, is compared by paths_equal with the last member of each class
+    found so far and joins the first that is Equal."""
+    groups = []
+    for p in paths:
+        for g in groups:
+            verdict = dl.paths_equal(p, g[-1], R, budget)
+            assert verdict.outcome != dl.UNKNOWN, (p, g[-1])
+            if verdict.outcome == dl.EQUAL:
+                g.append(p)
+                break
+        else:
+            groups.append([p])
+    return groups
+
+
+def pairwise_generators(Q, R, budget=None):
+    """Reference for boundary_generators, grouping by pairwise_classes.
+    Returns the classes of each (source, target) and the surviving
+    GeneratorClass tuple, in the presentation's order."""
+    family = {ends: name[0] for name, ends in dl.build_gamma(Q.m, Q.n).arrows.items()}
+    by_ends = {
+        ends: pairwise_classes(paths, R, budget)
+        for ends, paths in boundary._primitive_paths(Q).items()
+    }
+    survivors = [
+        boundary.GeneratorClass(src, tgt, family.get((src, tgt)), g[0], len(g))
+        for (src, tgt), groups in by_ends.items()
+        for g in groups
+        if boundary.factors_through_boundary(g[0], R, budget)[0] == "generator"
+    ]
+    survivors.sort(key=lambda c: (c.target, c.source, c.rep.arrows))
+    return by_ends, tuple(survivors)

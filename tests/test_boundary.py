@@ -17,20 +17,33 @@ from dimerlab.boundary import (
     IncompatibleGammaError,
     InconclusivePresentationError,
     _extract_last,
+    _linked_parts,
+    _path_classes,
+    _primitive_paths,
     factors_through_boundary,
     gamma_tail,
     modl,
 )
+from dimerlab.quiver import Arrow, QuiverWithFaces
 from dimerlab.rewrite import (
     ENV_BUDGET_VISITED,
     EQUAL,
     UNKNOWN,
     EqualityVerdict,
+    Path,
+    RelationSet,
     SearchBudget,
     paths_equal,
 )
 
-from helpers import fan_pipeline, fan_presentation, pipeline, presentation
+from helpers import (
+    fan_pipeline,
+    fan_presentation,
+    pairwise_generators,
+    pipeline,
+    presentation,
+    triangulations,
+)
 
 REFERENCE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference.json")
 
@@ -141,7 +154,7 @@ def test_presentation_budget_exhaustion_is_inconclusive(monkeypatch):
         return verdict
 
     monkeypatch.setattr(dl.boundary, "paths_equal", recorded)
-    _, _, Q, R = fan_pipeline(6, 3)
+    _, _, Q, R = fan_pipeline(5, 4)
     with pytest.raises(InconclusivePresentationError) as info:
         dl.boundary_generators(Q, R, SearchBudget(max_visited=3))
     p, q, verdict = queries[-1]
@@ -152,6 +165,46 @@ def test_presentation_budget_exhaustion_is_inconclusive(monkeypatch):
         f"(visited {verdict.visited})"
     )
     assert 0 < verdict.visited <= 3
+
+    # one-step links need no search, so fan (6, 3) groups within that budget
+    _, _, Q, R = fan_pipeline(6, 3)
+    BP = dl.boundary_generators(Q, R, SearchBudget(max_visited=3))
+    assert BP.classes == fan_presentation(6, 3)[0].classes
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_grouping_matches_the_pairwise_reference(data):
+    # the same classes, representatives, sizes, tags and order as comparing
+    # each path with every group in turn; at m = 4, n = 7 the reference
+    # alone takes 4-13 s per triangulation, so m = 4 stops at n = 6
+    m = data.draw(st.integers(2, 4))
+    T = data.draw(triangulations(max_n=6 if m == 4 else 7))
+    _, _, Q, R = pipeline(T.n, m, T.sorted_diagonals)
+    by_ends, generators = pairwise_generators(Q, R)
+    for ends, paths in _primitive_paths(Q).items():
+        classes = [(g[0], set(g)) for g in _path_classes(paths, R, None)]
+        assert classes == [(g[0], set(g)) for g in by_ends[ends]]
+    assert dl.boundary_generators(Q, R).classes == generators
+
+
+def test_links_respect_an_explicit_length_cap():
+    # parallel arrows a, b, and c d through a third vertex, with a = c d and
+    # b = c d: a and b are joined only through the word c d of length 2
+    vertices = {1: "boundary", 2: "boundary", 3: "internal"}
+    arrows = [
+        Arrow(1, 2, "internal", ("t", (0, 0, 0), 0)),  # a
+        Arrow(1, 2, "internal", ("t", (0, 0, 0), 1)),  # b
+        Arrow(1, 3, "internal", ("t", (0, 0, 0), 2)),  # c
+        Arrow(3, 2, "internal", ("t", (0, 0, 0), 3)),  # d
+    ]
+    Q = QuiverWithFaces(1, 3, vertices, arrows, [])
+    cd = Path(Q, (2, 3))
+    R = RelationSet(Q, [(Path(Q, (0,)), cd), (Path(Q, (1,)), cd)])
+    a, b = Path(Q, (0,)), Path(Q, (1,))
+    assert _linked_parts([a, b], R, SearchBudget(max_path_length=1)) == [[a], [b]]
+    for budget in (None, SearchBudget(), SearchBudget(max_path_length=2)):
+        assert _linked_parts([a, b], R, budget) == [[a, b]]
 
 
 def test_generator_minimality_m2():

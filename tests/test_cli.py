@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -171,7 +172,7 @@ def test_flip_check():
 
 def test_flip_check_starved_budget_prints_inconclusive_certificate():
     argv = ["flip-check", "--n", "6", "--m", "3", "--fan", "--flip", "1-4"]
-    code, out = run_cli(argv + ["--budget-visited", "3"])
+    code, out = run_cli(argv + ["--budget-visited", "2"])
     assert code == 2
     cert = json.loads(out)["certificate"]
     assert len(cert["inconclusive"]) == 1
@@ -183,6 +184,40 @@ def test_flip_check_starved_budget_prints_inconclusive_certificate():
 def test_flip_check_bad_diagonal_exit_one():
     code, _ = run_cli(["flip-check", "--n", "5", "--m", "2", "--fan", "--flip", "1-2"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "5", "--m", "2", "--fan"],
+        ["sweep", "--max-n", "4", "--m", "2"],
+        ["flip-check", "--n", "5", "--m", "2", "--fan", "--flip", "1-3"],
+        ["build", "--n", "5", "--m", "2", "--fan"],
+        ["gamma", "--n", "3", "--m", "2"],
+    ],
+)
+def test_non_integer_env_budget_is_a_one_line_error(monkeypatch, capsys, argv):
+    monkeypatch.setenv(ENV_BUDGET_VISITED, "abc")
+    code, out = run_cli(argv)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == (
+        f"error: {ENV_BUDGET_VISITED} must be an integer, got 'abc'\n"
+    )
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only sweep --workers > 1 needs concurrent.futures
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = "import sys, dimerlab.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_env_budget_override(monkeypatch):
