@@ -21,9 +21,9 @@ the path-equality engine.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from collections.abc import KeysView
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 from .dimer import build_dimer, reduce_dimer
 from .polygon import Triangulation, flip
@@ -40,7 +40,6 @@ from .rewrite import (
     default_budget,
     default_max_visited,
     paths_equal,
-    shared_ends,
 )
 
 
@@ -49,7 +48,8 @@ class BoundaryError(ValueError):
 
 
 class InconclusivePresentationError(BoundaryError):
-    """The search budget ran out while grouping boundary path classes."""
+    """The search budget ran out before a primitive boundary path's class
+    was known to be a generator or a composition."""
 
 
 class IncompatibleGammaError(BoundaryError):
@@ -213,75 +213,37 @@ def _primitive_paths(Q: QuiverWithFaces) -> dict[tuple, list[Path]]:
     }
 
 
-def _linked_parts(
+def _generator_classes(
     paths: list[Path], R: RelationSet, budget: SearchBudget | None
 ) -> list[list[Path]]:
-    """Split paths, listed in (length, arrows) order, into parts joined by
-    one-step links, each part in that order and the parts in the order of
-    their least members.
+    """The generator classes among paths of one (source, target), listed in
+    (length, arrows) order: each class as its primitive members, led by its
+    least, in the order of their least members.
 
-    Two paths are linked when one rewrites into the other in one step or
-    both rewrite into the same word: a certificate of one or two rewrites,
-    found without a search, so max_visited does not bound it.  A link
-    through a word longer than an explicit max_path_length is not made;
-    the per-query default always allows one rewrite.
-    """
-    if len(paths) < 2:
-        return [paths]
-    cap = budget.max_path_length if budget else None
-    root = list(range(len(paths)))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    owner: dict[tuple, int] = {}  # word -> the first path reaching it
-    for i, p in enumerate(paths):
-        words = [res for *_, res in R.sites(p.arrows) if cap is None or len(res) <= cap]
-        for word in (p.arrows, *words):
-            j = owner.setdefault(word, i)
-            if j != i:
-                a, b = find(i), find(j)
-                root[max(a, b)] = min(a, b)
-    parts: dict[int, list[Path]] = {}
-    for i, p in enumerate(paths):
-        parts.setdefault(find(i), []).append(p)
-    return list(parts.values())
-
-
-def _path_classes(
-    paths: list[Path], R: RelationSet, budget: SearchBudget | None
-) -> list[list[Path]]:
-    """The equality classes of paths listed in (length, arrows) order, each
-    led by its least member, in the order of their least members.
-
-    Paths joined by one-step links form parts (_linked_parts).  Each part,
-    in the order of its least member, is compared with each class so far
-    by paths_equal on the one pair (part member, class member) with the
-    longest common prefix plus suffix, the pair that leaves the smallest
-    cores to search; Equal merges the part into the class.  The members of
-    a part are equal, and so are those of a class, so every pair has the
-    same decided verdict.  Unknown raises InconclusivePresentationError.
+    Each path not yet placed gets one closure (factors_through_boundary).
+    One that reaches a word through an intermediate boundary vertex places
+    the path and every path among the states it reached, all composite.
+    One that completes without such a word is the path's whole equality
+    class, so its members among paths form a generator class; no earlier
+    path is among them, or it would have placed this one.  A truncated
+    closure raises InconclusivePresentationError.
     """
     classes: list[list[Path]] = []
-    for part in _linked_parts(paths, R, budget):
-        for c in classes:
-            p, q = max(
-                product(part, c), key=lambda pq: sum(shared_ends(pq[0].arrows, pq[1].arrows))
+    placed: set[tuple] = set()
+    for i, p in enumerate(paths):
+        if p.arrows in placed:
+            continue
+        verdict, visited, states = factors_through_boundary(p, R, budget)
+        if verdict == "truncated":
+            raise InconclusivePresentationError(
+                f"cannot decide within {_budget_text(default_budget(R, p, budget=budget))} "
+                f"whether the class of {p.arrows} ({p.source}->{p.target}) "
+                f"is a generator (visited {visited})"
             )
-            verdict = paths_equal(p, q, R, budget)
-            if verdict.outcome == EQUAL:
-                c.extend(part)
-                break
-            if verdict.outcome == UNKNOWN:
-                raise InconclusivePresentationError(
-                    f"cannot decide {p.arrows} vs {q.arrows} within "
-                    f"{_budget_text(verdict.budget)} (visited {verdict.visited})"
-                )
-        else:
-            classes.append(part)
+        members = [q for q in paths[i:] if q.arrows in states]
+        placed.update(q.arrows for q in members)
+        if verdict == "generator":
+            classes.append(members)
     return classes
 
 
@@ -291,42 +253,23 @@ def boundary_generators(
     """Extract the generator classes of the boundary algebra.
 
     Primitive paths (boundary to boundary through internal vertices) are
-    grouped up to path equality per (source, target), by one-step links
-    and then searches only between the linked parts (_path_classes).
-    Every class whose representative, its least path, factors through an
-    intermediate boundary vertex is discarded as a composition of two
-    shorter classes.  Each class is tagged with the family of the
-    Gamma(m, n) arrow that has its endpoints (Gamma has at most one arrow
-    per pair).  Budget exhaustion anywhere raises
+    classified per (source, target) by closures, one for each path that
+    no earlier closure reached (_generator_classes): classes equal to a
+    path through an intermediate boundary vertex are compositions of two
+    shorter classes and are dropped, and each other class is enumerated
+    whole, with its least path as representative.  Each class is tagged
+    with the family of the Gamma(m, n) arrow that has its endpoints (Gamma
+    has at most one arrow per pair).  Budget exhaustion anywhere raises
     InconclusivePresentationError.
     """
     family = {ends: name[0] for name, ends in build_gamma(Q.m, Q.n).arrows.items()}
-    classes = []
-    for (src, tgt), paths in _primitive_paths(Q).items():
-        for g in _path_classes(paths, R, budget):
-            classes.append(
-                GeneratorClass(
-                    source=src,
-                    target=tgt,
-                    tag=family.get((src, tgt)),
-                    rep=g[0],
-                    size=len(g),
-                )
-            )
-
-    survivors = []
-    for c in classes:
-        verdict, visited = factors_through_boundary(c.rep, R, budget)
-        if verdict == "composite":
-            continue
-        if verdict == "truncated":
-            raise InconclusivePresentationError(
-                f"cannot decide within {_budget_text(default_budget(R, c.rep, budget=budget))} "
-                f"whether {c.describe()} is a generator (visited {visited})"
-            )
-        survivors.append(c)
-    survivors.sort(key=lambda c: (c.target, c.source, c.rep.arrows))
-    return BoundaryPresentation(quiver=Q, classes=tuple(survivors))
+    classes = [
+        GeneratorClass(source=src, target=tgt, tag=family.get((src, tgt)), rep=g[0], size=len(g))
+        for (src, tgt), paths in _primitive_paths(Q).items()
+        for g in _generator_classes(paths, R, budget)
+    ]
+    classes.sort(key=lambda c: (c.target, c.source, c.rep.arrows))
+    return BoundaryPresentation(quiver=Q, classes=tuple(classes))
 
 
 def _budget_text(budget: SearchBudget) -> str:
@@ -335,14 +278,16 @@ def _budget_text(budget: SearchBudget) -> str:
 
 def factors_through_boundary(
     p: Path, R: RelationSet, budget: SearchBudget | None = None
-) -> tuple[str, int]:
+) -> tuple[str, int, KeysView[tuple]]:
     """Whether some path equal to p visits a boundary vertex strictly inside.
 
     Such a path splits into two shorter boundary-to-boundary paths, so the
     class of p is a composition of shorter classes and is no generator.
-    Returns the verdict and the states visited.  The verdict is 'composite'
-    when a split is found, 'generator' when the whole equality class was
-    enumerated without one, and 'truncated' when the budget ran out first.
+    Returns the verdict, the states visited and those states (as
+    class_contains).  The verdict is 'composite' when a split is found,
+    'generator' when the whole equality class was enumerated without one
+    (the states are then that class), and 'truncated' when the budget ran
+    out first.
     """
     Q = p.quiver
     boundary = Q.boundary_vertex_set
@@ -350,8 +295,8 @@ def factors_through_boundary(
     def visits_boundary(arrows: tuple) -> bool:
         return any(Q.arrow_target[a] in boundary for a in arrows[:-1])
 
-    found, visited = class_contains(p, R, visits_boundary, budget)
-    return {True: "composite", False: "generator", None: "truncated"}[found], visited
+    found, visited, states = class_contains(p, R, visits_boundary, budget)
+    return {True: "composite", False: "generator", None: "truncated"}[found], visited, states
 
 
 # ---------------------------------------------------------------------------

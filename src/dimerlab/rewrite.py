@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from collections.abc import KeysView
 from dataclasses import dataclass
 from math import gcd
 
@@ -170,14 +171,10 @@ class RelationSet:
                     )
         return out
 
-    def lattice_basis(self) -> list[list[int]]:
-        """Row-echelon integer basis of the span of count(lhs) - count(rhs),
-        with positive pivot entries, as dense rows."""
-        dim = len(self.quiver.arrows)
-        return [[row.get(c, 0) for c in range(dim)] for _, row in self._basis()]
-
     def _basis(self) -> list[tuple[int, dict[int, int]]]:
-        """lattice_basis as sparse (pivot column, {column: entry}) rows."""
+        """Row-echelon integer basis of the span of count(lhs) - count(rhs),
+        with positive pivot entries, as sparse (pivot column, {column:
+        entry}) rows."""
         if self._lattice_basis is None:
             self._lattice_basis = _echelon(
                 [_combine(1, Counter(l.arrows), -1, Counter(r.arrows)) for l, r in self.relations]
@@ -270,12 +267,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     assert old_s * a + old_t * b == old_r == gcd(a, b)
     return old_r, old_s, old_t
-
-
-def _lattice_reduce(basis: list[list[int]], vec: list[int]) -> tuple[int, ...]:
-    """_reduce with the basis as lattice_basis gives it."""
-    rows = [{c: x for c, x in enumerate(row) if x} for row in basis]
-    return _reduce([(min(row), row) for row in rows], vec)
 
 
 def _reduce(rows: list[tuple[int, dict[int, int]]], vec: list[int]) -> tuple[int, ...]:
@@ -521,21 +512,22 @@ def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = 
 
 def class_contains(
     p: Path, R: RelationSet, hit, budget: SearchBudget | None = None
-) -> tuple[bool | None, int]:
-    """Whether some path equal to p has hit(arrows) true, and how many
-    states the search visited.  The verdict is True when one is found,
-    False when the whole equality class was enumerated without one, None
-    when the budget ran out first."""
+) -> tuple[bool | None, int, KeysView[tuple]]:
+    """Whether some path equal to p has hit(arrows) true, how many states
+    the search visited, and those states (arrow tuples, p's own first).
+    The verdict is True when one is found, False when the whole equality
+    class was enumerated without one (the states are then that class),
+    None when the budget ran out first.  The word found with hit true is
+    not among the states, unless it is p itself."""
     budget = default_budget(R, p, budget=budget)
-    if hit(p.arrows):
-        return True, 1
     closure = _Closure(p.arrows)
+    states = closure.chains.keys()
+    if hit(p.arrows):
+        return True, 1, states
     while closure.front:
-        found = closure.expand(
-            R, budget.max_path_length, hit, budget.max_visited - len(closure.chains)
-        )
+        found = closure.expand(R, budget.max_path_length, hit, budget.max_visited - len(states))
         if found is _OVERFLOW:
-            return None, len(closure.chains)
+            return None, len(states), states
         if found is not None:
-            return True, len(closure.chains)
-    return (None if closure.pruned else False), len(closure.chains)
+            return True, len(states), states
+    return (None if closure.pruned else False), len(states), states

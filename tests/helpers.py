@@ -7,7 +7,7 @@ from collections import deque
 from hypothesis import strategies as st
 
 import dimerlab as dl
-from dimerlab import boundary
+from dimerlab import boundary, rewrite
 
 
 @functools.lru_cache(maxsize=None)
@@ -96,7 +96,8 @@ def plain_bfs_moves(parent, dst):
 
 
 def pairwise_classes(paths, R, budget=None):
-    """Reference for boundary._path_classes: each path, in (length, arrows)
+    """Reference for the equality classes of primitive paths that
+    boundary_generators finds by closures: each path, in (length, arrows)
     order, is compared by paths_equal with the last member of each class
     found so far and joins the first that is Equal."""
     groups = []
@@ -113,19 +114,32 @@ def pairwise_classes(paths, R, budget=None):
 
 
 def pairwise_generators(Q, R, budget=None):
-    """Reference for boundary_generators, grouping by pairwise_classes.
-    Returns the classes of each (source, target) and the surviving
-    GeneratorClass tuple, in the presentation's order."""
+    """Reference for boundary_generators, grouping by pairwise_classes and
+    keeping the classes whose least path factors_through_boundary calls a
+    generator.  Returns the GeneratorClass tuple in the presentation's
+    order."""
     family = {ends: name[0] for name, ends in dl.build_gamma(Q.m, Q.n).arrows.items()}
-    by_ends = {
-        ends: pairwise_classes(paths, R, budget)
-        for ends, paths in boundary._primitive_paths(Q).items()
-    }
     survivors = [
         boundary.GeneratorClass(src, tgt, family.get((src, tgt)), g[0], len(g))
-        for (src, tgt), groups in by_ends.items()
-        for g in groups
+        for (src, tgt), paths in boundary._primitive_paths(Q).items()
+        for g in pairwise_classes(paths, R, budget)
         if boundary.factors_through_boundary(g[0], R, budget)[0] == "generator"
     ]
     survivors.sort(key=lambda c: (c.target, c.source, c.rep.arrows))
-    return by_ends, tuple(survivors)
+    return tuple(survivors)
+
+
+def lattice_basis(R):
+    """Reference form of the relation lattice's echelon basis, as dense
+    rows: the span of count(lhs) - count(rhs) over the relations, with
+    positive pivot entries."""
+    dim = len(R.quiver.arrows)
+    return [[row.get(c, 0) for c in range(dim)] for _, row in R._basis()]
+
+
+def lattice_reduce(basis, vec):
+    """Reference reduction of vec modulo the lattice of a dense echelon
+    basis as lattice_basis gives it: the entry in each pivot column is
+    brought into [0, pivot entry)."""
+    rows = [{c: x for c, x in enumerate(row) if x} for row in basis]
+    return rewrite._reduce([(min(row), row) for row in rows], vec)

@@ -17,9 +17,7 @@ from dimerlab.boundary import (
     IncompatibleGammaError,
     InconclusivePresentationError,
     _extract_last,
-    _linked_parts,
-    _path_classes,
-    _primitive_paths,
+    _generator_classes,
     factors_through_boundary,
     gamma_tail,
     modl,
@@ -33,6 +31,7 @@ from dimerlab.rewrite import (
     Path,
     RelationSet,
     SearchBudget,
+    default_budget,
     paths_equal,
 )
 
@@ -144,32 +143,27 @@ def test_presentation_budget_exhaustion_is_inconclusive(monkeypatch):
     # every rewrite is pruned, so the search visits only the start
     assert str(info.value).endswith(" is a generator (visited 1)")
 
-    # a starved grouping query: the error names the two paths compared,
-    # the query's budget and how many states it visited
-    queries = []
+    # a starved closure: the error names the path whose closure ran out
+    # (not always the least member of its class), the budget and how many
+    # states the closure visited
+    closures = []
 
-    def recorded(p, q, R, budget=None):
-        verdict = paths_equal(p, q, R, budget)
-        queries.append((p, q, verdict))
-        return verdict
+    def recorded(p, R, budget=None):
+        result = factors_through_boundary(p, R, budget)
+        closures.append((p, result))
+        return result
 
-    monkeypatch.setattr(dl.boundary, "paths_equal", recorded)
+    monkeypatch.setattr(dl.boundary, "factors_through_boundary", recorded)
     _, _, Q, R = fan_pipeline(5, 4)
     with pytest.raises(InconclusivePresentationError) as info:
         dl.boundary_generators(Q, R, SearchBudget(max_visited=3))
-    p, q, verdict = queries[-1]
-    assert verdict.outcome == UNKNOWN
+    p, (verdict, visited, _) = closures[-1]
+    assert verdict == "truncated" and visited == 3
     assert str(info.value) == (
-        f"cannot decide {p.arrows} vs {q.arrows} within budget "
-        f"(max_path_length={verdict.budget.max_path_length}, max_visited=3) "
-        f"(visited {verdict.visited})"
+        f"cannot decide within budget (max_path_length={default_budget(R, p).max_path_length}, "
+        f"max_visited=3) whether the class of {p.arrows} ({p.source}->{p.target}) "
+        f"is a generator (visited 3)"
     )
-    assert 0 < verdict.visited <= 3
-
-    # one-step links need no search, so fan (6, 3) groups within that budget
-    _, _, Q, R = fan_pipeline(6, 3)
-    BP = dl.boundary_generators(Q, R, SearchBudget(max_visited=3))
-    assert BP.classes == fan_presentation(6, 3)[0].classes
 
 
 @settings(max_examples=25)
@@ -181,16 +175,12 @@ def test_grouping_matches_the_pairwise_reference(data):
     m = data.draw(st.integers(2, 4))
     T = data.draw(triangulations(max_n=6 if m == 4 else 7))
     _, _, Q, R = pipeline(T.n, m, T.sorted_diagonals)
-    by_ends, generators = pairwise_generators(Q, R)
-    for ends, paths in _primitive_paths(Q).items():
-        classes = [(g[0], set(g)) for g in _path_classes(paths, R, None)]
-        assert classes == [(g[0], set(g)) for g in by_ends[ends]]
-    assert dl.boundary_generators(Q, R).classes == generators
+    assert dl.boundary_generators(Q, R).classes == pairwise_generators(Q, R)
 
 
-def test_links_respect_an_explicit_length_cap():
+def test_classification_respects_an_explicit_length_cap():
     # parallel arrows a, b, and c d through a third vertex, with a = c d and
-    # b = c d: a and b are joined only through the word c d of length 2
+    # b = c d: a and b are equal only through the word c d of length 2
     vertices = {1: "boundary", 2: "boundary", 3: "internal"}
     arrows = [
         Arrow(1, 2, "internal", ("t", (0, 0, 0), 0)),  # a
@@ -199,12 +189,14 @@ def test_links_respect_an_explicit_length_cap():
         Arrow(3, 2, "internal", ("t", (0, 0, 0), 3)),  # d
     ]
     Q = QuiverWithFaces(1, 3, vertices, arrows, [])
-    cd = Path(Q, (2, 3))
-    R = RelationSet(Q, [(Path(Q, (0,)), cd), (Path(Q, (1,)), cd)])
-    a, b = Path(Q, (0,)), Path(Q, (1,))
-    assert _linked_parts([a, b], R, SearchBudget(max_path_length=1)) == [[a], [b]]
+    a, b, cd = Path(Q, (0,)), Path(Q, (1,)), Path(Q, (2, 3))
+    R = RelationSet(Q, [(a, cd), (b, cd)])
+    # a cap of 1 prunes the closure of a: inconclusive, never a split class
+    with pytest.raises(InconclusivePresentationError) as info:
+        _generator_classes([a, b, cd], R, SearchBudget(max_path_length=1))
+    assert str(info.value).endswith("whether the class of (0,) (1->2) is a generator (visited 1)")
     for budget in (None, SearchBudget(), SearchBudget(max_path_length=2)):
-        assert _linked_parts([a, b], R, budget) == [[a, b]]
+        assert _generator_classes([a, b, cd], R, budget) == [[a, b, cd]]
 
 
 def test_generator_minimality_m2():

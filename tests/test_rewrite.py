@@ -22,7 +22,7 @@ from dimerlab.rewrite import (
     rewrite_sites,
 )
 
-from helpers import fan_pipeline, pipeline
+from helpers import fan_pipeline, lattice_basis, lattice_reduce, pipeline
 
 
 def arrow_by_endpoints(Q, src, tgt):
@@ -174,11 +174,7 @@ def test_abelian_separation_matches_sympy_oracle():
     combo = [r1 + 2 * r2 for r1, r2 in zip(rows[0], rows[1])]
     assert sympy_in_lattice(rows, combo)
     zero = tuple(0 for _ in range(dim))
-    from dimerlab.rewrite import _lattice_reduce
-
-    assert _lattice_reduce(R.lattice_basis(), combo) == _lattice_reduce(
-        R.lattice_basis(), list(zero)
-    )
+    assert lattice_reduce(lattice_basis(R), combo) == lattice_reduce(lattice_basis(R), list(zero))
 
 
 @settings(max_examples=30)
@@ -186,8 +182,6 @@ def test_abelian_separation_matches_sympy_oracle():
 def test_residue_is_the_reduced_count_vector(data):
     # the residue sums per-arrow images; it must equal the direct reduction
     # of the arrow-count vector, the empty multiset included
-    from dimerlab.rewrite import _lattice_reduce
-
     m = data.draw(st.integers(2, 4))
     n = data.draw(st.integers(3, 8))
     tris = dl.enumerate_triangulations(n)
@@ -196,14 +190,14 @@ def test_residue_is_the_reduced_count_vector(data):
     dim = len(Q.arrows)
     arrows = tuple(data.draw(st.lists(st.integers(0, dim - 1), max_size=40)))
     counts = [arrows.count(a) for a in range(dim)]
-    assert R.residue(arrows) == _lattice_reduce(R.lattice_basis(), counts)
+    assert R.residue(arrows) == lattice_reduce(lattice_basis(R), counts)
     assert R.residue(()) == (0,) * dim
 
 
 @settings(max_examples=15)
 @given(st.data())
 def test_lattice_basis_spans_exactly_the_relation_lattice(data):
-    # the basis is echelon with positive pivot entries, as _lattice_reduce
+    # the basis is echelon with positive pivot entries, as lattice_reduce
     # needs.  Every relation reduces to zero, so the basis spans at least
     # the relation lattice; every basis row is an integer combination of
     # relations, so it spans no more.  The oracle needs independent rows,
@@ -211,20 +205,18 @@ def test_lattice_basis_spans_exactly_the_relation_lattice(data):
     # lattice lies inside theirs.
     from sympy import Matrix
 
-    from dimerlab.rewrite import _lattice_reduce
-
     m = data.draw(st.integers(2, 4))
     n = data.draw(st.integers(3, 8))
     tris = dl.enumerate_triangulations(n)
     T = tris[data.draw(st.integers(0, len(tris) - 1))]
     _, _, Q, R = pipeline(n, m, T.sorted_diagonals)
     rows = relation_vectors(Q, R)
-    basis = R.lattice_basis()
+    basis = lattice_basis(R)
     pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
     assert pivots == sorted(set(pivots))
     assert all(row[j] > 0 for j, row in zip(pivots, basis))
     zero = (0,) * len(Q.arrows)
-    assert all(_lattice_reduce(basis, vec) == zero for vec in rows)
+    assert all(lattice_reduce(basis, vec) == zero for vec in rows)
     _, independent = Matrix(rows).T.rref()
     assert all(sympy_in_lattice([rows[i] for i in independent], row) for row in basis)
 
@@ -235,7 +227,7 @@ def test_residue_with_a_pivot_other_than_one():
     # must still be reduced once more.  No quiver of a triangulation has
     # such a pivot.
     Q, R = loops(2, [((0, 0), (1,))])
-    assert R.lattice_basis() == [[2, -1]]
+    assert lattice_basis(R) == [[2, -1]]
     assert R.residue((0, 0)) == R.residue((1,))
     assert R.residue((0,)) != R.residue((1,))
     assert R.residue((0, 0, 0)) == R.residue((0, 1)) == R.residue((1, 0))
@@ -269,9 +261,16 @@ def test_class_contains_reports_how_far_it_got():
     # loops a = b = c: the class of a has three states
     Q, R = loops(3, [((0,), (1,)), ((1,), (2,))])
     a = Path(Q, (0,))
-    assert class_contains(a, R, lambda arrows: False) == (False, 3)
-    assert class_contains(a, R, lambda arrows: False, SearchBudget(max_visited=2)) == (None, 2)
-    assert class_contains(a, R, lambda arrows: arrows == (0,)) == (True, 1)
+
+    def run(hit, budget=None):
+        found, visited, states = class_contains(a, R, hit, budget)
+        return found, visited, list(states)
+
+    assert run(lambda arrows: False) == (False, 3, [(0,), (1,), (2,)])
+    assert run(lambda arrows: False, SearchBudget(max_visited=2)) == (None, 2, [(0,), (1,)])
+    # the word found is not among the states, unless it is the start
+    assert run(lambda arrows: arrows == (1,)) == (True, 1, [(0,)])
+    assert run(lambda arrows: arrows == (0,)) == (True, 1, [(0,)])
 
 
 def four_loops():
