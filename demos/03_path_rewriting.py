@@ -32,6 +32,6 @@ p1 = Q.path((Q.find_arrow(1, 2),))
 verdict = dl.paths_equal(p1, p1 * u, R)
 print(f"x2 = x2 * u_2? {verdict.outcome} (separated by {verdict.separating})")
 
-budget = dl.SearchBudget(max_path_length=40, max_visited=1)
+budget = dl.SearchBudget(max_visited=1)
 verdict = dl.paths_equal(p1, p1 * u, R, budget)
 print(f"same question with a starved budget: {verdict.outcome}")

@@ -37,8 +37,6 @@ from .rewrite import (
     RelationSet,
     SearchBudget,
     class_contains,
-    default_budget,
-    default_max_visited,
     paths_equal,
 )
 
@@ -214,7 +212,7 @@ def _primitive_paths(Q: QuiverWithFaces) -> dict[tuple, list[Path]]:
 
 
 def _generator_classes(
-    paths: list[Path], R: RelationSet, budget: SearchBudget | None
+    paths: list[Path], R: RelationSet, budget: SearchBudget
 ) -> list[list[Path]]:
     """The generator classes among paths of one (source, target), listed in
     (length, arrows) order: each class as its primitive members, led by its
@@ -236,7 +234,7 @@ def _generator_classes(
         verdict, visited, states = factors_through_boundary(p, R, budget)
         if verdict == "truncated":
             raise InconclusivePresentationError(
-                f"cannot decide within {_budget_text(default_budget(R, p, budget=budget))} "
+                f"cannot decide within {_budget_text(budget, R.length_bound(len(p)))} "
                 f"whether the class of {p.arrows} ({p.source}->{p.target}) "
                 f"is a generator (visited {visited})"
             )
@@ -262,6 +260,7 @@ def boundary_generators(
     has at most one arrow per pair).  Budget exhaustion anywhere raises
     InconclusivePresentationError.
     """
+    budget = budget or SearchBudget()
     family = {ends: name[0] for name, ends in build_gamma(Q.m, Q.n).arrows.items()}
     classes = [
         GeneratorClass(source=src, target=tgt, tag=family.get((src, tgt)), rep=g[0], size=len(g))
@@ -272,8 +271,8 @@ def boundary_generators(
     return BoundaryPresentation(quiver=Q, classes=tuple(classes))
 
 
-def _budget_text(budget: SearchBudget) -> str:
-    return f"budget (max_path_length={budget.max_path_length}, max_visited={budget.max_visited})"
+def _budget_text(budget: SearchBudget, max_len: int) -> str:
+    return f"budget (max_path_length={max_len}, max_visited={budget.max_visited})"
 
 
 def factors_through_boundary(
@@ -742,17 +741,10 @@ def _extract(
 def _extract_last(
     T: Triangulation, m: int, budget: SearchBudget
 ) -> tuple[RelationSet, BoundaryPresentation, GammaMatch]:
-    """_extract under a budget from _run_budget, keeping the last result:
+    """_extract under a resolved budget, keeping the last result:
     along a flip walk each move's before-side is the previous move's
     after-side.  A raised InconclusivePresentationError is never kept."""
     return _extract(T, m, budget)
-
-
-def _run_budget(budget: SearchBudget | None) -> SearchBudget:
-    """budget with max_visited resolved, so that a whole run reads
-    DIMERLAB_BUDGET_VISITED once instead of once per query."""
-    budget = budget or SearchBudget()
-    return SearchBudget(budget.max_path_length, budget.max_visited or default_max_visited())
 
 
 def verify_boundary_algebra(
@@ -760,7 +752,7 @@ def verify_boundary_algebra(
 ) -> VerificationOutcome:
     """Run the full pipeline on one triangulation: build, reduce, dualize,
     extract, match against Gamma(m, n), verify relations and centrality."""
-    budget = _run_budget(budget)
+    budget = budget or SearchBudget()
     outcome = VerificationOutcome(n=T.n, m=m, triangulation=T)
     try:
         R, BP, match = _extract(T, m, budget)
@@ -844,7 +836,7 @@ def verify_flip_transport(
     quad_new = {tri for tri in T2.triangles if set(move.inserted) <= set(tri)}
     cert = FlipTransportCertificate(move=move, matched_before=False, matched_after=False)
     # resolved now, so a changed DIMERLAB_BUDGET_VISITED misses the reuse
-    budget = _run_budget(budget)
+    budget = budget or SearchBudget()
     try:
         _, _, match1 = _extract_last(T, m, budget)
         R2, BP2, match2 = _extract_last(T2, m, budget)

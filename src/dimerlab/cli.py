@@ -1,10 +1,10 @@
 """Command-line front end: build artifacts, verify single triangulations,
 sweep whole flip classes, print Gamma(m, n), and check flip transport.
 
-Exit codes: 0 verified, 1 invalid input, 2 inconclusive (budget ran out),
-3 verification failed.  Output is canonical: keys sorted, no timestamps,
-budgets and tool version included, so identical invocations are
-byte-identical.
+Exit codes: 0 verified, 1 invalid input (usage errors included),
+2 inconclusive (budget ran out), 3 verification failed.  Output is
+canonical: keys sorted, no timestamps, budgets and tool version included,
+so identical invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -40,6 +40,14 @@ EXIT_FAILED = 3
 
 class CliError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is invalid input (exit 1), not argparse's exit 2,
+    which this CLI reserves for inconclusive runs."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
 
 
 def parse_triangulation_spec(n: int, spec: str) -> Triangulation:
@@ -79,11 +87,6 @@ def _triangulation_from_args(args) -> Triangulation:
     return parse_triangulation_spec(args.n, spec)
 
 
-def _budget_from_args(args) -> SearchBudget:
-    # a dimension not given keeps its per-query default
-    return SearchBudget(max_path_length=args.budget_length, max_visited=args.budget_visited)
-
-
 def _emit(data: dict) -> None:
     sys.stdout.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
@@ -108,13 +111,8 @@ def _add_budget(sub):
         "--budget-visited",
         type=int,
         default=None,
-        help=f"max visited paths per equality query (default {default_max_visited()})",
-    )
-    sub.add_argument(
-        "--budget-length",
-        type=int,
-        default=None,
-        help="max intermediate path length (default: per query)",
+        help=f"max visited paths per equality query (default {default_max_visited()}); "
+        "path lengths have a fixed per-query bound",
     )
 
 
@@ -139,7 +137,7 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     T = _triangulation_from_args(args)
-    budget = _budget_from_args(args)
+    budget = SearchBudget(args.budget_visited)
     outcome = verify_boundary_algebra(T, args.m, budget=budget)
     _emit(
         {
@@ -154,10 +152,8 @@ def cmd_verify(args) -> int:
 
 
 def _budget_json(budget: SearchBudget) -> dict:
-    return {
-        "max_visited": budget.max_visited or default_max_visited(),
-        "max_path_length": budget.max_path_length or "per-query",
-    }
+    # the length bound is RelationSet.length_bound, fixed per query
+    return {"max_visited": budget.max_visited, "max_path_length": "per-query"}
 
 
 def _sweep_row(task) -> dict:
@@ -190,7 +186,7 @@ def cmd_sweep(args) -> int:
         raise CliError(f"--max-n must be at least 3, got {args.max_n}")
     if args.workers < 1:
         raise CliError(f"--workers must be at least 1, got {args.workers}")
-    budget = _budget_from_args(args)
+    budget = SearchBudget(args.budget_visited)
     ms = sorted(set(args.m))  # a repeated value runs once
     tasks = []
     for m in ms:
@@ -242,7 +238,7 @@ def cmd_flip_check(args) -> int:
         d = normalize_diagonal(args.n, tuple(int(x) for x in args.flip.split("-")))
     except (ValueError, PolygonError) as exc:
         raise CliError(f"bad flip diagonal {args.flip!r}: {exc}")
-    budget = _budget_from_args(args)
+    budget = SearchBudget(args.budget_visited)
     cert = verify_flip_transport(T, d, args.m, budget=budget)
     _emit(
         {
@@ -257,7 +253,7 @@ def cmd_flip_check(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dimerlab",
         description="GL_m-dimer models of polygon triangulations and their boundary algebras",
     )

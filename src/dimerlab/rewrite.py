@@ -8,6 +8,12 @@ normal form is assumed: equality is semidecided by bidirectional
 breadth-first search under an explicit budget, and Unknown is a first-class
 verdict.
 
+The budget is one number, the states a query may visit (SearchBudget).
+The length of the words a search visits is bounded by one fixed rule per
+query, RelationSet.length_bound: room for two relation substitutions
+beyond the longest word the search starts from.  A closure that drops a
+longer word is no longer known to be complete.
+
 Positive answers carry a replayable certificate; negative answers name a
 separating invariant (an abelianized arrow-count residue, or exhaustion of
 a complete finite closure).
@@ -50,21 +56,25 @@ def default_max_visited() -> int:
     if raw is None:
         return DEFAULT_MAX_VISITED
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise RewriteError(f"{ENV_BUDGET_VISITED} must be an integer, got {raw!r}")
+    if value <= 0:
+        raise RewriteError(f"{ENV_BUDGET_VISITED} must be positive, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits of one search; a dimension left None takes its per-query
-    default (see default_budget)."""
+    """The most states one query may visit, over every closure it runs.
+    None reads default_max_visited() once, when the budget is built."""
 
-    max_path_length: int | None = None
     max_visited: int | None = None
 
     def __post_init__(self):
-        if any(x is not None and x <= 0 for x in (self.max_path_length, self.max_visited)):
+        if self.max_visited is None:
+            object.__setattr__(self, "max_visited", default_max_visited())
+        elif self.max_visited <= 0:
             raise RewriteError(f"budget must be positive, got {self}")
 
 
@@ -153,6 +163,11 @@ class RelationSet:
 
     def __len__(self):
         return len(self.relations)
+
+    def length_bound(self, length: int) -> int:
+        """The longest word a search from words of at most length arrows
+        visits: room for two relation substitutions beyond them."""
+        return 2 * self.max_side_length + length
 
     def sites(self, arrows: tuple) -> list[tuple]:
         """All rewrite sites of a raw arrow tuple, in (position, relation,
@@ -324,17 +339,6 @@ class EqualityVerdict:
         ]
 
 
-def default_budget(R: RelationSet, *paths: Path, budget: SearchBudget | None = None) -> SearchBudget:
-    """The budget of one search over paths: the dimensions budget sets, and
-    per-query defaults for the rest (room for two relation substitutions
-    beyond the longest path; default_max_visited() states)."""
-    budget = budget or SearchBudget()
-    return SearchBudget(
-        max_path_length=budget.max_path_length or 2 * R.max_side_length + max(map(len, paths)),
-        max_visited=budget.max_visited or default_max_visited(),
-    )
-
-
 def apply_step(arrows: tuple, step: tuple, R: RelationSet) -> tuple:
     pos, ridx, direction = step
     lhs, rhs = R.relations[ridx]
@@ -367,22 +371,23 @@ class _Closure:
 
     chains maps each state reached to the steps that reach it from the
     start, front holds the last level, and pruned records whether a rewrite
-    was dropped for exceeding the length budget (the closure is then no
+    was dropped for being longer than max_len (the closure is then no
     longer known to be complete).
     """
 
-    __slots__ = ("chains", "front", "pruned")
+    __slots__ = ("chains", "front", "max_len", "pruned")
 
-    def __init__(self, arrows: tuple):
+    def __init__(self, arrows: tuple, max_len: int):
         self.chains: dict[tuple, tuple] = {arrows: ()}
         self.front = [arrows]
+        self.max_len = max_len
         self.pruned = False
 
     @property
     def complete(self) -> bool:
         return not self.front and not self.pruned
 
-    def expand(self, R: RelationSet, max_len: int, hit, room: int):
+    def expand(self, R: RelationSet, hit, room: int):
         """Advance one level, in site order.
 
         room is the number of new states the budget still admits.  Returns
@@ -390,7 +395,7 @@ class _Closure:
         _OVERFLOW when a new state finds no room, and None when the level
         is done.
         """
-        chains = self.chains
+        chains, max_len = self.chains, self.max_len
         new_front = []
         for key in self.front:
             chain = chains[key]
@@ -412,22 +417,24 @@ class _Closure:
         return None
 
 
-def _search(a: tuple, b: tuple, R: RelationSet, max_len: int, max_visited: int) -> tuple:
+def _search(a: tuple, b: tuple, R: RelationSet, max_visited: int) -> tuple:
     """Bidirectional closure search between two arrow tuples, always
-    expanding the smaller frontier.
+    expanding the smaller frontier, both closures under the length bound
+    of the longer tuple.
 
     Returns (outcome, steps, visited): steps rewrite a into b when the
     outcome is EQUAL and are None otherwise; visited, the states of both
     closures, never exceeds max_visited, which must be at least 2.  Distinct
     means a closure was exhausted."""
-    side_a, side_b = _Closure(a), _Closure(b)
+    max_len = R.length_bound(max(len(a), len(b)))
+    side_a, side_b = _Closure(a, max_len), _Closure(b, max_len)
     while True:
         expand_a = bool(side_a.front) and (
             not side_b.front or len(side_a.front) <= len(side_b.front)
         )
         mine, other = (side_a, side_b) if expand_a else (side_b, side_a)
         room = max_visited - len(side_a.chains) - len(side_b.chains)
-        found = mine.expand(R, max_len, other.chains.__contains__, room)
+        found = mine.expand(R, other.chains.__contains__, room)
         visited = len(side_a.chains) + len(side_b.chains)
         if found is _OVERFLOW:
             return UNKNOWN, None, visited
@@ -467,17 +474,17 @@ def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = 
     common prefix and suffix.  The residue is additive, so the residues of
     p and q differ exactly when those of the cores do, and the cores'
     residues are the ones compared.  The search first runs on the cores,
-    with the length bound shrunk by the stripped arrows.  An Equal there,
-    its positions shifted past the prefix, rewrites p into q.  Any other
-    outcome of the cores proves nothing (a rewrite may cross a core's
-    edge), so the search falls back to the full paths.  Both searches draw
-    on one max_visited budget and visited is their sum.
+    whose length bound is that of the full paths less the stripped arrows.
+    An Equal there, its positions shifted past the prefix, rewrites p into
+    q.  Any other outcome of the cores proves nothing (a rewrite may cross
+    a core's edge), so the search falls back to the full paths.  Both
+    searches draw on one max_visited budget and visited is their sum.
     """
     if p.source != q.source or p.target != q.target:
         raise IncomparablePathsError(
             f"endpoints differ: {p.source!r}->{p.target!r} vs {q.source!r}->{q.target!r}"
         )
-    budget = default_budget(R, p, q, budget=budget)
+    budget = budget or SearchBudget()
     if p.key() == q.key():
         return EqualityVerdict(EQUAL, certificate=(), visited=1, budget=budget)
     if budget.max_visited < 2:
@@ -490,17 +497,13 @@ def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = 
 
     outcome, steps, visited = None, None, 0
     if (i or j) and core_a and core_b:
-        outcome, steps, visited = _search(
-            core_a, core_b, R, budget.max_path_length - i - j, budget.max_visited
-        )
+        outcome, steps, visited = _search(core_a, core_b, R, budget.max_visited)
         if outcome == EQUAL:
             steps = tuple((pos + i, ridx, d) for pos, ridx, d in steps)
     if outcome != EQUAL:
         if budget.max_visited - visited < 2:
             return EqualityVerdict(UNKNOWN, visited=visited, budget=budget)
-        outcome, steps, more = _search(
-            a, b, R, budget.max_path_length, budget.max_visited - visited
-        )
+        outcome, steps, more = _search(a, b, R, budget.max_visited - visited)
         visited += more
     if outcome == EQUAL:
         if replay_certificate(p, steps, R).key() != q.key():
@@ -519,13 +522,13 @@ def class_contains(
     class was enumerated without one (the states are then that class),
     None when the budget ran out first.  The word found with hit true is
     not among the states, unless it is p itself."""
-    budget = default_budget(R, p, budget=budget)
-    closure = _Closure(p.arrows)
+    budget = budget or SearchBudget()
+    closure = _Closure(p.arrows, R.length_bound(len(p)))
     states = closure.chains.keys()
     if hit(p.arrows):
         return True, 1, states
     while closure.front:
-        found = closure.expand(R, budget.max_path_length, hit, budget.max_visited - len(states))
+        found = closure.expand(R, hit, budget.max_visited - len(states))
         if found is _OVERFLOW:
             return None, len(states), states
         if found is not None:

@@ -2,9 +2,10 @@ import hashlib
 import json
 import os
 from collections import Counter
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dimerlab as dl
@@ -31,8 +32,9 @@ from dimerlab.rewrite import (
     Path,
     RelationSet,
     SearchBudget,
-    default_budget,
+    _Closure,
     paths_equal,
+    replay_certificate,
 )
 
 from helpers import (
@@ -133,19 +135,9 @@ def test_match_uses_the_boundary_labels_as_they_are():
 
 
 def test_presentation_budget_exhaustion_is_inconclusive(monkeypatch):
-    _, _, Q, R = fan_pipeline(5, 2)
-    with pytest.raises(InconclusivePresentationError) as info:
-        # a length cap of 1 prunes every rewrite, so composite classes can
-        # never exhibit their boundary-crossing form
-        dl.boundary_generators(Q, R, SearchBudget(max_path_length=1, max_visited=10))
-    assert "is a generator" in str(info.value)
-    assert "budget (max_path_length=1, max_visited=10)" in str(info.value)
-    # every rewrite is pruned, so the search visits only the start
-    assert str(info.value).endswith(" is a generator (visited 1)")
-
     # a starved closure: the error names the path whose closure ran out
-    # (not always the least member of its class), the budget and how many
-    # states the closure visited
+    # (not always the least member of its class), the budget with the
+    # path's length bound, and how many states the closure visited
     closures = []
 
     def recorded(p, R, budget=None):
@@ -160,7 +152,7 @@ def test_presentation_budget_exhaustion_is_inconclusive(monkeypatch):
     p, (verdict, visited, _) = closures[-1]
     assert verdict == "truncated" and visited == 3
     assert str(info.value) == (
-        f"cannot decide within budget (max_path_length={default_budget(R, p).max_path_length}, "
+        f"cannot decide within budget (max_path_length={R.length_bound(len(p))}, "
         f"max_visited=3) whether the class of {p.arrows} ({p.source}->{p.target}) "
         f"is a generator (visited 3)"
     )
@@ -178,7 +170,7 @@ def test_grouping_matches_the_pairwise_reference(data):
     assert dl.boundary_generators(Q, R).classes == pairwise_generators(Q, R)
 
 
-def test_classification_respects_an_explicit_length_cap():
+def test_classification_joins_a_class_through_a_longer_word():
     # parallel arrows a, b, and c d through a third vertex, with a = c d and
     # b = c d: a and b are equal only through the word c d of length 2
     vertices = {1: "boundary", 2: "boundary", 3: "internal"}
@@ -191,12 +183,7 @@ def test_classification_respects_an_explicit_length_cap():
     Q = QuiverWithFaces(1, 3, vertices, arrows, [])
     a, b, cd = Path(Q, (0,)), Path(Q, (1,)), Path(Q, (2, 3))
     R = RelationSet(Q, [(a, cd), (b, cd)])
-    # a cap of 1 prunes the closure of a: inconclusive, never a split class
-    with pytest.raises(InconclusivePresentationError) as info:
-        _generator_classes([a, b, cd], R, SearchBudget(max_path_length=1))
-    assert str(info.value).endswith("whether the class of (0,) (1->2) is a generator (visited 1)")
-    for budget in (None, SearchBudget(), SearchBudget(max_path_length=2)):
-        assert _generator_classes([a, b, cd], R, budget) == [[a, b, cd]]
+    assert _generator_classes([a, b, cd], R, SearchBudget()) == [[a, b, cd]]
 
 
 def test_generator_minimality_m2():
@@ -290,6 +277,53 @@ def test_theorem_relations_random_triangulations(case):
         IV=n,
         V=n * (m - 1),
     )
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_certificates_replay_on_large_random_triangulations(data):
+    # beyond n = 7 and off the fan: the run passes, and every theorem
+    # relation's certificate replays from its left side to its right side
+    m = data.draw(st.sampled_from([2, 3]))
+    T = data.draw(triangulations(max_n=11 if m == 2 else 8, min_n=8))
+    assume(not set.intersection(*map(set, T.diagonals)))  # no apex: not a fan
+    calls = []
+
+    def recorded(p, q, R, budget=None):
+        verdict = paths_equal(p, q, R, budget)
+        calls.append((p, q, R, verdict))
+        return verdict
+
+    with mock.patch.object(dl.boundary, "paths_equal", recorded):
+        outcome = dl.verify_boundary_algebra(T, m)
+    assert outcome.passed
+    sides = {id(v): (p, q, R) for p, q, R, v in calls}
+    for instance in outcome.relations.instances:
+        p, q, R = sides[id(instance.verdict)]
+        assert replay_certificate(p, instance.verdict.certificate, R) == q
+
+
+def test_the_length_rule_never_prunes_a_closure():
+    # the evidence that the per-query length rule needs no override: no
+    # closure of any run on these grids drops a word for its length
+    expand, expansions, pruned = _Closure.expand, [], []
+
+    def watched(self, R, hit, room):
+        found = expand(self, R, hit, room)
+        expansions.append(self)
+        if self.pruned:
+            pruned.append(self)
+        return found
+
+    runs = 0
+    with mock.patch.object(_Closure, "expand", watched):
+        for m, max_n in ((2, 7), (3, 6)):
+            for n in range(3, max_n + 1):
+                for T in dl.enumerate_triangulations(n):
+                    assert dl.verify_boundary_algebra(T, m).passed
+                    runs += 1
+    assert runs == 64 + 22 and expansions
+    assert not pruned
 
 
 def test_central_element_triangle():

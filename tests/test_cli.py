@@ -205,6 +205,26 @@ def test_non_integer_env_budget_is_a_one_line_error(monkeypatch, capsys, argv):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "5", "--m", "2", "--fan"],
+        ["sweep", "--max-n", "4", "--m", "2"],
+        ["flip-check", "--n", "5", "--m", "2", "--fan", "--flip", "1-3"],
+        ["build", "--n", "5", "--m", "2", "--fan"],
+        ["gamma", "--n", "3", "--m", "2"],
+    ],
+)
+def test_non_positive_env_budget_is_a_one_line_error(monkeypatch, capsys, argv):
+    for raw in ("0", "-5"):
+        monkeypatch.setenv(ENV_BUDGET_VISITED, raw)
+        code, out = run_cli(argv)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: {ENV_BUDGET_VISITED} must be positive, got {raw!r}\n"
+        )
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # only sweep --workers > 1 needs concurrent.futures
     src = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -222,8 +242,35 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 def test_env_budget_override(monkeypatch):
     monkeypatch.setenv("DIMERLAB_BUDGET_VISITED", "1")
-    code, _ = run_cli(["verify", "--n", "4", "--m", "2", "--fan", "--budget-length", "64"])
+    code, _ = run_cli(["verify", "--n", "4", "--m", "2", "--fan"])
     assert code == 2
     monkeypatch.setenv("DIMERLAB_BUDGET_VISITED", "1000000")
-    code, _ = run_cli(["verify", "--n", "4", "--m", "2", "--fan", "--budget-length", "64"])
+    code, _ = run_cli(["verify", "--n", "4", "--m", "2", "--fan"])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "5", "--m", "2", "--fan", "--bogus"],
+        ["verify", "--n", "five", "--m", "2", "--fan"],
+        ["verify", "--n", "5", "--m", "2", "--fan", "--budget-length", "64"],
+        ["verify", "--n", "5", "--fan"],
+        ["build", "--n", "5", "--m", "2", "--fan", "--what", "gamma"],
+        [],
+    ],
+)
+def test_usage_errors_are_invalid_input(capsys, argv):
+    # exit 2 means inconclusive, so argparse's own usage exit must not leak
+    code, out = run_cli(argv)
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: dimerlab") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["verify", "--help"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out

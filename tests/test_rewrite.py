@@ -16,10 +16,10 @@ from dimerlab.rewrite import (
     _search,
     abelian_invariant,
     class_contains,
-    default_budget,
     paths_equal,
     replay_certificate,
     rewrite_sites,
+    shared_ends,
 )
 
 from helpers import fan_pipeline, lattice_basis, lattice_reduce, pipeline
@@ -99,7 +99,7 @@ def test_zero_step_budget_unknown():
     _, _, Q, R = fan_pipeline(3, 2)
     p = Q.path((arrow_by_endpoints(Q, 1, 2),))
     pu = p * chordless_cycle_at(Q, 2)
-    v = paths_equal(p, pu, R, SearchBudget(max_path_length=40, max_visited=1))
+    v = paths_equal(p, pu, R, SearchBudget(max_visited=1))
     assert v.outcome == UNKNOWN
 
 
@@ -286,7 +286,7 @@ def test_core_search_falls_back_to_the_full_paths():
     # complete), yet a b = c = a d: only the full search sees the rewrite
     # that crosses the core's edge
     Q, R, p, q = four_loops()
-    core = _search((1,), (3,), R, 10, 100)
+    core = _search((1,), (3,), R, 100)
     assert core[0] == DISTINCT
     v = paths_equal(p, q, R)
     assert v.outcome == EQUAL
@@ -319,26 +319,28 @@ def test_core_search_shares_one_budget():
             assert replay_certificate(p, v.certificate, R) == q
 
 
-def test_core_search_keeps_the_length_bound():
-    # a b = a c c = a e passes through a path of length 3: the cores b and
-    # e are searched under the full bound less the shared prefix, so a
-    # bound of 2 leaves the query Unknown on the cores as on the full paths
+def test_core_length_bound_is_the_full_bound_less_the_stripped_arrows():
+    # a b = a c c = a e passes through a path of length 3: the rule bounds
+    # the cores b and e by the bound of the full paths less the shared
+    # prefix, which leaves the core search room for the word c c
     a, b, c, e = range(4)
     Q, R = loops(4, [((b,), (c, c)), ((c, c), (e,))])
     p, q = Path(Q, (a, b)), Path(Q, (a, e))
-    assert paths_equal(p, q, R, SearchBudget(max_path_length=2)).outcome == UNKNOWN
-    v = paths_equal(p, q, R, SearchBudget(max_path_length=3))
+    assert shared_ends(p.arrows, q.arrows) == (1, 0)
+    assert R.length_bound(1) == R.length_bound(len(p)) - 1 == 5
+    assert _search((b,), (e,), R, 100)[0] == EQUAL
+    v = paths_equal(p, q, R)
     assert v.outcome == EQUAL
     assert replay_certificate(p, v.certificate, R) == q
 
 
-def full_search_outcome(p, q, R, budget):
+def full_search_outcome(p, q, R, max_visited):
     """The verdict of the search on the full paths alone."""
     if p.key() == q.key():
         return EQUAL
     if R.residue(p.arrows) != R.residue(q.arrows):
         return DISTINCT
-    return _search(p.arrows, q.arrows, R, budget.max_path_length, budget.max_visited)[0]
+    return _search(p.arrows, q.arrows, R, max_visited)[0]
 
 
 @settings(max_examples=40)
@@ -380,14 +382,14 @@ def test_core_search_agrees_with_the_full_search(data):
     p = Q.path(tuple(prefix) + x + tuple(suffix))
     q = Q.path(tuple(prefix) + y + tuple(suffix))
 
-    budget = default_budget(R, p, q, budget=SearchBudget(max_visited=20_000))
-    full = full_search_outcome(p, q, R, budget)
-    for max_visited in (budget.max_visited, rng.randint(2, 40)):
-        v = paths_equal(p, q, R, SearchBudget(budget.max_path_length, max_visited))
+    full_visited = 20_000
+    full = full_search_outcome(p, q, R, full_visited)
+    for max_visited in (full_visited, rng.randint(2, 40)):
+        v = paths_equal(p, q, R, SearchBudget(max_visited))
         assert v.visited <= max_visited
         if v.outcome == EQUAL:
             assert replay_certificate(p, v.certificate, R) == q
-        if full != UNKNOWN and (v.outcome != UNKNOWN or max_visited == budget.max_visited):
+        if full != UNKNOWN and (v.outcome != UNKNOWN or max_visited == full_visited):
             assert v.outcome == full
 
 
