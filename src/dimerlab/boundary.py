@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .dimer import build_dimer, reduce_dimer
 from .polygon import Triangulation, flip
-from .quiver import QuiverWithFaces, chordless_cycle_at, dual_quiver, potential_relations
+from .quiver import QuiverWithFaces, chordless_cycle_at, dual_quiver, potential_relations, rim_pos
 from .rewrite import (
     DISTINCT,
     EQUAL,
@@ -94,15 +94,10 @@ class GammaQuiver:
         }
 
     def to_dot(self) -> str:
-        import math
-
         mn = self.vertex_count
-        radius = max(2.0, mn / 4.0)
         lines = ["digraph gamma {", "  layout=neato;", "  node [shape=circle];"]
         for v in range(1, mn + 1):
-            ang = 2 * math.pi * (v - 1) / mn + math.pi / 2
-            x, y = round(radius * math.cos(ang), 4), round(radius * math.sin(ang), 4)
-            lines.append(f'  v{v} [label="{v}", pos="{x},{y}!"];')
+            lines.append(f'  v{v} [label="{v}", pos="{rim_pos(v, mn)}"];')
         styles = {"x": "", "y": " [color=red]", "z": " [color=blue]"}
         for (fam, k), (src, tgt) in sorted(self.arrows.items()):
             lines.append(f"  v{src} -> v{tgt}{styles[fam]};")
@@ -726,25 +721,19 @@ class VerificationOutcome:
         }
 
 
+@lru_cache(maxsize=1)
 def _extract(
-    T: Triangulation, m: int, budget: SearchBudget | None
+    T: Triangulation, m: int, budget: SearchBudget
 ) -> tuple[RelationSet, BoundaryPresentation, GammaMatch]:
     """Build, reduce, dualize, extract the presentation and match it against
-    Gamma(m, n); raises InconclusivePresentationError from the extraction."""
+    Gamma(m, n) under a resolved budget; raises InconclusivePresentationError
+    from the extraction.  The last result is kept: along a flip walk each
+    move's before-side is the previous move's after-side.  A raised
+    InconclusivePresentationError is never kept."""
     Q = dual_quiver(reduce_dimer(build_dimer(T, m)))
     R = potential_relations(Q)
     BP = boundary_generators(Q, R, budget)
     return R, BP, match_gamma(BP, build_gamma(m, T.n))
-
-
-@lru_cache(maxsize=1)
-def _extract_last(
-    T: Triangulation, m: int, budget: SearchBudget
-) -> tuple[RelationSet, BoundaryPresentation, GammaMatch]:
-    """_extract under a resolved budget, keeping the last result:
-    along a flip walk each move's before-side is the previous move's
-    after-side.  A raised InconclusivePresentationError is never kept."""
-    return _extract(T, m, budget)
 
 
 def verify_boundary_algebra(
@@ -838,8 +827,8 @@ def verify_flip_transport(
     # resolved now, so a changed DIMERLAB_BUDGET_VISITED misses the reuse
     budget = budget or SearchBudget()
     try:
-        _, _, match1 = _extract_last(T, m, budget)
-        R2, BP2, match2 = _extract_last(T2, m, budget)
+        _, _, match1 = _extract(T, m, budget)
+        R2, BP2, match2 = _extract(T2, m, budget)
     except InconclusivePresentationError as exc:
         cert.inconclusive.append(f"presentation: {exc}")
         return cert

@@ -16,6 +16,7 @@ from the subdivision lattice: ('I', triangle, point) inside a triangle,
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -187,19 +188,12 @@ class QuiverWithFaces:
 
     def to_dot(self) -> str:
         """DOT export with boundary vertices pinned on the outer rim."""
-        import math
-
         lines = ["digraph quiver {", "  layout=neato;", "  node [shape=circle];"]
-        mn = self.m * self.n
-        radius = max(2.0, mn / 4.0)
         names = {}
         for v, kind in sorted(self.vertices.items(), key=lambda kv: str(kv[0])):
             if kind == "boundary":
                 names[v] = f"b{v}"
-                # label 1 sits near polygon vertex 1; go counterclockwise
-                ang = 2 * math.pi * (v - 1) / mn + math.pi / 2
-                x, y = round(radius * math.cos(ang), 4), round(radius * math.sin(ang), 4)
-                lines.append(f'  {names[v]} [label="{v}", pos="{x},{y}!"];')
+                lines.append(f'  {names[v]} [label="{v}", pos="{rim_pos(v, self.m * self.n)}"];')
         for i, v in enumerate(self.internal_vertices):
             names[v] = f"i{i + 1}"
             lines.append(f'  {names[v]} [label="{names[v]}", style=dashed];')
@@ -208,6 +202,14 @@ class QuiverWithFaces:
             lines.append(f"  {names[a.source]} -> {names[a.target]}{style};")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def rim_pos(v: int, mn: int) -> str:
+    """DOT pin of boundary vertex v of mn on a rim of radius max(2, mn/4):
+    label 1 sits near polygon vertex 1, the others go counterclockwise."""
+    radius = max(2.0, mn / 4.0)
+    ang = 2 * math.pi * (v - 1) / mn + math.pi / 2
+    return f"{round(radius * math.cos(ang), 4)},{round(radius * math.sin(ang), 4)}!"
 
 
 def lattice_id(tri: tuple, pt: tuple):

@@ -89,6 +89,8 @@ class Path:
     def __init__(self, quiver, arrows=(), anchor=None):
         arrows = tuple(arrows)
         if arrows:
+            if min(arrows) < 0 or max(arrows) >= len(quiver.arrows):
+                raise PathError(f"arrow ids {arrows} are not all in range({len(quiver.arrows)})")
             src = quiver.arrow_source[arrows[0]]
             for a, b in zip(arrows, arrows[1:]):
                 if quiver.arrow_target[a] != quiver.arrow_source[b]:
@@ -126,9 +128,13 @@ class Path:
             raise PathError(
                 f"cannot compose: target {self.target!r} != source {other.source!r}"
             )
-        if not self.arrows and not other.arrows:
-            return Path(self.quiver, (), anchor=self.anchor)
-        return Path(self.quiver, self.arrows + other.arrows)
+        # two paths that meet compose, so the product skips __init__'s checks
+        product = Path.__new__(Path)
+        product.quiver = self.quiver
+        product.arrows = self.arrows + other.arrows
+        product.anchor = None if product.arrows else self.anchor
+        product.source, product.target = self.source, other.target
+        return product
 
     def __repr__(self):
         if not self.arrows:
@@ -208,8 +214,7 @@ class RelationSet:
         arrow's image is reduced once per RelationSet.  The images vanish in
         each pivot column whose entry is 1, so the final reduction starts at
         the first row whose pivot entry exceeds 1 (no triangulation's quiver
-        has one).  Being additive, the residues of two paths differ exactly
-        when those of their cores differ, which paths_equal compares.
+        has one).
         """
         if self._reduction is None:
             rows = self._basis()
@@ -328,7 +333,6 @@ class EqualityVerdict:
     certificate: tuple | None = None  # for EQUAL: ((position, relation, direction), ...)
     separating: str | None = None  # for DISTINCT: name of the invariant
     visited: int = 0
-    budget: SearchBudget | None = None
 
     def certificate_json(self) -> list[dict]:
         if self.certificate is None:
@@ -448,37 +452,16 @@ def _search(a: tuple, b: tuple, R: RelationSet, max_visited: int) -> tuple:
             return UNKNOWN, None, visited
 
 
-def shared_ends(a: tuple, b: tuple) -> tuple[int, int]:
-    """Lengths of the longest common prefix and, of what remains, the
-    longest common suffix of two arrow tuples."""
-    i, short = 0, min(len(a), len(b))
-    while i < short and a[i] == b[i]:
-        i += 1
-    j = 0
-    while j < short - i and a[-1 - j] == b[-1 - j]:
-        j += 1
-    return i, j
-
-
 def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = None) -> EqualityVerdict:
     """Decide p = q in the dimer algebra, within budget.
 
-    Bidirectional breadth-first closure under the relation rewrites, always
-    expanding the smaller frontier; a meeting point yields Equal with a
-    certificate that is replayed before being returned.  A differing
-    abelian residue, or exhaustion of a complete (never length-pruned)
-    closure, yields Distinct.  Everything else is Unknown.  The residues
-    are compared before the search, so no Equal verdict contradicts them.
-
-    The cores of p and q are what remains after stripping their longest
-    common prefix and suffix.  The residue is additive, so the residues of
-    p and q differ exactly when those of the cores do, and the cores'
-    residues are the ones compared.  The search first runs on the cores,
-    whose length bound is that of the full paths less the stripped arrows.
-    An Equal there, its positions shifted past the prefix, rewrites p into
-    q.  Any other outcome of the cores proves nothing (a rewrite may cross
-    a core's edge), so the search falls back to the full paths.  Both
-    searches draw on one max_visited budget and visited is their sum.
+    The residues of p and q are compared first: differing residues yield
+    Distinct, so no Equal verdict contradicts them.  Otherwise one
+    bidirectional breadth-first closure search runs between the full
+    paths under the relation rewrites, always expanding the smaller
+    frontier; a meeting point yields Equal with a certificate that is
+    replayed before being returned.  Exhaustion of a complete (never
+    length-pruned) closure yields Distinct.  Everything else is Unknown.
     """
     if p.source != q.source or p.target != q.target:
         raise IncomparablePathsError(
@@ -486,31 +469,18 @@ def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = 
         )
     budget = budget or SearchBudget()
     if p.key() == q.key():
-        return EqualityVerdict(EQUAL, certificate=(), visited=1, budget=budget)
+        return EqualityVerdict(EQUAL, certificate=(), visited=1)
     if budget.max_visited < 2:
-        return EqualityVerdict(UNKNOWN, visited=0, budget=budget)
-    a, b = p.arrows, q.arrows
-    i, j = shared_ends(a, b)
-    core_a, core_b = a[i : len(a) - j], b[i : len(b) - j]
-    if R.residue(core_a) != R.residue(core_b):
-        return EqualityVerdict(DISTINCT, separating="abelian_invariant", visited=2, budget=budget)
-
-    outcome, steps, visited = None, None, 0
-    if (i or j) and core_a and core_b:
-        outcome, steps, visited = _search(core_a, core_b, R, budget.max_visited)
-        if outcome == EQUAL:
-            steps = tuple((pos + i, ridx, d) for pos, ridx, d in steps)
-    if outcome != EQUAL:
-        if budget.max_visited - visited < 2:
-            return EqualityVerdict(UNKNOWN, visited=visited, budget=budget)
-        outcome, steps, more = _search(a, b, R, budget.max_visited - visited)
-        visited += more
+        return EqualityVerdict(UNKNOWN, visited=0)
+    if R.residue(p.arrows) != R.residue(q.arrows):
+        return EqualityVerdict(DISTINCT, separating="abelian_invariant", visited=2)
+    outcome, steps, visited = _search(p.arrows, q.arrows, R, budget.max_visited)
     if outcome == EQUAL:
         if replay_certificate(p, steps, R).key() != q.key():
             raise OracleSoundnessError("certificate replay did not reach the target path")
-        return EqualityVerdict(EQUAL, certificate=steps, visited=visited, budget=budget)
+        return EqualityVerdict(EQUAL, certificate=steps, visited=visited)
     separating = "exhausted_closure" if outcome == DISTINCT else None
-    return EqualityVerdict(outcome, separating=separating, visited=visited, budget=budget)
+    return EqualityVerdict(outcome, separating=separating, visited=visited)
 
 
 def class_contains(

@@ -17,7 +17,7 @@ from dimerlab.boundary import (
     GeneratorClass,
     IncompatibleGammaError,
     InconclusivePresentationError,
-    _extract_last,
+    _extract,
     _generator_classes,
     factors_through_boundary,
     gamma_tail,
@@ -440,7 +440,7 @@ def test_flip_transport_reuse_is_never_stale(monkeypatch):
     T, m = dl.fan_triangulation(6, 1), 3
     T2, move = dl.flip(T, (1, 4))
     starved = SearchBudget(max_visited=3)
-    _extract_last.cache_clear()
+    _extract.cache_clear()
     expected = dl.verify_flip_transport(T2, move.inserted, m, starved).to_json()
     assert expected["inconclusive"] and not expected["ok"]
     assert dl.verify_flip_transport(T, (1, 4), m).ok
@@ -454,7 +454,7 @@ def test_flip_transport_certificates_match_without_reuse():
     cur = src
     for move in dl.flip_sequence(src, dl.fan_triangulation(7, 4)):
         reused = dl.verify_flip_transport(cur, move.removed, 2).to_json()
-        _extract_last.cache_clear()
+        _extract.cache_clear()
         assert reused == dl.verify_flip_transport(cur, move.removed, 2).to_json()
         cur, _ = dl.flip(cur, move.removed)
 

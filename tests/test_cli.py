@@ -164,6 +164,31 @@ def test_gamma_json_and_dot():
     assert dot.count("->") == 15
 
 
+def test_gamma_dot_bytes_are_pinned():
+    code, dot = run_cli(["gamma", "--n", "5", "--m", "2", "--format", "dot"])
+    assert code == 0
+    assert '  v1 [label="1", pos="0.0,2.5!"];' in dot.splitlines()
+    assert hashlib.sha256(dot.encode()).hexdigest() == (
+        "0f803ff6c565f420461821bf77212ab5278da51f99f1e8ae5b7058ef59671dd8"
+    )
+
+
+def test_rim_vertices_sit_at_one_position_in_both_dot_exports():
+    def positions(dot, prefix):
+        return {
+            line.split()[0][len(prefix) :]: line.split('pos="')[1].split('"')[0]
+            for line in dot.splitlines()
+            if "pos=" in line
+        }
+
+    n, m = 5, 3
+    _, quiver_dot = run_cli(["build", "--n", str(n), "--m", str(m), "--fan", "--format", "dot"])
+    _, gamma_dot = run_cli(["gamma", "--n", str(n), "--m", str(m), "--format", "dot"])
+    rim = positions(quiver_dot, "b")
+    assert len(rim) == m * n
+    assert rim == positions(gamma_dot, "v")
+
+
 def test_flip_check():
     code, out = run_cli(["flip-check", "--n", "5", "--m", "2", "--fan", "--flip", "1-3"])
     assert code == 0
