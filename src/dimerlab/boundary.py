@@ -4,9 +4,12 @@ The boundary algebra is spanned by paths that start and end on boundary
 vertices.  Its quiver is extracted from a dimer-model quiver by
 enumerating primitive boundary-to-boundary paths (interior vertices all
 internal), merging them up to path equality, and discarding classes equal
-to a composition of two others.  The surviving classes are matched, on
-the boundary labels the dual quiver fixes, against the canonical quiver
-Gamma(m, n): m*n cyclic vertices with arrow families
+to a composition of two others.  The enumeration does not extend a prefix
+that equals a word through a boundary vertex: every path through it is
+such a composition, so the work follows the generators, not the paths.
+The surviving classes are matched, on the boundary labels the dual
+quiver fixes, against the canonical quiver Gamma(m, n): m*n cyclic
+vertices with arrow families
 
     x_k : k-1 -> k                     every k,
     y_k : k+2+2k' -> k   k' = (-k) mod m,   k != 1 (mod m),
@@ -177,10 +180,23 @@ class BoundaryPresentation:
         }
 
 
-def _primitive_paths(Q: QuiverWithFaces) -> dict[tuple, list[Path]]:
+def _primitive_paths(
+    Q: QuiverWithFaces, R: RelationSet, budget: SearchBudget
+) -> dict[tuple, list[Path]]:
     """Paths from boundary to boundary through internal vertices only, each
     visiting an internal vertex at most once, by (source, target) in sorted
-    order; each list is in (length, arrows) order."""
+    order; each list is in (length, arrows) order.  Paths through a
+    composite prefix are left out: none of them is in a generator class.
+
+    Each prefix the walk extends to an internal vertex gets one closure
+    (factors_through_boundary).  If the closure reaches a word w through a
+    boundary vertex, the prefix u is not extended: every extension u t
+    equals w t, which passes through that vertex too, so u t is
+    composite, and a complete generator closure, which never holds such a
+    word, never holds u t.  A prefix whose closure completes without such
+    a word or is truncated is extended as any other; no prefix is left
+    out without a found word.
+    """
     found = defaultdict(list)
     internal = {v for v, kind in Q.vertices.items() if kind == "internal"}
 
@@ -191,9 +207,10 @@ def _primitive_paths(Q: QuiverWithFaces) -> dict[tuple, list[Path]]:
                 if tgt in seen:
                     continue
                 prefix.append(aid)
-                seen.add(tgt)
-                walk(source, prefix, tgt, seen)
-                seen.remove(tgt)
+                if factors_through_boundary(Path(Q, prefix), R, budget)[0] != "composite":
+                    seen.add(tgt)
+                    walk(source, prefix, tgt, seen)
+                    seen.remove(tgt)
                 prefix.pop()
             else:
                 found[(source, tgt)].append(tuple(prefix + [aid]))
@@ -246,20 +263,25 @@ def boundary_generators(
     """Extract the generator classes of the boundary algebra.
 
     Primitive paths (boundary to boundary through internal vertices) are
-    classified per (source, target) by closures, one for each path that
-    no earlier closure reached (_generator_classes): classes equal to a
-    path through an intermediate boundary vertex are compositions of two
-    shorter classes and are dropped, and each other class is enumerated
-    whole, with its least path as representative.  Each class is tagged
-    with the family of the Gamma(m, n) arrow that has its endpoints (Gamma
-    has at most one arrow per pair).  Budget exhaustion anywhere raises
-    InconclusivePresentationError.
+    listed without those through a prefix that equals a word through a
+    boundary vertex (_primitive_paths): such paths are composite, so no
+    generator class holds one, and the walk's work grows with the
+    generators, not with the paths.  The rest are classified per (source, target) by
+    closures, one for each path that no earlier closure reached
+    (_generator_classes): classes equal to a path through an
+    intermediate boundary vertex are compositions of two shorter classes
+    and are dropped, and each other class is enumerated whole, with its
+    least path as representative.  Each class is tagged with the family
+    of the Gamma(m, n) arrow that has its endpoints (Gamma has at most
+    one arrow per pair).  A truncated closure of a path raises
+    InconclusivePresentationError; a truncated closure of a prefix only
+    keeps the prefix.
     """
     budget = budget or SearchBudget()
     family = {ends: name[0] for name, ends in build_gamma(Q.m, Q.n).arrows.items()}
     classes = [
         GeneratorClass(source=src, target=tgt, tag=family.get((src, tgt)), rep=g[0], size=len(g))
-        for (src, tgt), paths in _primitive_paths(Q).items()
+        for (src, tgt), paths in _primitive_paths(Q, R, budget).items()
         for g in _generator_classes(paths, R, budget)
     ]
     classes.sort(key=lambda c: (c.target, c.source, c.rep.arrows))
@@ -275,8 +297,11 @@ def factors_through_boundary(
 ) -> tuple[str, int, KeysView[tuple]]:
     """Whether some path equal to p visits a boundary vertex strictly inside.
 
-    Such a path splits into two shorter boundary-to-boundary paths, so the
-    class of p is a composition of shorter classes and is no generator.
+    For a boundary-to-boundary p, such a path splits into two shorter
+    boundary-to-boundary paths, so the class of p is a composition of
+    shorter classes and is no generator.  p may also be a prefix from a
+    boundary vertex to an internal one (_primitive_paths): then every
+    extension of p to a boundary vertex is composite.
     Returns the verdict, the states visited and those states (as
     class_contains).  The verdict is 'composite' when a split is found,
     'generator' when the whole equality class was enumerated without one

@@ -61,22 +61,24 @@ def parse_triangulation_spec(n: int, spec: str) -> Triangulation:
         except ValueError:
             raise CliError(f"bad fan apex in {spec!r}")
         return fan_triangulation(n, apex)
-    diagonals = []
-    if spec:
-        for pos, part in enumerate(spec.split(",")):
-            bits = part.strip().split("-")
-            if len(bits) != 2:
-                raise CliError(f"bad diagonal {part!r} at position {pos}")
-            try:
-                a, b = int(bits[0]), int(bits[1])
-            except ValueError:
-                raise CliError(f"bad diagonal {part!r} at position {pos}")
-            diagonals.append(normalize_diagonal(n, (a, b)))
-    return Triangulation(n, diagonals)
+    parts = spec.split(",") if spec else []
+    return Triangulation(
+        n, [parse_diagonal(n, part, f" at position {pos}") for pos, part in enumerate(parts)]
+    )
+
+
+def parse_diagonal(n: int, part: str, where: str = "") -> tuple[int, int]:
+    """Grammar: 'a-b', a diagonal of the n-gon.  where, appended to the
+    error, places part in a list."""
+    try:
+        a, b = map(int, part.split("-"))  # a count other than two is a ValueError too
+    except ValueError:
+        raise CliError(f"bad diagonal {part!r}{where}")
+    return normalize_diagonal(n, (a, b))
 
 
 def _triangulation_from_args(args) -> Triangulation:
-    if args.fan is not None and args.diagonals:
+    if args.fan is not None and args.diagonals is not None:
         raise CliError("give either --fan or --diagonals, not both")
     if args.fan is not None:
         spec = "fan" if args.fan == "" else f"fan:{args.fan}"
@@ -234,10 +236,7 @@ def cmd_gamma(args) -> int:
 
 def cmd_flip_check(args) -> int:
     T = _triangulation_from_args(args)
-    try:
-        d = normalize_diagonal(args.n, tuple(int(x) for x in args.flip.split("-")))
-    except (ValueError, PolygonError) as exc:
-        raise CliError(f"bad flip diagonal {args.flip!r}: {exc}")
+    d = parse_diagonal(args.n, args.flip)
     budget = SearchBudget(args.budget_visited)
     cert = verify_flip_transport(T, d, args.m, budget=budget)
     _emit(

@@ -67,10 +67,10 @@ def diagonals_cross(n: int, d1, d2) -> bool:
 class Triangulation:
     """A triangulation of the convex n-gon, stored as its diagonal set.
 
-    Invariants (checked at construction): exactly n-3 diagonals, pairwise
-    noncrossing.  Instances are immutable and hashable.  `flip` builds its
-    result with `_flipped`, which trusts them: a flip of a valid
-    triangulation is valid.
+    Invariants (checked at construction): exactly n-3 diagonals, none
+    given twice, pairwise noncrossing.  Instances are immutable and
+    hashable.  `flip` builds its result with `_flipped`, which trusts
+    them: a flip of a valid triangulation is valid.
     """
 
     n: int
@@ -79,7 +79,13 @@ class Triangulation:
     def __init__(self, n: int, diagonals):
         if n < 3:
             raise InvalidPolygonError(f"polygon needs at least 3 vertices, got {n}")
-        diags = frozenset(normalize_diagonal(n, d) for d in diagonals)
+        diags = set()
+        for d in diagonals:
+            d = normalize_diagonal(n, d)
+            if d in diags:
+                raise InvalidPolygonError(f"diagonal {d} is given twice")
+            diags.add(d)
+        diags = frozenset(diags)
         if len(diags) != n - 3:
             raise InvalidPolygonError(
                 f"a triangulation of the {n}-gon has {n - 3} diagonals, got {len(diags)}"

@@ -2,7 +2,7 @@
 and references the tests compare the library against."""
 
 import functools
-from collections import deque
+from collections import defaultdict, deque
 
 from hypothesis import strategies as st
 
@@ -113,15 +113,40 @@ def pairwise_classes(paths, R, budget=None):
     return groups
 
 
+def all_primitive_paths(Q):
+    """Reference for boundary._primitive_paths without its prefix
+    closures: every path from boundary to boundary through internal
+    vertices only, each visiting an internal vertex at most once, by
+    (source, target) in sorted order; each list in (length, arrows)
+    order."""
+    found = defaultdict(list)
+    internal = {v for v, kind in Q.vertices.items() if kind == "internal"}
+
+    def walk(source, prefix, at, seen):
+        for aid in Q.out_arrows[at]:
+            tgt = Q.arrow_target[aid]
+            if tgt not in internal:
+                found[(source, tgt)].append(tuple(prefix + [aid]))
+            elif tgt not in seen:
+                walk(source, prefix + [aid], tgt, seen | {tgt})
+
+    for s in Q.boundary_vertices:
+        walk(s, [], s, frozenset())
+    return {
+        ends: [dl.Path(Q, a) for a in sorted(paths, key=lambda a: (len(a), a))]
+        for ends, paths in sorted(found.items())
+    }
+
+
 def pairwise_generators(Q, R, budget=None):
     """Reference for boundary_generators, grouping by pairwise_classes and
     keeping the classes whose least path factors_through_boundary calls a
-    generator.  Returns the GeneratorClass tuple in the presentation's
+    generator, over every primitive path (all_primitive_paths).  Returns the GeneratorClass tuple in the presentation's
     order."""
     family = {ends: name[0] for name, ends in dl.build_gamma(Q.m, Q.n).arrows.items()}
     survivors = [
         boundary.GeneratorClass(src, tgt, family.get((src, tgt)), g[0], len(g))
-        for (src, tgt), paths in boundary._primitive_paths(Q).items()
+        for (src, tgt), paths in all_primitive_paths(Q).items()
         for g in pairwise_classes(paths, R, budget)
         if boundary.factors_through_boundary(g[0], R, budget)[0] == "generator"
     ]

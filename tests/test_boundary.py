@@ -19,6 +19,7 @@ from dimerlab.boundary import (
     InconclusivePresentationError,
     _extract,
     _generator_classes,
+    _primitive_paths,
     factors_through_boundary,
     gamma_tail,
     modl,
@@ -38,6 +39,7 @@ from dimerlab.rewrite import (
 )
 
 from helpers import (
+    all_primitive_paths,
     fan_pipeline,
     fan_presentation,
     pairwise_generators,
@@ -168,6 +170,50 @@ def test_grouping_matches_the_pairwise_reference(data):
     T = data.draw(triangulations(max_n=6 if m == 4 else 7))
     _, _, Q, R = pipeline(T.n, m, T.sorted_diagonals)
     assert dl.boundary_generators(Q, R).classes == pairwise_generators(Q, R)
+
+
+def assert_pruned_soundly(Q, R, kept, full=None):
+    # each kept list is an ordered sublist of the full list, and each
+    # path left out is composite
+    full = full or all_primitive_paths(Q)
+    assert set(kept) <= set(full)
+    for ends, paths in full.items():
+        rest = iter(kept.get(ends, []))
+        keep = next(rest, None)
+        for p in paths:
+            if p == keep:
+                keep = next(rest, None)
+            else:
+                assert factors_through_boundary(p, R)[0] == "composite", p
+        assert keep is None, ends
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_primitive_paths_leave_out_only_composite_paths(data):
+    m = data.draw(st.integers(2, 4))
+    T = data.draw(triangulations(max_n=7))
+    _, _, Q, R = pipeline(T.n, m, T.sorted_diagonals)
+    assert_pruned_soundly(Q, R, _primitive_paths(Q, R, SearchBudget()))
+
+
+def test_a_starved_prefix_closure_never_prunes(monkeypatch):
+    _, _, Q, R = fan_pipeline(6, 4)
+    full = all_primitive_paths(Q)
+    generous = _primitive_paths(Q, R, SearchBudget())
+    assert sum(map(len, generous.values())) < sum(map(len, full.values()))
+    # a truncated prefix closure extends the prefix
+    monkeypatch.setattr(
+        dl.boundary, "factors_through_boundary", lambda p, R, budget=None: ("truncated", 1, {})
+    )
+    assert _primitive_paths(Q, R, SearchBudget()) == full
+    monkeypatch.undo()
+    # a budget of one state raises nothing; its closures stop at the first
+    # new word, which leaves a prefix out only when that word passes
+    # through a boundary vertex, so it keeps every path the default keeps
+    starved = _primitive_paths(Q, R, SearchBudget(1))
+    assert_pruned_soundly(Q, R, starved, full)
+    assert_pruned_soundly(Q, R, generous, starved)
 
 
 def test_classification_joins_a_class_through_a_longer_word():

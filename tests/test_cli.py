@@ -212,6 +212,22 @@ def test_flip_check_bad_diagonal_exit_one():
 
 
 @pytest.mark.parametrize(
+    "args, err",
+    [
+        (["verify", "--fan", "--diagonals", ""], "give either --fan or --diagonals, not both"),
+        (["verify", "--diagonals", "1-3,3-1,1-4"], "diagonal (1, 3) is given twice"),
+        (["flip-check", "--fan", "--flip", "1-3-4"], "bad diagonal '1-3-4'"),
+        (["flip-check", "--fan", "--flip", "x"], "bad diagonal 'x'"),
+        (["flip-check", "--fan", "--flip", "1-x"], "bad diagonal '1-x'"),
+    ],
+)
+def test_invalid_triangulation_or_flip_is_a_one_line_error(capsys, args, err):
+    code, out = run_cli(args + ["--n", "5", "--m", "2"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--n", "5", "--m", "2", "--fan"],

@@ -76,6 +76,11 @@ def test_invalid_polygon():
         dl.Triangulation(6, [(1, 3), (2, 4), (1, 4)])  # crossing pair
     with pytest.raises(InvalidPolygonError):
         dl.Triangulation(6, [(1, 3)])  # wrong count
+    # (3, 1) is (1, 3) again: without the repeat check the count comes out right
+    with pytest.raises(InvalidPolygonError, match=r"diagonal \(1, 3\) is given twice"):
+        dl.Triangulation(5, [(1, 3), (3, 1), (1, 4)])
+    with pytest.raises(InvalidPolygonError, match=r"diagonal \(1, 3\) is given twice"):
+        dl.Triangulation(4, [(1, 3), (1, 3)])
 
 
 @pytest.mark.parametrize("n,count", [(3, 1), (4, 2), (5, 5), (6, 14), (7, 42)])

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dimerlab as dl
-from dimerlab.boundary import _primitive_paths
 from dimerlab.quiver import Arrow, QuiverWithFaces, chordless_cycle_at
 from dimerlab.rewrite import (
     DISTINCT,
@@ -21,7 +20,7 @@ from dimerlab.rewrite import (
     rewrite_sites,
 )
 
-from helpers import fan_pipeline, lattice_basis, lattice_reduce, pipeline
+from helpers import all_primitive_paths, fan_pipeline, lattice_basis, lattice_reduce, pipeline
 
 
 def arrow_by_endpoints(Q, src, tgt):
@@ -360,7 +359,7 @@ def test_a_starved_verdict_is_unknown_or_the_generous_one(data):
     T = tris[data.draw(st.integers(0, len(tris) - 1))]
     _, _, Q, R = pipeline(n, m, T.sorted_diagonals)
     rng = data.draw(st.randoms(use_true_random=True))
-    pool = [p for paths in _primitive_paths(Q).values() for p in paths]
+    pool = [p for paths in all_primitive_paths(Q).values() for p in paths]
     pool += [side for relation in R.relations for side in relation]
     x = rng.choice(pool).arrows
     ends = (Q.arrow_source[x[0]], Q.arrow_target[x[-1]])
@@ -414,7 +413,7 @@ def test_equal_verdicts_symmetric_and_transitive(data):
     T = tris[data.draw(st.integers(0, len(tris) - 1))]
     _, _, Q, R = pipeline(n, m, T.sorted_diagonals)
     rng = data.draw(st.randoms(use_true_random=True))
-    pool = [p for paths in _primitive_paths(Q).values() for p in paths]
+    pool = [p for paths in all_primitive_paths(Q).values() for p in paths]
     pool += [side for relation in R.relations for side in relation]
     pool += [chordless_cycle_at(Q, v) for v in Q.boundary_vertices]
     first = rng.choice([p for p in pool if R.sites(p.arrows)])
