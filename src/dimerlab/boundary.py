@@ -1,13 +1,15 @@
 """Boundary-algebra presentations and the canonical quiver Gamma(m, n).
 
 The boundary algebra is spanned by paths that start and end on boundary
-vertices.  Its quiver is extracted from a dimer-model quiver by
-enumerating primitive boundary-to-boundary paths (interior vertices all
-internal), merging them up to path equality, and discarding classes equal
-to a composition of two others.  The enumeration does not extend a prefix
-that equals a word through a boundary vertex: every path through it is
-such a composition, so the work follows the generators, not the paths.
-The surviving classes are matched, on the boundary labels the dual
+vertices.  Its quiver is extracted from a dimer-model quiver in one walk
+over the primitive boundary-to-boundary paths (interior vertices all
+internal): each path no earlier closure reached is closed under the
+relations, and a closure that reaches a word through a boundary vertex
+marks a composition of two other classes, while one that completes is a
+generator class.  The walk does not extend a prefix that equals a word
+through a boundary vertex: every path through it is such a composition,
+so the work follows the generators, not the paths.
+The generator classes are matched, on the boundary labels the dual
 quiver fixes, against the canonical quiver Gamma(m, n): m*n cyclic
 vertices with arrow families
 
@@ -23,7 +25,7 @@ the path-equality engine.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import KeysView
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -180,27 +182,39 @@ class BoundaryPresentation:
         }
 
 
-def _primitive_paths(
-    Q: QuiverWithFaces, R: RelationSet, budget: SearchBudget
-) -> dict[tuple, list[Path]]:
-    """Paths from boundary to boundary through internal vertices only, each
-    visiting an internal vertex at most once, by (source, target) in sorted
-    order; each list is in (length, arrows) order.  Paths through a
-    composite prefix are left out: none of them is in a generator class.
+def boundary_generators(
+    Q: QuiverWithFaces, R: RelationSet, budget: SearchBudget | None = None
+) -> BoundaryPresentation:
+    """Extract the generator classes of the boundary algebra in one walk.
 
-    Each prefix the walk extends to an internal vertex gets one closure
-    (factors_through_boundary).  If the closure reaches a word w through a
-    boundary vertex, the prefix u is not extended: every extension u t
-    equals w t, which passes through that vertex too, so u t is
-    composite, and a complete generator closure, which never holds such a
-    word, never holds u t.  A prefix whose closure completes without such
-    a word or is truncated is extended as any other; no prefix is left
-    out without a found word.
+    The walk follows the primitive paths from each boundary vertex: through
+    internal vertices only, each visited at most once.  A prefix extended
+    to an internal vertex gets one closure (factors_through_boundary); if
+    it reaches a word w through a boundary vertex, the prefix u is not
+    extended, since every extension u t equals w t and is composite.  A
+    prefix closure that completes without such a word, or is truncated,
+    keeps the prefix.  A path reaching a boundary vertex that no earlier
+    closure reached gets one closure too.  A composite one places its
+    states.  A complete one is the path's whole equality class: its
+    primitive states (no intermediate vertex repeated) form the generator
+    class, and its least in (length, arrows) order is the representative,
+    whichever member the walk met first.  Every primitive member of a
+    generator class is walked, as a composite prefix has only composite
+    extensions.  Each class is tagged with the family of the Gamma(m, n)
+    arrow with its endpoints (Gamma has at most one per pair).  A
+    truncated closure of a path raises InconclusivePresentationError.
     """
-    found = defaultdict(list)
+    budget = budget or SearchBudget()
+    family = {ends: name[0] for name, ends in build_gamma(Q.m, Q.n).arrows.items()}
     internal = {v for v, kind in Q.vertices.items() if kind == "internal"}
+    classes: list[GeneratorClass] = []
+    placed: set[tuple] = set()
 
-    def walk(source, prefix: list[int], at, seen: set) -> None:
+    def primitive(arrows: tuple) -> bool:
+        stops = [Q.arrow_target[a] for a in arrows[:-1]]
+        return len(set(stops)) == len(stops)
+
+    def walk(prefix: list[int], at, seen: set) -> None:
         for aid in Q.out_arrows[at]:
             tgt = Q.arrow_target[aid]
             if tgt in internal:
@@ -209,81 +223,30 @@ def _primitive_paths(
                 prefix.append(aid)
                 if factors_through_boundary(Path(Q, prefix), R, budget)[0] != "composite":
                     seen.add(tgt)
-                    walk(source, prefix, tgt, seen)
+                    walk(prefix, tgt, seen)
                     seen.remove(tgt)
                 prefix.pop()
-            else:
-                found[(source, tgt)].append(tuple(prefix + [aid]))
+                continue
+            arrows = (*prefix, aid)
+            if arrows in placed:
+                continue
+            p = Path(Q, arrows)
+            verdict, visited, states = factors_through_boundary(p, R, budget)
+            if verdict == "truncated":
+                raise InconclusivePresentationError(
+                    f"cannot decide within {_budget_text(budget, R.length_bound(len(p)))} "
+                    f"whether the class of {p.arrows} ({p.source}->{p.target}) "
+                    f"is a generator (visited {visited})"
+                )
+            placed.update(states)
+            if verdict == "generator":
+                members = [a for a in states if primitive(a)]
+                rep = Path(Q, min(members, key=lambda a: (len(a), a)))
+                tag = family.get((p.source, tgt))
+                classes.append(GeneratorClass(p.source, tgt, tag, rep, size=len(members)))
 
     for s in Q.boundary_vertices:
-        walk(s, [], s, set())
-    return {
-        ends: [Path(Q, a) for a in sorted(paths, key=lambda a: (len(a), a))]
-        for ends, paths in sorted(found.items())
-    }
-
-
-def _generator_classes(
-    paths: list[Path], R: RelationSet, budget: SearchBudget
-) -> list[list[Path]]:
-    """The generator classes among paths of one (source, target), listed in
-    (length, arrows) order: each class as its primitive members, led by its
-    least, in the order of their least members.
-
-    Each path not yet placed gets one closure (factors_through_boundary).
-    One that reaches a word through an intermediate boundary vertex places
-    the path and every path among the states it reached, all composite.
-    One that completes without such a word is the path's whole equality
-    class, so its members among paths form a generator class; no earlier
-    path is among them, or it would have placed this one.  A truncated
-    closure raises InconclusivePresentationError.
-    """
-    classes: list[list[Path]] = []
-    placed: set[tuple] = set()
-    for i, p in enumerate(paths):
-        if p.arrows in placed:
-            continue
-        verdict, visited, states = factors_through_boundary(p, R, budget)
-        if verdict == "truncated":
-            raise InconclusivePresentationError(
-                f"cannot decide within {_budget_text(budget, R.length_bound(len(p)))} "
-                f"whether the class of {p.arrows} ({p.source}->{p.target}) "
-                f"is a generator (visited {visited})"
-            )
-        members = [q for q in paths[i:] if q.arrows in states]
-        placed.update(q.arrows for q in members)
-        if verdict == "generator":
-            classes.append(members)
-    return classes
-
-
-def boundary_generators(
-    Q: QuiverWithFaces, R: RelationSet, budget: SearchBudget | None = None
-) -> BoundaryPresentation:
-    """Extract the generator classes of the boundary algebra.
-
-    Primitive paths (boundary to boundary through internal vertices) are
-    listed without those through a prefix that equals a word through a
-    boundary vertex (_primitive_paths): such paths are composite, so no
-    generator class holds one, and the walk's work grows with the
-    generators, not with the paths.  The rest are classified per (source, target) by
-    closures, one for each path that no earlier closure reached
-    (_generator_classes): classes equal to a path through an
-    intermediate boundary vertex are compositions of two shorter classes
-    and are dropped, and each other class is enumerated whole, with its
-    least path as representative.  Each class is tagged with the family
-    of the Gamma(m, n) arrow that has its endpoints (Gamma has at most
-    one arrow per pair).  A truncated closure of a path raises
-    InconclusivePresentationError; a truncated closure of a prefix only
-    keeps the prefix.
-    """
-    budget = budget or SearchBudget()
-    family = {ends: name[0] for name, ends in build_gamma(Q.m, Q.n).arrows.items()}
-    classes = [
-        GeneratorClass(source=src, target=tgt, tag=family.get((src, tgt)), rep=g[0], size=len(g))
-        for (src, tgt), paths in _primitive_paths(Q, R, budget).items()
-        for g in _generator_classes(paths, R, budget)
-    ]
+        walk([], s, set())
     classes.sort(key=lambda c: (c.target, c.source, c.rep.arrows))
     return BoundaryPresentation(quiver=Q, classes=tuple(classes))
 
@@ -300,8 +263,8 @@ def factors_through_boundary(
     For a boundary-to-boundary p, such a path splits into two shorter
     boundary-to-boundary paths, so the class of p is a composition of
     shorter classes and is no generator.  p may also be a prefix from a
-    boundary vertex to an internal one (_primitive_paths): then every
-    extension of p to a boundary vertex is composite.
+    boundary vertex to an internal one (boundary_generators' walk): then
+    every extension of p to a boundary vertex is composite.
     Returns the verdict, the states visited and those states (as
     class_contains).  The verdict is 'composite' when a split is found,
     'generator' when the whole equality class was enumerated without one

@@ -108,13 +108,24 @@ def _add_common(sub, need_m=True):
     )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _add_budget(sub):
     sub.add_argument(
         "--budget-visited",
-        type=int,
+        type=_positive_int,
         default=None,
-        help=f"max visited paths per equality query (default {default_max_visited()}); "
-        "path lengths have a fixed per-query bound",
+        help=f"max paths one search may visit, an equality query or an extraction "
+        f"closure (default {default_max_visited()}); "
+        "path lengths have a fixed per-search bound",
     )
 
 

@@ -66,8 +66,9 @@ def default_max_visited() -> int:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """The most states one query may visit, over every closure it runs.
-    None reads default_max_visited() once, when the budget is built."""
+    """The most states one query may visit, over every closure it runs; a
+    closure of the generator extraction is a query of its own.  None reads
+    default_max_visited() once, when the budget is built."""
 
     max_visited: int | None = None
 

@@ -114,8 +114,8 @@ def pairwise_classes(paths, R, budget=None):
 
 
 def all_primitive_paths(Q):
-    """Reference for boundary._primitive_paths without its prefix
-    closures: every path from boundary to boundary through internal
+    """Reference for the paths boundary_generators walks, without its
+    prefix closures: every path from boundary to boundary through internal
     vertices only, each visiting an internal vertex at most once, by
     (source, target) in sorted order; each list in (length, arrows)
     order."""

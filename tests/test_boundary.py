@@ -18,8 +18,6 @@ from dimerlab.boundary import (
     IncompatibleGammaError,
     InconclusivePresentationError,
     _extract,
-    _generator_classes,
-    _primitive_paths,
     factors_through_boundary,
     gamma_tail,
     modl,
@@ -39,7 +37,6 @@ from dimerlab.rewrite import (
 )
 
 from helpers import (
-    all_primitive_paths,
     fan_pipeline,
     fan_presentation,
     pairwise_generators,
@@ -172,48 +169,30 @@ def test_grouping_matches_the_pairwise_reference(data):
     assert dl.boundary_generators(Q, R).classes == pairwise_generators(Q, R)
 
 
-def assert_pruned_soundly(Q, R, kept, full=None):
-    # each kept list is an ordered sublist of the full list, and each
-    # path left out is composite
-    full = full or all_primitive_paths(Q)
-    assert set(kept) <= set(full)
-    for ends, paths in full.items():
-        rest = iter(kept.get(ends, []))
-        keep = next(rest, None)
-        for p in paths:
-            if p == keep:
-                keep = next(rest, None)
-            else:
-                assert factors_through_boundary(p, R)[0] == "composite", p
-        assert keep is None, ends
-
-
-@settings(max_examples=30)
-@given(st.data())
-def test_primitive_paths_leave_out_only_composite_paths(data):
-    m = data.draw(st.integers(2, 4))
-    T = data.draw(triangulations(max_n=7))
-    _, _, Q, R = pipeline(T.n, m, T.sorted_diagonals)
-    assert_pruned_soundly(Q, R, _primitive_paths(Q, R, SearchBudget()))
-
-
 def test_a_starved_prefix_closure_never_prunes(monkeypatch):
+    # a truncated prefix closure (of a word ending at an internal vertex)
+    # extends the prefix: the walk then meets more paths, and still gives
+    # the default classes
     _, _, Q, R = fan_pipeline(6, 4)
-    full = all_primitive_paths(Q)
-    generous = _primitive_paths(Q, R, SearchBudget())
-    assert sum(map(len, generous.values())) < sum(map(len, full.values()))
-    # a truncated prefix closure extends the prefix
-    monkeypatch.setattr(
-        dl.boundary, "factors_through_boundary", lambda p, R, budget=None: ("truncated", 1, {})
-    )
-    assert _primitive_paths(Q, R, SearchBudget()) == full
-    monkeypatch.undo()
-    # a budget of one state raises nothing; its closures stop at the first
-    # new word, which leaves a prefix out only when that word passes
-    # through a boundary vertex, so it keeps every path the default keeps
-    starved = _primitive_paths(Q, R, SearchBudget(1))
-    assert_pruned_soundly(Q, R, starved, full)
-    assert_pruned_soundly(Q, R, generous, starved)
+    internal = set(Q.internal_vertices)
+
+    def extract(starve_prefixes):
+        path_closures = []
+
+        def closure(p, R, budget=None):
+            if p.target not in internal:
+                path_closures.append(p)
+            elif starve_prefixes:
+                return "truncated", 1, {}.keys()
+            return factors_through_boundary(p, R, budget)
+
+        monkeypatch.setattr(dl.boundary, "factors_through_boundary", closure)
+        return dl.boundary_generators(Q, R).classes, len(path_closures)
+
+    default, default_count = extract(False)
+    starved, starved_count = extract(True)
+    assert starved == default and len(default) == 54
+    assert starved_count > default_count
 
 
 def test_classification_joins_a_class_through_a_longer_word():
@@ -226,10 +205,30 @@ def test_classification_joins_a_class_through_a_longer_word():
         Arrow(1, 3, "internal", ("t", (0, 0, 0), 2)),  # c
         Arrow(3, 2, "internal", ("t", (0, 0, 0), 3)),  # d
     ]
-    Q = QuiverWithFaces(1, 3, vertices, arrows, [])
+    Q = QuiverWithFaces(2, 3, vertices, arrows, [])
     a, b, cd = Path(Q, (0,)), Path(Q, (1,)), Path(Q, (2, 3))
     R = RelationSet(Q, [(a, cd), (b, cd)])
-    assert _generator_classes([a, b, cd], R, SearchBudget()) == [[a, b, cd]]
+    (c,) = dl.boundary_generators(Q, R).classes
+    assert (c.source, c.target, c.rep, c.size) == (1, 2, a, 3)
+
+
+def test_class_size_counts_only_primitive_paths():
+    # a = c d e f, where c d e f visits the internal vertex 3 twice: the
+    # class {a, c d e f} holds one primitive path
+    vertices = {1: "boundary", 2: "boundary", 3: "internal", 4: "internal"}
+    arrows = [
+        Arrow(1, 2, "internal", ("t", (0, 0, 0), 0)),  # a
+        Arrow(1, 3, "internal", ("t", (0, 0, 0), 1)),  # c
+        Arrow(3, 4, "internal", ("t", (0, 0, 0), 2)),  # d
+        Arrow(4, 3, "internal", ("t", (0, 0, 0), 3)),  # e
+        Arrow(3, 2, "internal", ("t", (0, 0, 0), 4)),  # f
+    ]
+    Q = QuiverWithFaces(2, 3, vertices, arrows, [])
+    a, cdef = Path(Q, (0,)), Path(Q, (1, 2, 3, 4))
+    R = RelationSet(Q, [(a, cdef)])
+    assert factors_through_boundary(a, R)[2] == {a.arrows, cdef.arrows}
+    sizes = {c.rep.arrows: c.size for c in dl.boundary_generators(Q, R).classes}
+    assert sizes == {a.arrows: 1, (1, 4): 1}
 
 
 def test_generator_minimality_m2():

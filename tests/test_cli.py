@@ -266,6 +266,24 @@ def test_non_positive_env_budget_is_a_one_line_error(monkeypatch, capsys, argv):
         )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "5", "--m", "2", "--fan"],
+        ["sweep", "--max-n", "4", "--m", "2"],
+        ["flip-check", "--n", "5", "--m", "2", "--fan", "--flip", "1-3"],
+    ],
+)
+def test_non_positive_budget_flag_is_a_usage_error_naming_the_flag(capsys, argv):
+    for raw in ("0", "-5"):
+        code, out = run_cli(argv + ["--budget-visited", raw])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: dimerlab {argv[0]}: argument --budget-visited: "
+            f"must be positive, got {raw}\n"
+        )
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # only sweep --workers > 1 needs concurrent.futures
     src = os.path.join(os.path.dirname(__file__), "..", "src")
