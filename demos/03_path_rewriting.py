@@ -3,8 +3,9 @@
 The natural potential pairs each interior arrow's counterclockwise and
 clockwise faces; the cyclic derivative at the arrow equates the two
 complementary paths.  Equality of arbitrary paths is semidecided by
-bidirectional search, returning a replayable certificate for Equal and a
-separating invariant for Distinct.
+bidirectional best-first search, ordered by the faces between the two
+paths, returning a replayable certificate for Equal and a separating
+invariant for Distinct.
 """
 
 import dimerlab as dl

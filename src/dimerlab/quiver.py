@@ -423,9 +423,10 @@ def potential_relations(Q: QuiverWithFaces) -> RelationSet:
     """The cyclic derivatives of the natural potential, one per internal arrow.
 
     For an internal arrow in the counterclockwise cycle (a p1 .. pk) and the
-    clockwise cycle (a q1 .. ql), emit the pair (p1..pk, q1..ql).
+    clockwise cycle (a q1 .. ql), emit the pair (p1..pk, q1..ql).  The
+    RelationSet keeps each pair's two faces, which guide its equality search.
     """
-    relations = []
+    relations, faces = [], []
     for aid, a in enumerate(Q.arrows):
         if a.kind != "internal":
             continue
@@ -444,7 +445,8 @@ def potential_relations(Q: QuiverWithFaces) -> RelationSet:
         assert lhs.source == rhs.source == a.target
         assert lhs.target == rhs.target == a.source
         relations.append((lhs, rhs))
-    return RelationSet(Q, tuple(relations))
+        faces.append((plus[0], minus[0]))
+    return RelationSet(Q, tuple(relations), faces)
 
 
 def chordless_cycle_at(Q: QuiverWithFaces, v) -> Path:

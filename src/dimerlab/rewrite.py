@@ -5,8 +5,24 @@ from the natural potential, so two paths are equal iff one rewrites into
 the other by substituting one side of a relation for the other.  There is
 no length grading (faces of different sizes coexist), hence no terminating
 normal form is assumed: equality is semidecided by bidirectional
-breadth-first search under an explicit budget, and Unknown is a first-class
+best-first search under an explicit budget, and Unknown is a first-class
 verdict.
+
+The search is ordered by the faces between two words.  Each relation of
+the potential is cut from a + face F+ and a - face F- that share an
+internal arrow, so rewriting moves the arrow-count vector by cnt(F+) -
+cnt(F-).  Two words with equal residues differ by a unique integer face
+chain, cnt(w) - cnt(goal) = sum_F c_F cnt(F), and one rewrite moves one
+unit of c from F+ to F- or back.  So h = sum_F |c_F| changes by -2, 0 or
+2 per step, and each side of the search pops the state of least 2g + h
+(g the steps taken, the goal the other side's start word), deeper first
+on ties.  Where every step of a rewrite lowers h by 2, all interleavings
+of its commuting steps tie on 2g + h; the tie-break follows one of them
+down instead of visiting them all.  The order is all that h changes:
+every state reached is kept, an Equal certificate is replayed, and
+Distinct still needs a closure exhausted without dropping a word, which
+is then the whole class.  A RelationSet without faces has h = 0, which
+is breadth-first order.
 
 The budget is one number, the states a query may visit (SearchBudget).
 The length of the words a search visits is bounded by one fixed rule per
@@ -25,6 +41,7 @@ import os
 from collections import Counter
 from collections.abc import KeysView
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import gcd
 
 EQUAL = "equal"
@@ -146,9 +163,15 @@ class Path:
 class RelationSet:
     """The relation pairs of a potential, with the indexes rewriting needs."""
 
-    def __init__(self, quiver, relations):
+    def __init__(self, quiver, relations, faces=None):
+        """faces, when given, holds each relation's (F+, F-) pair: the
+        indexes in quiver.faces of the + and the - face it is cut from, lhs
+        from F+ and rhs from F-.  They guide the equality search (see the
+        module docstring); without them its order is breadth-first."""
         self.quiver = quiver
         self.relations = tuple(relations)
+        self.faces = None if faces is None else tuple(faces)
+        self._propagation = None if faces is None else _propagation_order(quiver)
         for lhs, rhs in self.relations:
             if lhs.source != rhs.source or lhs.target != rhs.target:
                 raise RewriteError(f"relation endpoints differ: {lhs} vs {rhs}")
@@ -193,6 +216,30 @@ class RelationSet:
                     )
         return out
 
+    def face_chain(self, a: tuple, b: tuple) -> list[int] | None:
+        """The integer coefficients c, one per face of the quiver, with
+        cnt(a) - cnt(b) = sum_F c_F cnt(F), found by one pass over the
+        propagation order; None for a RelationSet without faces.
+
+        For a and b with the same ends the chain exists and is unique, and
+        it sums to 0 exactly when a and b share their residue: the relation
+        lattice is spanned by the cnt(F+) - cnt(F-).
+        """
+        if self._propagation is None:
+            return None
+        d = [0] * len(self.quiver.arrows)
+        for arrow in a:
+            d[arrow] += 1
+        for arrow in b:
+            d[arrow] -= 1
+        c = [0] * len(self.quiver.faces)
+        fixed, derived = self._propagation
+        for arrow, face in fixed:
+            c[face] = d[arrow]
+        for arrow, face, known in derived:
+            c[face] = d[arrow] - c[known]
+        return c
+
     def _basis(self) -> list[tuple[int, dict[int, int]]]:
         """Row-echelon integer basis of the span of count(lhs) - count(rhs),
         with positive pivot entries, as sparse (pivot column, {column:
@@ -233,6 +280,31 @@ class RelationSet:
             for j, x in images[a]:
                 vec[j] += x
         return _reduce(rows, vec)
+
+
+def _propagation_order(Q) -> tuple[tuple, tuple]:
+    """The order in which face_chain fixes the faces' coefficients, in two
+    parts.  A boundary arrow lies on one face F, so c_F is the arrow's
+    count: (arrow, face) pairs.  An internal arrow lies on two faces, so
+    once c_F is known, c_G of the other is the arrow's count less c_F:
+    (arrow, face G, known face F) triples, outward from the boundary.
+    Each face is fixed once."""
+    fixed, derived, seen = [], [], set()
+    for arrow, faces in Q.faces_by_arrow.items():
+        if len(faces) == 1 and faces[0] not in seen:
+            seen.add(faces[0])
+            fixed.append((arrow, faces[0]))
+    known_faces = [face for _, face in fixed]
+    for known in known_faces:  # grows as the faces are fixed
+        for arrow in Q.faces[known].cycle:
+            for face in Q.faces_by_arrow[arrow]:
+                if face not in seen:
+                    seen.add(face)
+                    derived.append((arrow, face, known))
+                    known_faces.append(face)
+    if len(seen) != len(Q.faces):
+        raise RewriteError(f"{len(Q.faces) - len(seen)} faces are not reached from the boundary")
+    return tuple(fixed), tuple(derived)
 
 
 def _echelon(vectors: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
@@ -372,85 +444,123 @@ _OVERFLOW = object()
 
 
 class _Closure:
-    """Breadth-first closure of one arrow tuple under the relation rewrites.
+    """Best-first closure of one arrow tuple under the relation rewrites.
 
-    chains maps each state reached to the steps that reach it from the
-    start, front holds the last level, and pruned records whether a rewrite
+    parents maps each state reached to (previous state, step), None at the
+    start.  open is a heap of ((2g + h, -g), order reached, state, chain,
+    move) entries for the states not yet expanded, g their steps from the
+    start and h the sum of |c_F| over their face chain c against goal,
+    less that sum at the start (the heap compares only within a closure).
+    An entry holds its parent's chain and the move (F+, F-, unit) that it
+    makes, applied when the entry is popped, so chains live only in the
+    open set.  The start's chain is computed when its first new state is
+    recorded, so a search that meets at once computes none.  Without a
+    goal, h = 0 and the chain is None.  pruned records whether a rewrite
     was dropped for being longer than max_len (the closure is then no
     longer known to be complete).
     """
 
-    __slots__ = ("chains", "front", "max_len", "pruned")
+    __slots__ = ("parents", "open", "max_len", "pruned", "goal")
 
-    def __init__(self, arrows: tuple, max_len: int):
-        self.chains: dict[tuple, tuple] = {arrows: ()}
-        self.front = [arrows]
+    def __init__(self, arrows: tuple, max_len: int, goal: tuple | None = None):
+        self.parents: dict[tuple, tuple | None] = {arrows: None}
+        self.open = [((0, 0), 0, arrows, None, None)]
         self.max_len = max_len
         self.pruned = False
-
-    @property
-    def complete(self) -> bool:
-        return not self.front and not self.pruned
+        self.goal = goal
 
     def expand(self, R: RelationSet, hit, room: int):
-        """Advance one level, in site order.
+        """Pop the open state of least (2g + h, -g), the first reached
+        first, and go on popping while the least open state ties with it;
+        record each popped state's new rewrites in site order.  With h = 0
+        this pops one breadth-first level.  With h > 0 a state reached on
+        the same 2g + h is deeper, so it ends the call and is popped first
+        in the next one.
 
         room is the number of new states the budget still admits.  Returns
-        (state, steps) for the first new state with hit(state) true,
-        _OVERFLOW when a new state finds no room, and None when the level
-        is done.
+        (state, previous state, step) for the first new state with
+        hit(state) true, _OVERFLOW when a new state finds no room, and None
+        otherwise.
         """
-        chains, max_len = self.chains, self.max_len
-        new_front = []
-        for key in self.front:
-            chain = chains[key]
+        heap, parents, max_len, goal = self.open, self.parents, self.max_len, self.goal
+        tie = heap[0][0]
+        f, minus_g = tie
+        depth = 1 - minus_g  # the steps to the states they reach
+        step_f = f + 2  # 2g + h where a step leaves h as it is
+        step_key = (step_f, -depth)
+        while heap and heap[0][0] == tie:
+            _, _, key, chain, move = heappop(heap)
+            if move is not None:
+                face_plus, face_minus, unit = move
+                chain = chain.copy()
+                chain[face_plus] -= unit
+                chain[face_minus] += unit
             for pos, ridx, direction, res in R.sites(key):
                 if len(res) > max_len:
                     self.pruned = True
                     continue
-                if res in chains:
+                if res in parents:
                     continue
-                step_chain = chain + ((pos, ridx, direction),)
+                step = (pos, ridx, direction)
                 if hit(res):
-                    return res, step_chain
+                    return res, key, step
                 if room <= 0:
                     return _OVERFLOW
                 room -= 1
-                chains[res] = step_chain
-                new_front.append(res)
-        self.front = new_front
+                parents[res] = (key, step)
+                if chain is None:
+                    if goal is None:
+                        heappush(heap, (step_key, len(parents), res, None, None))
+                        continue
+                    chain = R.face_chain(key, goal)  # key is the start
+                # 'lr' takes cnt(F+) - cnt(F-) off the word: c_F+ drops by one
+                face_plus, face_minus = R.faces[ridx]
+                unit = 1 if direction == "lr" else -1
+                cp, cm = chain[face_plus], chain[face_minus]
+                res_f = step_f - abs(cp) - abs(cm) + abs(cp - unit) + abs(cm + unit)
+                move = (face_plus, face_minus, unit)
+                heappush(heap, ((res_f, -depth), len(parents), res, chain, move))
         return None
 
 
-def _search(a: tuple, b: tuple, R: RelationSet, max_visited: int) -> tuple:
-    """Bidirectional closure search between two arrow tuples, always
-    expanding the smaller frontier, both closures under the length bound
-    of the longer tuple.
+def _steps(parents: dict, state: tuple) -> tuple:
+    """The steps that reach state from the start of a closure."""
+    steps = []
+    while (link := parents[state]) is not None:
+        state, step = link
+        steps.append(step)
+    return tuple(reversed(steps))
 
-    Returns (outcome, steps, visited): steps rewrite a into b when the
-    outcome is EQUAL and are None otherwise; visited, the states of both
-    closures, never exceeds max_visited, which must be at least 2.  Distinct
-    means a closure was exhausted."""
-    max_len = R.length_bound(max(len(a), len(b)))
-    side_a, side_b = _Closure(a, max_len), _Closure(b, max_len)
+
+def _search(closures: tuple, hits: tuple, R: RelationSet, max_visited: int) -> tuple:
+    """Expand one or two closures best-first, each time the one with the
+    fewer open states (the first on ties), until a closure reaches a new
+    state that its hit accepts, a closure is exhausted without pruning,
+    every closure is exhausted, or the budget runs out.
+
+    Returns (outcome, found, visited): the outcome is EQUAL on a hit,
+    DISTINCT on exhaustion without pruning and UNKNOWN otherwise; found is
+    (closure index, state, previous state, step) for EQUAL and None
+    otherwise; visited, the states of every closure, never exceeds
+    max_visited.
+    """
+    visited = len(closures)  # each starts from one state
     while True:
-        expand_a = bool(side_a.front) and (
-            not side_b.front or len(side_a.front) <= len(side_b.front)
-        )
-        mine, other = (side_a, side_b) if expand_a else (side_b, side_a)
-        room = max_visited - len(side_a.chains) - len(side_b.chains)
-        found = mine.expand(R, other.chains.__contains__, room)
-        visited = len(side_a.chains) + len(side_b.chains)
+        side = None
+        for closure, closure_hit in zip(closures, hits):
+            if closure.open and (side is None or len(closure.open) < len(side.open)):
+                side, hit = closure, closure_hit
+        if side is None:
+            return UNKNOWN, None, visited
+        before = len(side.parents)
+        found = side.expand(R, hit, max_visited - visited)
+        visited += len(side.parents) - before
         if found is _OVERFLOW:
             return UNKNOWN, None, visited
         if found is not None:
-            meet, steps = found
-            steps_a, steps_b = (steps, other.chains[meet]) if expand_a else (other.chains[meet], steps)
-            return EQUAL, steps_a + _invert(steps_b), visited
-        if side_a.complete or side_b.complete:
+            return EQUAL, (closures.index(side), *found), visited
+        if not side.open and not side.pruned:
             return DISTINCT, None, visited
-        if not side_a.front and not side_b.front:
-            return UNKNOWN, None, visited
 
 
 def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = None) -> EqualityVerdict:
@@ -458,11 +568,17 @@ def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = 
 
     The residues of p and q are compared first: differing residues yield
     Distinct, so no Equal verdict contradicts them.  Otherwise one
-    bidirectional breadth-first closure search runs between the full
-    paths under the relation rewrites, always expanding the smaller
-    frontier; a meeting point yields Equal with a certificate that is
-    replayed before being returned.  Exhaustion of a complete (never
-    length-pruned) closure yields Distinct.  Everything else is Unknown.
+    bidirectional best-first closure search runs between the full paths
+    under the relation rewrites, both closures under the length bound of
+    the longer path, always expanding the side with the fewer open states.
+    Each side pops the state of least 2g + h, deeper first on ties, where
+    h sums the face chain between the state and the other side's start
+    (RelationSet.face_chain; h = 0 without faces).  h changes only the
+    order: a meeting point yields Equal with a certificate that is
+    replayed before being returned, and exhaustion of a complete (never
+    length-pruned) closure yields Distinct, since that closure is the
+    whole class and would have reached the other start.  Everything else
+    is Unknown.
     """
     if p.source != q.source or p.target != q.target:
         raise IncomparablePathsError(
@@ -475,13 +591,30 @@ def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = 
         return EqualityVerdict(UNKNOWN, visited=0)
     if R.residue(p.arrows) != R.residue(q.arrows):
         return EqualityVerdict(DISTINCT, separating="abelian_invariant", visited=2)
-    outcome, steps, visited = _search(p.arrows, q.arrows, R, budget.max_visited)
+    max_len = R.length_bound(max(len(p), len(q)))
+    guided = R.faces is not None
+    side_p = _Closure(p.arrows, max_len, q.arrows if guided else None)
+    side_q = _Closure(q.arrows, max_len, p.arrows if guided else None)
+    outcome, found, visited = _search(
+        (side_p, side_q),
+        (side_q.parents.__contains__, side_p.parents.__contains__),
+        R,
+        budget.max_visited,
+    )
     if outcome == EQUAL:
+        side, meet, previous, step = found
+        mine, other = (side_p, side_q) if side == 0 else (side_q, side_p)
+        into = _steps(mine.parents, previous) + (step,)
+        out = _steps(other.parents, meet)
+        steps = into + _invert(out) if side == 0 else out + _invert(into)
         if replay_certificate(p, steps, R).key() != q.key():
             raise OracleSoundnessError("certificate replay did not reach the target path")
         return EqualityVerdict(EQUAL, certificate=steps, visited=visited)
     separating = "exhausted_closure" if outcome == DISTINCT else None
     return EqualityVerdict(outcome, separating=separating, visited=visited)
+
+
+_FOUND = {EQUAL: True, DISTINCT: False, UNKNOWN: None}
 
 
 def class_contains(
@@ -492,16 +625,12 @@ def class_contains(
     The verdict is True when one is found, False when the whole equality
     class was enumerated without one (the states are then that class),
     None when the budget ran out first.  The word found with hit true is
-    not among the states, unless it is p itself."""
+    not among the states, unless it is p itself.  The closure has no goal
+    word, so h = 0 and the search is breadth-first."""
     budget = budget or SearchBudget()
     closure = _Closure(p.arrows, R.length_bound(len(p)))
-    states = closure.chains.keys()
+    states = closure.parents.keys()
     if hit(p.arrows):
         return True, 1, states
-    while closure.front:
-        found = closure.expand(R, hit, budget.max_visited - len(states))
-        if found is _OVERFLOW:
-            return None, len(states), states
-        if found is not None:
-            return True, len(states), states
-    return (None if closure.pruned else False), len(states), states
+    outcome, _, visited = _search((closure,), (hit,), R, budget.max_visited)
+    return _FOUND[outcome], visited, states

@@ -350,12 +350,16 @@ def test_certificates_replay_on_large_random_triangulations(data):
 
 def test_the_length_rule_never_prunes_a_closure():
     # the evidence that the per-query length rule needs no override: no
-    # closure of any run on these grids drops a word for its length
-    expand, expansions, pruned = _Closure.expand, [], []
+    # closure of any run on these grids drops a word for its length.  Every
+    # closure expands through _Closure.expand, those of the equality search
+    # (whose hit is the other side's states) and those of class_contains.
+    expand, expansions, pruned, searches = _Closure.expand, [], [], set()
 
     def watched(self, R, hit, room):
         found = expand(self, R, hit, room)
         expansions.append(self)
+        equality = isinstance(getattr(hit, "__self__", None), dict)
+        searches.add("paths_equal" if equality else "class_contains")
         if self.pruned:
             pruned.append(self)
         return found
@@ -368,6 +372,7 @@ def test_the_length_rule_never_prunes_a_closure():
                     assert dl.verify_boundary_algebra(T, m).passed
                     runs += 1
     assert runs == 64 + 22 and expansions
+    assert searches == {"paths_equal", "class_contains"}
     assert not pruned
 
 

@@ -1,9 +1,11 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dimerlab as dl
-from dimerlab.quiver import Arrow, QuiverWithFaces, chordless_cycle_at
+from dimerlab.quiver import Arrow, Face, QuiverWithFaces, chordless_cycle_at
 from dimerlab.rewrite import (
     DISTINCT,
     EQUAL,
@@ -12,6 +14,7 @@ from dimerlab.rewrite import (
     PathError,
     Path,
     RelationSet,
+    RewriteError,
     SearchBudget,
     abelian_invariant,
     class_contains,
@@ -20,7 +23,15 @@ from dimerlab.rewrite import (
     rewrite_sites,
 )
 
-from helpers import all_primitive_paths, fan_pipeline, lattice_basis, lattice_reduce, pipeline
+from helpers import (
+    all_primitive_paths,
+    bfs_paths_equal,
+    fan_pipeline,
+    lattice_basis,
+    lattice_reduce,
+    pipeline,
+    triangulations,
+)
 
 
 def arrow_by_endpoints(Q, src, tgt):
@@ -528,3 +539,120 @@ def test_random_rewrite_walks(data):
         steps.append((pos, ridx, direction))
         assert R.residue(arrows) == residue
     assert replay_certificate(start, tuple(steps), R).arrows == arrows
+
+
+@st.composite
+def rewrite_pairs(draw):
+    """Two paths with the same ends in the quiver of a random triangulation
+    with m <= 4 and n <= 7: the sides of a relation followed by one random
+    suffix, the ends of a random rewrite walk from such a path that
+    revisits no path, or such a path against itself or a walk's end
+    followed by the chordless cycle at its target, which ends Distinct.
+    Returns (Q, R, p, q)."""
+    m = draw(st.integers(2, 4))
+    T = draw(triangulations(max_n=7))
+    _, _, Q, R = pipeline(T.n, m, T.sorted_diagonals)
+    rng = draw(st.randoms())
+    lhs, rhs = rng.choice(R.relations)
+    suffix = ()
+    for _ in range(rng.randint(0, 4)):
+        suffix += (rng.choice(Q.out_arrows[Q.arrow_target[(lhs.arrows + suffix)[-1]]]),)
+    kind = draw(st.sampled_from(["relation", "walk", "distinct"]))
+    if kind == "relation":
+        return Q, R, Q.path(lhs.arrows + suffix), Q.path(rhs.arrows + suffix)
+    start = rng.choice((lhs, rhs)).arrows + suffix
+    end, seen = start, {start}
+    for _ in range(rng.randint(1, 12)):
+        sites = [site[3] for site in R.sites(end) if site[3] not in seen]
+        if not sites:
+            break
+        end = rng.choice(sites)
+        seen.add(end)
+    p, q = Q.path(start), Q.path(end)
+    if kind == "distinct":
+        q = rng.choice((p, q)) * chordless_cycle_at(Q, q.target)
+    return Q, R, p, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(rewrite_pairs())
+def test_best_first_search_agrees_with_breadth_first(pair):
+    # the face chain only orders the search: every outcome is the one the
+    # plain bidirectional breadth-first search reaches, every certificate
+    # replays, and the budget holds
+    Q, R, p, q = pair
+    max_visited = 50_000
+    v = paths_equal(p, q, R, SearchBudget(max_visited))
+    assert v.visited <= max_visited
+    assert v.outcome == bfs_paths_equal(p, q, R, max_visited)
+    if v.outcome == EQUAL:
+        assert replay_certificate(p, v.certificate, R) == q
+
+
+def counts(Q, arrows):
+    vec = [0] * len(Q.arrows)
+    for a in arrows:
+        vec[a] += 1
+    return vec
+
+
+@settings(max_examples=60)
+@given(rewrite_pairs())
+def test_face_chain_spans_the_count_difference(pair):
+    # sum_F c_F cnt(F) = cnt(p) - cnt(q) for every pair with the same ends,
+    # and c sums to 0 exactly when the residues agree, which is when the
+    # search runs
+    Q, R, p, q = pair
+    c = R.face_chain(p.arrows, q.arrows)
+    assert len(c) == len(Q.faces) and all(isinstance(x, int) for x in c)
+    total = [0] * len(Q.arrows)
+    for face, coefficient in zip(Q.faces, c):
+        for a in face.cycle:
+            total[a] += coefficient
+    assert total == [x - y for x, y in zip(counts(Q, p.arrows), counts(Q, q.arrows))]
+    assert (sum(c) == 0) == (R.residue(p.arrows) == R.residue(q.arrows))
+
+
+@settings(max_examples=30)
+@given(rewrite_pairs())
+def test_a_rewrite_moves_one_unit_between_its_two_faces(pair):
+    # a step by relation r changes c at F+(r) and F-(r) only, each by one
+    # unit: 'lr' takes one off F+ and puts one on F-
+    Q, R, p, q = pair
+    before = R.face_chain(p.arrows, q.arrows)
+    for _, ridx, direction, res in R.sites(p.arrows):
+        after = R.face_chain(res, q.arrows)
+        face_plus, face_minus = R.faces[ridx]
+        unit = 1 if direction == "lr" else -1
+        moved = {f: y - x for f, (x, y) in enumerate(zip(before, after)) if x != y}
+        assert moved == {face_plus: -unit, face_minus: unit}
+
+
+def test_relations_are_cut_from_their_two_faces():
+    # each relation's sides are its + and its - face less the one arrow
+    # they share
+    _, _, Q, R = fan_pipeline(5, 3)
+    for (lhs, rhs), (face_plus, face_minus) in zip(R.relations, R.faces):
+        plus, minus = Q.faces[face_plus], Q.faces[face_minus]
+        assert (plus.orientation, minus.orientation) == ("+", "-")
+        arrow = Counter(plus.cycle) - Counter(lhs.arrows)
+        assert len(arrow) == 1 and arrow == Counter(minus.cycle) - Counter(rhs.arrows)
+
+
+def test_a_relation_set_without_faces_has_no_face_chain():
+    # the hand-made quivers here have no faces: their search is breadth-first
+    Q, R, p, q = four_loops()
+    assert R.faces is None and R.face_chain(p.arrows, q.arrows) is None
+
+
+def test_faces_out_of_reach_of_the_boundary_are_refused():
+    # one loop on a + and a - face: no boundary arrow fixes either face
+    Q = QuiverWithFaces(
+        1,
+        1,
+        {1: "internal"},
+        [Arrow(1, 1, "internal", ("t", (0, 0, 0), 0))],
+        [Face("+", (0,), "w"), Face("-", (0,), "b")],
+    )
+    with pytest.raises(RewriteError, match="2 faces are not reached from the boundary"):
+        RelationSet(Q, [], faces=[])
