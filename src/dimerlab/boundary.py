@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .dimer import build_dimer, reduce_dimer
 from .polygon import Triangulation, flip
-from .quiver import QuiverWithFaces, chordless_cycle_at, dual_quiver, potential_relations, rim_pos
+from .quiver import QuiverWithFaces, chordless_cycles, dual_quiver, potential_relations, rim_pos
 from .rewrite import (
     DISTINCT,
     EQUAL,
@@ -460,7 +460,7 @@ def verify_central_element(
     one chordless cycle per boundary vertex.
     """
     Q = BP.quiver
-    u = {v: chordless_cycle_at(Q, v) for v in Q.boundary_vertices}
+    u = chordless_cycles(Q, Q.boundary_vertices)
     report = CentralElementReport()
     for c in BP.classes:
         verdict = paths_equal(u[c.source] * c.rep, c.rep * u[c.target], R, budget)

@@ -451,15 +451,21 @@ def potential_relations(Q: QuiverWithFaces) -> RelationSet:
 
 def chordless_cycle_at(Q: QuiverWithFaces, v) -> Path:
     """The boundary cycle of the shortest face through v, rotated to start at v."""
-    best = None
-    for fi, f in enumerate(Q.faces):
-        cyc = list(f.cycle)
+    return chordless_cycles(Q, (v,))[v]
+
+
+def chordless_cycles(Q: QuiverWithFaces, vertices) -> dict:
+    """chordless_cycle_at(Q, v) for every v in vertices, in one pass over the
+    faces.  On ties the first shortest face in face order is kept, and a
+    face through v more than once is rotated to v's first occurrence."""
+    best = dict.fromkeys(vertices)
+    for f in Q.faces:
+        cyc = f.cycle
         for i, aid in enumerate(cyc):
-            if Q.arrow_source[aid] == v:
-                if best is None or len(cyc) < len(best[0]):
-                    best = (cyc, i)
-                break
-    if best is None:
-        raise NoCycleError(f"no face passes through vertex {v!r}")
-    cyc, i = best
-    return Path(Q, tuple(cyc[i:] + cyc[:i]))
+            v = Q.arrow_source[aid]
+            if v in best and (best[v] is None or len(cyc) < len(best[v][0])):
+                best[v] = (cyc, i)
+    for v, found in best.items():
+        if found is None:
+            raise NoCycleError(f"no face passes through vertex {v!r}")
+    return {v: Path(Q, tuple(cyc[i:] + cyc[:i])) for v, (cyc, i) in best.items()}

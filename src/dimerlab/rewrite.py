@@ -11,18 +11,25 @@ verdict.
 The search is ordered by the faces between two words.  Each relation of
 the potential is cut from a + face F+ and a - face F- that share an
 internal arrow, so rewriting moves the arrow-count vector by cnt(F+) -
-cnt(F-).  Two words with equal residues differ by a unique integer face
-chain, cnt(w) - cnt(goal) = sum_F c_F cnt(F), and one rewrite moves one
-unit of c from F+ to F- or back.  So h = sum_F |c_F| changes by -2, 0 or
-2 per step, and each side of the search pops the state of least 2g + h
-(g the steps taken, the goal the other side's start word), deeper first
-on ties.  Where every step of a rewrite lowers h by 2, all interleavings
-of its commuting steps tie on 2g + h; the tie-break follows one of them
-down instead of visiting them all.  The order is all that h changes:
-every state reached is kept, an Equal certificate is replayed, and
-Distinct still needs a closure exhausted without dropping a word, which
-is then the whole class.  A RelationSet without faces has h = 0, which
-is breadth-first order.
+cnt(F-).  The quiver tiles a disk, so any two words p and q with the
+same ends differ by a unique integer face chain, cnt(p) - cnt(q) =
+sum_F c_F cnt(F), found in one linear pass (RelationSet.face_chain).
+The faces are connected through their shared internal arrows, so the
+relation lattice holds exactly the sum_F c_F cnt(F) with sum_F c_F = 0:
+p and q share their abelian residue exactly when c sums to 0, and
+otherwise they are Distinct.  No residue is reduced.  One rewrite moves
+one unit of c from F+ to F- or back.  So h = sum_F |c_F| changes by -2,
+0 or 2 per step, and each side of the search pops the state of least
+2g + h (g the steps taken, c measured against the other side's start,
+so p starts from c and q from -c), deeper first on ties.  Where every
+step of a rewrite lowers h by 2, all interleavings of its commuting
+steps tie on 2g + h; the tie-break follows one of them down instead of
+visiting them all.  The order is all that h changes: every state reached
+is kept, an Equal certificate is replayed, and Distinct by search still
+needs a closure exhausted without dropping a word, which is then the
+whole class.  A RelationSet without faces compares the reduced residues
+(RelationSet.residue) instead, and its search has h = 0, which is
+breadth-first order.
 
 The budget is one number, the states a query may visit (SearchBudget).
 The length of the words a search visits is bounded by one fixed rule per
@@ -31,8 +38,8 @@ beyond the longest word the search starts from.  A closure that drops a
 longer word is no longer known to be complete.
 
 Positive answers carry a replayable certificate; negative answers name a
-separating invariant (an abelianized arrow-count residue, or exhaustion of
-a complete finite closure).
+separating invariant (the abelianized arrow-count residue, or exhaustion
+of a complete finite closure).
 """
 
 from __future__ import annotations
@@ -166,8 +173,9 @@ class RelationSet:
     def __init__(self, quiver, relations, faces=None):
         """faces, when given, holds each relation's (F+, F-) pair: the
         indexes in quiver.faces of the + and the - face it is cut from, lhs
-        from F+ and rhs from F-.  They guide the equality search (see the
-        module docstring); without them its order is breadth-first."""
+        from F+ and rhs from F-.  They decide the equality search's residue
+        test and guide its order (see the module docstring); without them
+        the test reduces residues and the order is breadth-first."""
         self.quiver = quiver
         self.relations = tuple(relations)
         self.faces = None if faces is None else tuple(faces)
@@ -221,9 +229,11 @@ class RelationSet:
         cnt(a) - cnt(b) = sum_F c_F cnt(F), found by one pass over the
         propagation order; None for a RelationSet without faces.
 
-        For a and b with the same ends the chain exists and is unique, and
-        it sums to 0 exactly when a and b share their residue: the relation
-        lattice is spanned by the cnt(F+) - cnt(F-).
+        For a and b with the same ends the chain exists and is unique (the
+        quiver tiles a disk), and it sums to 0 exactly when a and b share
+        their residue: the relation lattice is spanned by the cnt(F+) -
+        cnt(F-), over faces that their shared internal arrows connect.
+        paths_equal decides the residue test by this sum.
         """
         if self._propagation is None:
             return None
@@ -263,6 +273,11 @@ class RelationSet:
         each pivot column whose entry is 1, so the final reduction starts at
         the first row whose pivot entry exceeds 1 (no triangulation's quiver
         has one).
+
+        The lattice basis and the images are built on the first call.
+        paths_equal calls this only for a RelationSet without faces; with
+        faces it decides the same test by the sum of face_chain, so the
+        pipeline never builds them.  abelian_invariant calls it too.
         """
         if self._reduction is None:
             rows = self._basis()
@@ -395,7 +410,8 @@ def abelian_invariant(p: Path, R: RelationSet) -> tuple[int, ...]:
     """Arrow-count vector of p, canonically reduced modulo the relation lattice.
 
     Equal paths always share the residue, so differing residues certify
-    Distinct; the converse does not hold.
+    Distinct; the converse does not hold.  paths_equal reaches the same
+    test through RelationSet.face_chain where the relations have faces.
     """
     return R.residue(p.arrows)
 
@@ -449,25 +465,24 @@ class _Closure:
     parents maps each state reached to (previous state, step), None at the
     start.  open is a heap of ((2g + h, -g), order reached, state, chain,
     move) entries for the states not yet expanded, g their steps from the
-    start and h the sum of |c_F| over their face chain c against goal,
-    less that sum at the start (the heap compares only within a closure).
+    start and h the sum of |c_F| over their face chain c against the goal
+    word, less that sum at the start (the heap compares only within a
+    closure).
     An entry holds its parent's chain and the move (F+, F-, unit) that it
     makes, applied when the entry is popped, so chains live only in the
-    open set.  The start's chain is computed when its first new state is
-    recorded, so a search that meets at once computes none.  Without a
-    goal, h = 0 and the chain is None.  pruned records whether a rewrite
-    was dropped for being longer than max_len (the closure is then no
-    longer known to be complete).
+    open set.  The start's chain is given when the closure is built; it is
+    None exactly when the closure has no goal, and then h = 0.  pruned
+    records whether a rewrite was dropped for being longer than max_len
+    (the closure is then no longer known to be complete).
     """
 
-    __slots__ = ("parents", "open", "max_len", "pruned", "goal")
+    __slots__ = ("parents", "open", "max_len", "pruned")
 
-    def __init__(self, arrows: tuple, max_len: int, goal: tuple | None = None):
+    def __init__(self, arrows: tuple, max_len: int, chain: list[int] | None = None):
         self.parents: dict[tuple, tuple | None] = {arrows: None}
-        self.open = [((0, 0), 0, arrows, None, None)]
+        self.open = [((0, 0), 0, arrows, chain, None)]
         self.max_len = max_len
         self.pruned = False
-        self.goal = goal
 
     def expand(self, R: RelationSet, hit, room: int):
         """Pop the open state of least (2g + h, -g), the first reached
@@ -482,7 +497,7 @@ class _Closure:
         hit(state) true, _OVERFLOW when a new state finds no room, and None
         otherwise.
         """
-        heap, parents, max_len, goal = self.open, self.parents, self.max_len, self.goal
+        heap, parents, max_len = self.open, self.parents, self.max_len
         tie = heap[0][0]
         f, minus_g = tie
         depth = 1 - minus_g  # the steps to the states they reach
@@ -509,10 +524,8 @@ class _Closure:
                 room -= 1
                 parents[res] = (key, step)
                 if chain is None:
-                    if goal is None:
-                        heappush(heap, (step_key, len(parents), res, None, None))
-                        continue
-                    chain = R.face_chain(key, goal)  # key is the start
+                    heappush(heap, (step_key, len(parents), res, None, None))
+                    continue
                 # 'lr' takes cnt(F+) - cnt(F-) off the word: c_F+ drops by one
                 face_plus, face_minus = R.faces[ridx]
                 unit = 1 if direction == "lr" else -1
@@ -566,19 +579,21 @@ def _search(closures: tuple, hits: tuple, R: RelationSet, max_visited: int) -> t
 def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = None) -> EqualityVerdict:
     """Decide p = q in the dimer algebra, within budget.
 
-    The residues of p and q are compared first: differing residues yield
-    Distinct, so no Equal verdict contradicts them.  Otherwise one
-    bidirectional best-first closure search runs between the full paths
-    under the relation rewrites, both closures under the length bound of
-    the longer path, always expanding the side with the fewer open states.
-    Each side pops the state of least 2g + h, deeper first on ties, where
-    h sums the face chain between the state and the other side's start
-    (RelationSet.face_chain; h = 0 without faces).  h changes only the
-    order: a meeting point yields Equal with a certificate that is
-    replayed before being returned, and exhaustion of a complete (never
-    length-pruned) closure yields Distinct, since that closure is the
-    whole class and would have reached the other start.  Everything else
-    is Unknown.
+    The face chain c between p and q (RelationSet.face_chain) is found
+    first: when it does not sum to 0, p and q differ in their abelian
+    residue and the verdict is Distinct, so no Equal verdict contradicts
+    the residues.  A RelationSet without faces compares the reduced
+    residues instead.  Otherwise one bidirectional best-first closure
+    search runs between the full paths under the relation rewrites, both
+    closures under the length bound of the longer path, always expanding
+    the side with the fewer open states.  Each side pops the state of
+    least 2g + h, deeper first on ties, where h sums the face chain
+    between the state and the other side's start: p's side starts from c,
+    q's from -c (h = 0 without faces).  h changes only the order: a
+    meeting point yields Equal with a certificate that is replayed before
+    being returned, and exhaustion of a complete (never length-pruned)
+    closure yields Distinct, since that closure is the whole class and
+    would have reached the other start.  Everything else is Unknown.
     """
     if p.source != q.source or p.target != q.target:
         raise IncomparablePathsError(
@@ -589,12 +604,16 @@ def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = 
         return EqualityVerdict(EQUAL, certificate=(), visited=1)
     if budget.max_visited < 2:
         return EqualityVerdict(UNKNOWN, visited=0)
-    if R.residue(p.arrows) != R.residue(q.arrows):
+    chain = R.face_chain(p.arrows, q.arrows)
+    if chain is None:
+        distinct = R.residue(p.arrows) != R.residue(q.arrows)
+    else:
+        distinct = sum(chain) != 0
+    if distinct:
         return EqualityVerdict(DISTINCT, separating="abelian_invariant", visited=2)
     max_len = R.length_bound(max(len(p), len(q)))
-    guided = R.faces is not None
-    side_p = _Closure(p.arrows, max_len, q.arrows if guided else None)
-    side_q = _Closure(q.arrows, max_len, p.arrows if guided else None)
+    side_p = _Closure(p.arrows, max_len, chain)
+    side_q = _Closure(q.arrows, max_len, None if chain is None else [-x for x in chain])
     outcome, found, visited = _search(
         (side_p, side_q),
         (side_q.parents.__contains__, side_p.parents.__contains__),

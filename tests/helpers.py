@@ -154,6 +154,21 @@ def pairwise_generators(Q, R, budget=None):
     return tuple(survivors)
 
 
+def chordless_cycle_reference(Q, v):
+    """Reference for chordless_cycles: scan every face for v, keep the
+    first shortest one, and rotate it to v's first occurrence."""
+    best = None
+    for f in Q.faces:
+        cyc = list(f.cycle)
+        for i, aid in enumerate(cyc):
+            if Q.arrow_source[aid] == v:
+                if best is None or len(cyc) < len(best[0]):
+                    best = (cyc, i)
+                break
+    cyc, i = best
+    return dl.Path(Q, tuple(cyc[i:] + cyc[:i]))
+
+
 def lattice_basis(R):
     """Reference form of the relation lattice's echelon basis, as dense
     rows: the span of count(lhs) - count(rhs) over the relations, with

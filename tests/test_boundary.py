@@ -509,6 +509,27 @@ def test_flip_transport_certificates_match_without_reuse():
         cur, _ = dl.flip(cur, move.removed)
 
 
+def test_the_pipeline_never_builds_the_relation_lattice(monkeypatch):
+    # paths_equal decides the residue test by the face chain, so neither a
+    # full verification nor a flip move reduces a residue: the relation
+    # sets they build never get a lattice basis or per-arrow images
+    built = []
+
+    def recorded(Q):
+        built.append(dl.potential_relations(Q))
+        return built[-1]
+
+    monkeypatch.setattr(dl.boundary, "potential_relations", recorded)
+    _extract.cache_clear()
+    T = dl.fan_triangulation(6, 1)
+    assert dl.verify_boundary_algebra(T, 4).passed
+    assert dl.verify_flip_transport(T, T.sorted_diagonals[0], 4).ok
+    _extract.cache_clear()
+    assert len(built) == 2  # the move reuses T's extraction as its before-side
+    for R in built:
+        assert R._lattice_basis is None and R._reduction is None
+
+
 def test_double_flip_restores_presentation():
     T = dl.fan_triangulation(5, 1)
     T2, mv = dl.flip(T, (1, 3))

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dimerlab as dl
 from dimerlab.quiver import (
@@ -10,9 +12,10 @@ from dimerlab.quiver import (
     NoCycleError,
     QuiverWithFaces,
     chordless_cycle_at,
+    chordless_cycles,
 )
 
-from helpers import fan_pipeline, pipeline
+from helpers import chordless_cycle_reference, fan_pipeline, pipeline, triangulations
 
 
 def endpoints(Q, path):
@@ -210,6 +213,22 @@ def test_chordless_cycle_isolated_vertex():
     broken = QuiverWithFaces(Q.m, Q.n, vertices, Q.arrows, Q.faces)
     with pytest.raises(NoCycleError):
         chordless_cycle_at(broken, 99)
+    with pytest.raises(NoCycleError, match="vertex 99"):
+        chordless_cycles(broken, [1, 99])
+
+
+@settings(max_examples=30)
+@given(triangulations(max_n=8), st.integers(2, 4))
+def test_chordless_cycles_match_the_per_vertex_scan(T, m):
+    # one pass over the faces finds each vertex's first shortest face, as
+    # a scan of every face per vertex does, boundary and internal alike
+    _, _, Q, _ = pipeline(T.n, m, T.sorted_diagonals)
+    vertices = list(Q.vertices)
+    cycles = chordless_cycles(Q, vertices)
+    assert list(cycles) == vertices
+    for v in vertices:
+        assert cycles[v] == chordless_cycle_reference(Q, v) == chordless_cycle_at(Q, v)
+        assert cycles[v].source == cycles[v].target == v
 
 
 def test_quiver_json_round_trip():

@@ -596,12 +596,42 @@ def counts(Q, arrows):
     return vec
 
 
-@settings(max_examples=60)
-@given(rewrite_pairs())
+@st.composite
+def walk_pairs(draw):
+    """Two random walks with the same source and target in the quiver of a
+    random triangulation with 2 <= m <= 5 and n <= 7 (n <= 5 at m = 5),
+    drawn without regard to the relations: 60 walks of 1 to 10 arrows from
+    one vertex, two of them that end at the same vertex (or, should no two
+    meet, one walk against itself followed by the chordless cycle at its
+    target).  Returns (Q, R, p, q)."""
+    m = draw(st.integers(2, 5))
+    T = draw(triangulations(max_n=5 if m == 5 else 7))
+    _, _, Q, R = pipeline(T.n, m, T.sorted_diagonals)
+    rng = draw(st.randoms())
+    source = rng.choice(sorted(Q.vertices, key=str))
+    by_target = {}
+    for _ in range(60):
+        at, walk = source, ()
+        for _ in range(rng.randint(1, 10)):
+            arrow = rng.choice(Q.out_arrows[at])
+            walk += (arrow,)
+            at = Q.arrow_target[arrow]
+        by_target.setdefault(at, set()).add(walk)
+    bucket = max(by_target.values(), key=len)
+    if len(bucket) < 2:
+        p = Q.path(bucket.pop())
+        return Q, R, p, p * chordless_cycle_at(Q, p.target)
+    p, q = rng.sample(sorted(bucket), 2)
+    return Q, R, Q.path(p), Q.path(q)
+
+
+@settings(max_examples=100)
+@given(st.one_of(rewrite_pairs(), walk_pairs()))
 def test_face_chain_spans_the_count_difference(pair):
     # sum_F c_F cnt(F) = cnt(p) - cnt(q) for every pair with the same ends,
-    # and c sums to 0 exactly when the residues agree, which is when the
-    # search runs
+    # related by rewrites or not, and c sums to 0 exactly when the residues
+    # agree.  paths_equal decides its abelian test by that sum, so it names
+    # the abelian invariant exactly when the residues differ
     Q, R, p, q = pair
     c = R.face_chain(p.arrows, q.arrows)
     assert len(c) == len(Q.faces) and all(isinstance(x, int) for x in c)
@@ -610,7 +640,10 @@ def test_face_chain_spans_the_count_difference(pair):
         for a in face.cycle:
             total[a] += coefficient
     assert total == [x - y for x, y in zip(counts(Q, p.arrows), counts(Q, q.arrows))]
-    assert (sum(c) == 0) == (R.residue(p.arrows) == R.residue(q.arrows))
+    residues_differ = R.residue(p.arrows) != R.residue(q.arrows)
+    assert (sum(c) != 0) == residues_differ
+    v = paths_equal(p, q, R, SearchBudget(max_visited=2))
+    assert (v.separating == "abelian_invariant") == residues_differ
 
 
 @settings(max_examples=30)
