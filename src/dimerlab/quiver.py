@@ -441,10 +441,7 @@ def potential_relations(Q: QuiverWithFaces) -> RelationSet:
             k = cyc.index(aid)
             rest = cyc[k + 1 :] + cyc[:k]
             sides.append(Path(Q, tuple(rest)))
-        lhs, rhs = sides
-        assert lhs.source == rhs.source == a.target
-        assert lhs.target == rhs.target == a.source
-        relations.append((lhs, rhs))
+        relations.append(tuple(sides))
         faces.append((plus[0], minus[0]))
     return RelationSet(Q, tuple(relations), faces)
 

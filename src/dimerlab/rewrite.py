@@ -17,19 +17,19 @@ sum_F c_F cnt(F), found in one linear pass (RelationSet.face_chain).
 The faces are connected through their shared internal arrows, so the
 relation lattice holds exactly the sum_F c_F cnt(F) with sum_F c_F = 0:
 p and q share their abelian residue exactly when c sums to 0, and
-otherwise they are Distinct.  No residue is reduced.  One rewrite moves
-one unit of c from F+ to F- or back.  So h = sum_F |c_F| changes by -2,
-0 or 2 per step, and each side of the search pops the state of least
-2g + h (g the steps taken, c measured against the other side's start,
-so p starts from c and q from -c), deeper first on ties.  Where every
-step of a rewrite lowers h by 2, all interleavings of its commuting
-steps tie on 2g + h; the tie-break follows one of them down instead of
-visiting them all.  The order is all that h changes: every state reached
-is kept, an Equal certificate is replayed, and Distinct by search still
-needs a closure exhausted without dropping a word, which is then the
-whole class.  A RelationSet without faces compares the reduced residues
-(RelationSet.residue) instead, and its search has h = 0, which is
-breadth-first order.
+otherwise they are Distinct.  The residue itself (RelationSet.residue)
+is read off the same pass, and no lattice basis is built.  One rewrite
+moves one unit of c from F+ to F- or back.  So h = sum_F |c_F| changes
+by -2, 0 or 2 per step, and each side of the search pops the state of
+least 2g + h (g the steps taken, c measured against the other side's
+start, so p starts from c and q from -c), deeper first on ties.  Where
+every step of a rewrite lowers h by 2, all interleavings of its
+commuting steps tie on 2g + h; the tie-break follows one of them down
+instead of visiting them all.  The order is all that h changes: every
+state reached is kept, an Equal certificate is replayed, and Distinct by
+search still needs a closure exhausted without dropping a word, which is
+then the whole class.  A RelationSet without faces has no residue: its
+queries go straight to the search, which has h = 0, breadth-first order.
 
 The budget is one number, the states a query may visit (SearchBudget).
 The length of the words a search visits is bounded by one fixed rule per
@@ -38,18 +38,16 @@ beyond the longest word the search starts from.  A closure that drops a
 longer word is no longer known to be complete.
 
 Positive answers carry a replayable certificate; negative answers name a
-separating invariant (the abelianized arrow-count residue, or exhaustion
-of a complete finite closure).
+separating invariant (the abelian residue, or exhaustion of a complete
+finite closure).
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
 from collections.abc import KeysView
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from math import gcd
 
 EQUAL = "equal"
 DISTINCT = "distinct"
@@ -72,7 +70,7 @@ class IncomparablePathsError(RewriteError):
 
 
 class OracleSoundnessError(RewriteError):
-    """An Equal verdict failed its own replay or invariant cross-check."""
+    """An Equal verdict failed its own replay."""
 
 
 def default_max_visited() -> int:
@@ -173,9 +171,11 @@ class RelationSet:
     def __init__(self, quiver, relations, faces=None):
         """faces, when given, holds each relation's (F+, F-) pair: the
         indexes in quiver.faces of the + and the - face it is cut from, lhs
-        from F+ and rhs from F-.  They decide the equality search's residue
-        test and guide its order (see the module docstring); without them
-        the test reduces residues and the order is breadth-first."""
+        from F+ and rhs from F-.  They give the residue and its test in the
+        equality search, and guide the search's order (see the module
+        docstring); without them there is no residue and the order is
+        breadth-first.  The residue is sound only for pairs that
+        _check_face_pairs accepts."""
         self.quiver = quiver
         self.relations = tuple(relations)
         self.faces = None if faces is None else tuple(faces)
@@ -183,6 +183,8 @@ class RelationSet:
         for lhs, rhs in self.relations:
             if lhs.source != rhs.source or lhs.target != rhs.target:
                 raise RewriteError(f"relation endpoints differ: {lhs} vs {rhs}")
+        if self.faces is not None:
+            _check_face_pairs(quiver, self.relations, self.faces)
         self.max_side_length = max(
             (max(len(l), len(r)) for l, r in self.relations), default=1
         )
@@ -196,8 +198,6 @@ class RelationSet:
                 self._patterns.setdefault(side[0], []).append(
                     (side, other, ridx, direction)
                 )
-        self._lattice_basis = None  # sparse rows, see _basis
-        self._reduction = None  # (rows of the final reduction, per-arrow images), see residue
 
     def __len__(self):
         return len(self.relations)
@@ -232,8 +232,8 @@ class RelationSet:
         For a and b with the same ends the chain exists and is unique (the
         quiver tiles a disk), and it sums to 0 exactly when a and b share
         their residue: the relation lattice is spanned by the cnt(F+) -
-        cnt(F-), over faces that their shared internal arrows connect.
-        paths_equal decides the residue test by this sum.
+        cnt(F-), over faces that the face pairs connect.  paths_equal
+        decides the residue test by this sum.
         """
         if self._propagation is None:
             return None
@@ -250,51 +250,27 @@ class RelationSet:
             c[face] = d[arrow] - c[known]
         return c
 
-    def _basis(self) -> list[tuple[int, dict[int, int]]]:
-        """Row-echelon integer basis of the span of count(lhs) - count(rhs),
-        with positive pivot entries, as sparse (pivot column, {column:
-        entry}) rows."""
-        if self._lattice_basis is None:
-            self._lattice_basis = _echelon(
-                [_combine(1, Counter(l.arrows), -1, Counter(r.arrows)) for l, r in self.relations]
-            )
-        return self._lattice_basis
-
     def residue(self, arrows: tuple) -> tuple[int, ...]:
-        """The arrow-count vector of arrows, reduced modulo the relation lattice.
-
-        The reduction is additive.  The lattice basis is echelon with
-        positive pivot entries, and reducing brings the entry in each pivot
-        column into [0, pivot entry), which picks one representative per
-        coset of the lattice.  The sum of the arrows' reduced unit vectors
-        lies in the same coset as the count vector, so reducing that sum
-        gives the same tuple as reducing the count vector itself.  So each
-        arrow's image is reduced once per RelationSet.  The images vanish in
-        each pivot column whose entry is 1, so the final reduction starts at
-        the first row whose pivot entry exceeds 1 (no triangulation's quiver
-        has one).
-
-        The lattice basis and the images are built on the first call.
-        paths_equal calls this only for a RelationSet without faces; with
-        faces it decides the same test by the sum of face_chain, so the
-        pipeline never builds them.  abelian_invariant calls it too.
+        """The abelian residue of arrows, which two words share exactly
+        when their arrow-count vectors differ by an element of the relation
+        lattice: (sum_F c_F, cnt(arrows) - sum_F c_F cnt(F)), with c the
+        face chain of arrows against the empty word.  The map is linear,
+        and its kernel is the relation lattice: the face_chain pass
+        recovers c from any sum_F c_F cnt(F), and the checked face pairs
+        make the lattice the sums with sum_F c_F = 0.  Raises RewriteError
+        for a RelationSet without faces.  paths_equal does not call this.
         """
-        if self._reduction is None:
-            rows = self._basis()
-            dim = len(self.quiver.arrows)
-            images = []
-            for a in range(dim):
-                unit = [0] * dim
-                unit[a] = 1
-                images.append(tuple((j, x) for j, x in enumerate(_reduce(rows, unit)) if x))
-            first = next((i for i, (j, row) in enumerate(rows) if row[j] > 1), len(rows))
-            self._reduction = rows[first:], images
-        rows, images = self._reduction
-        vec = [0] * len(images)
-        for a in arrows:
-            for j, x in images[a]:
-                vec[j] += x
-        return _reduce(rows, vec)
+        c = self.face_chain(arrows, ())
+        if c is None:
+            raise RewriteError("a RelationSet without faces has no residue")
+        d = [0] * len(self.quiver.arrows)
+        for arrow in arrows:
+            d[arrow] += 1
+        for face, x in zip(self.quiver.faces, c):
+            if x:
+                for arrow in face.cycle:
+                    d[arrow] -= x
+        return (sum(c), *d)
 
 
 def _propagation_order(Q) -> tuple[tuple, tuple]:
@@ -303,7 +279,8 @@ def _propagation_order(Q) -> tuple[tuple, tuple]:
     count: (arrow, face) pairs.  An internal arrow lies on two faces, so
     once c_F is known, c_G of the other is the arrow's count less c_F:
     (arrow, face G, known face F) triples, outward from the boundary.
-    Each face is fixed once."""
+    Each face is fixed once, and only by an arrow on it and on at most one
+    other face."""
     fixed, derived, seen = [], [], set()
     for arrow, faces in Q.faces_by_arrow.items():
         if len(faces) == 1 and faces[0] not in seen:
@@ -312,7 +289,8 @@ def _propagation_order(Q) -> tuple[tuple, tuple]:
     known_faces = [face for _, face in fixed]
     for known in known_faces:  # grows as the faces are fixed
         for arrow in Q.faces[known].cycle:
-            for face in Q.faces_by_arrow[arrow]:
+            faces = Q.faces_by_arrow[arrow]
+            for face in faces if len(faces) == 2 else ():
                 if face not in seen:
                     seen.add(face)
                     derived.append((arrow, face, known))
@@ -322,72 +300,39 @@ def _propagation_order(Q) -> tuple[tuple, tuple]:
     return tuple(fixed), tuple(derived)
 
 
-def _echelon(vectors: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
-    """Row-echelon basis, with positive pivot entries, of the lattice that
-    sparse vectors span, as (pivot column, row) pairs.  Where a row's pivot
-    entry does not divide the vector's, the row becomes their gcd
-    combination and the vector the one that clears the pivot column."""
-    rows: list[tuple[int, dict[int, int]]] = []
-    for v in vectors:
-        i = 0
-        while v:
-            j = min(v)
-            while i < len(rows) and rows[i][0] < j:
-                i += 1
-            if i == len(rows) or rows[i][0] > j:
-                if v[j] < 0:
-                    v = {c: -x for c, x in v.items()}
-                rows.insert(i, (j, v))
-                break
-            row = rows[i][1]
-            d, b = row[j], v[j]
-            if b % d == 0:
-                v = _combine(1, v, -(b // d), row)
-            else:
-                g, x, y = _xgcd(d, b)
-                rows[i] = (j, _combine(x, row, y, v))
-                v = _combine(d // g, v, -(b // g), row)
-    return rows
+def _check_face_pairs(Q, relations: tuple, faces: tuple) -> None:
+    """Raise RewriteError unless faces holds one (F+, F-) pair per
+    relation, each relation's sides are its F+ and its F- less one shared
+    arrow, and the pairs connect all faces of Q.  Then the relation
+    lattice is the sum_F c_F cnt(F) with sum_F c_F = 0, as residue needs."""
+    if len(faces) != len(relations):
+        raise RewriteError(f"{len(relations)} relations but {len(faces)} face pairs")
+    root = list(range(len(Q.faces)))
+
+    def find(face):
+        while root[face] != face:
+            root[face] = face = root[root[face]]
+        return face
+
+    for ridx, ((lhs, rhs), (plus, minus)) in enumerate(zip(relations, faces)):
+        cut = _cut_arrow(Q.faces[plus].cycle, lhs.arrows)
+        if cut is None or cut != _cut_arrow(Q.faces[minus].cycle, rhs.arrows):
+            raise RewriteError(
+                f"relation {ridx} is not cut from faces {plus} and {minus} along one shared arrow"
+            )
+        root[find(plus)] = find(minus)
+    if len({find(face) for face in range(len(root))}) > 1:
+        raise RewriteError("the relations' face pairs do not connect all faces")
 
 
-def _combine(a: int, u: dict[int, int], b: int, w: dict[int, int]) -> dict[int, int]:
-    """a u + b w for sparse vectors u, w and a nonzero a, without zero entries."""
-    out = {c: a * x for c, x in u.items()}
-    for c, x in w.items():
-        y = out.get(c, 0) + b * x
-        if y:
-            out[c] = y
-        else:
-            out.pop(c, None)
-    return out
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    assert old_s * a + old_t * b == old_r == gcd(a, b)
-    return old_r, old_s, old_t
-
-
-def _reduce(rows: list[tuple[int, dict[int, int]]], vec: list[int]) -> tuple[int, ...]:
-    """The canonical representative of vec modulo the lattice spanned by an
-    echelon basis with positive pivot entries, given as sparse (pivot
-    column, row) pairs: its entry in each pivot column j lies in [0, row[j])."""
-    v = list(vec)
-    for j, row in rows:
-        q = v[j] // row[j]
-        if q:
-            for c, x in row.items():
-                v[c] -= q * x
-    return tuple(v)
+def _cut_arrow(cycle: tuple, side: tuple):
+    """The arrow a of cycle with side the rest of the cycle read from
+    after a, or None when there is none."""
+    if len(side) + 1 == len(cycle):
+        for i, arrow in enumerate(cycle):
+            if cycle[i + 1 :] + cycle[:i] == side:
+                return arrow
+    return None
 
 
 @dataclass(frozen=True)
@@ -407,12 +352,10 @@ def rewrite_sites(p: Path, R: RelationSet) -> list[RewriteSite]:
 
 
 def abelian_invariant(p: Path, R: RelationSet) -> tuple[int, ...]:
-    """Arrow-count vector of p, canonically reduced modulo the relation lattice.
-
-    Equal paths always share the residue, so differing residues certify
-    Distinct; the converse does not hold.  paths_equal reaches the same
-    test through RelationSet.face_chain where the relations have faces.
-    """
+    """The abelian residue of p (RelationSet.residue), its arrow counts
+    modulo the relation lattice.  Equal paths share it, so differing
+    residues certify Distinct; paths_equal reads the same test off
+    RelationSet.face_chain.  Raises RewriteError without faces."""
     return R.residue(p.arrows)
 
 
@@ -582,18 +525,19 @@ def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = 
     The face chain c between p and q (RelationSet.face_chain) is found
     first: when it does not sum to 0, p and q differ in their abelian
     residue and the verdict is Distinct, so no Equal verdict contradicts
-    the residues.  A RelationSet without faces compares the reduced
-    residues instead.  Otherwise one bidirectional best-first closure
-    search runs between the full paths under the relation rewrites, both
-    closures under the length bound of the longer path, always expanding
-    the side with the fewer open states.  Each side pops the state of
-    least 2g + h, deeper first on ties, where h sums the face chain
-    between the state and the other side's start: p's side starts from c,
-    q's from -c (h = 0 without faces).  h changes only the order: a
-    meeting point yields Equal with a certificate that is replayed before
-    being returned, and exhaustion of a complete (never length-pruned)
-    closure yields Distinct, since that closure is the whole class and
-    would have reached the other start.  Everything else is Unknown.
+    the residues.  A RelationSet without faces has no residue test, and
+    its queries go straight to the search.  Otherwise one bidirectional
+    best-first closure search runs between the full paths under the
+    relation rewrites, both closures under the length bound of the longer
+    path, always expanding the side with the fewer open states.  Each
+    side pops the state of least 2g + h, deeper first on ties, where h
+    sums the face chain between the state and the other side's start: p's
+    side starts from c, q's from -c (h = 0 without faces).  h changes only
+    the order: a meeting point yields Equal with a certificate that is
+    replayed before being returned, and exhaustion of a complete (never
+    length-pruned) closure yields Distinct, since that closure is the
+    whole class and would have reached the other start.  Everything else
+    is Unknown.
     """
     if p.source != q.source or p.target != q.target:
         raise IncomparablePathsError(
@@ -605,11 +549,7 @@ def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = 
     if budget.max_visited < 2:
         return EqualityVerdict(UNKNOWN, visited=0)
     chain = R.face_chain(p.arrows, q.arrows)
-    if chain is None:
-        distinct = R.residue(p.arrows) != R.residue(q.arrows)
-    else:
-        distinct = sum(chain) != 0
-    if distinct:
+    if chain is not None and sum(chain) != 0:
         return EqualityVerdict(DISTINCT, separating="abelian_invariant", visited=2)
     max_len = R.length_bound(max(len(p), len(q)))
     side_p = _Closure(p.arrows, max_len, chain)

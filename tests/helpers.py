@@ -169,32 +169,79 @@ def chordless_cycle_reference(Q, v):
     return dl.Path(Q, tuple(cyc[i:] + cyc[:i]))
 
 
+def counts(Q, arrows):
+    """The arrow-count vector of an arrow tuple, as a dense list."""
+    vec = [0] * len(Q.arrows)
+    for a in arrows:
+        vec[a] += 1
+    return vec
+
+
+def relation_vectors(R):
+    """count(lhs) - count(rhs) of every relation, as dense rows."""
+    return [
+        [x - y for x, y in zip(counts(R.quiver, lhs.arrows), counts(R.quiver, rhs.arrows))]
+        for lhs, rhs in R.relations
+    ]
+
+
+@functools.lru_cache(maxsize=None)
 def lattice_basis(R):
-    """Reference form of the relation lattice's echelon basis, as dense
-    rows: the span of count(lhs) - count(rhs) over the relations, with
-    positive pivot entries."""
-    dim = len(R.quiver.arrows)
-    return [[row.get(c, 0) for c in range(dim)] for _, row in R._basis()]
+    """An independent basis of the relation lattice, the span of count(lhs)
+    - count(rhs) over the relations, as dense rows: the columns of sympy's
+    Hermite normal form of the relation vectors."""
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    rows = relation_vectors(R)
+    if not rows:
+        return []
+    H = hermite_normal_form(Matrix(rows).T)
+    return [list(H.col(j)) for j in range(H.cols)]
 
 
-def lattice_reduce(basis, vec):
-    """Reference reduction of vec modulo the lattice of a dense echelon
-    basis as lattice_basis gives it: the entry in each pivot column is
-    brought into [0, pivot entry)."""
-    rows = [{c: x for c, x in enumerate(row) if x} for row in basis]
-    return rewrite._reduce([(min(row), row) for row in rows], vec)
+def sympy_in_lattice(rows, vec):
+    """Independent membership oracle: solve x*A = v exactly over the rationals
+    (A has full row rank here, so the solution is unique) and check it is
+    integral."""
+    from sympy import Matrix, Rational
+
+    if not rows:
+        return not any(vec)
+    A = Matrix(rows)
+    v = Matrix(vec)
+    try:
+        sol, params = A.T.gauss_jordan_solve(v)
+    except ValueError:
+        return False
+    if params.shape[0]:
+        raise AssertionError("oracle expects full row rank")
+    return all(Rational(x).q == 1 for x in sol)
+
+
+def in_relation_lattice(R, vec):
+    """Whether vec lies in the relation lattice of R, by the oracles above."""
+    return sympy_in_lattice(lattice_basis(R), vec)
+
+
+def same_residue(R, a, b):
+    """The oracle's residue test: whether cnt(a) - cnt(b) lies in the
+    relation lattice."""
+    diff = [x - y for x, y in zip(counts(R.quiver, a), counts(R.quiver, b))]
+    return in_relation_lattice(R, diff)
 
 
 def bfs_paths_equal(p, q, R, max_visited):
     """Reference for paths_equal: the plain bidirectional breadth-first
     search, one whole level at a time on the side with the smaller level,
-    under the same residue check and length bound.  Returns the outcome:
-    Equal when the closures meet, Distinct on differing residues or a
-    closure exhausted without dropping a longer word, Unknown when more
-    than max_visited states would be needed."""
+    under the lattice oracle's residue check (same_residue) and the same
+    length bound.  Returns the outcome: Equal when the closures meet,
+    Distinct on differing residues or a closure exhausted without dropping
+    a longer word, Unknown when more than max_visited states would be
+    needed."""
     if p.arrows == q.arrows:
         return rewrite.EQUAL
-    if R.residue(p.arrows) != R.residue(q.arrows):
+    if not same_residue(R, p.arrows, q.arrows):
         return rewrite.DISTINCT
     max_len = R.length_bound(max(len(p), len(q)))
     seen = [{p.arrows}, {q.arrows}]

@@ -510,24 +510,23 @@ def test_flip_transport_certificates_match_without_reuse():
 
 
 def test_the_pipeline_never_builds_the_relation_lattice(monkeypatch):
-    # paths_equal decides the residue test by the face chain, so neither a
-    # full verification nor a flip move reduces a residue: the relation
-    # sets they build never get a lattice basis or per-arrow images
-    built = []
+    # paths_equal decides the residue test by the sum of the face chain, so
+    # neither a full verification nor a flip move computes a residue, the
+    # library's one invariant of the relation lattice
+    calls = []
+    residue = RelationSet.residue
 
-    def recorded(Q):
-        built.append(dl.potential_relations(Q))
-        return built[-1]
+    def spy(self, arrows):
+        calls.append(arrows)
+        return residue(self, arrows)
 
-    monkeypatch.setattr(dl.boundary, "potential_relations", recorded)
+    monkeypatch.setattr(RelationSet, "residue", spy)
     _extract.cache_clear()
     T = dl.fan_triangulation(6, 1)
     assert dl.verify_boundary_algebra(T, 4).passed
     assert dl.verify_flip_transport(T, T.sorted_diagonals[0], 4).ok
     _extract.cache_clear()
-    assert len(built) == 2  # the move reuses T's extraction as its before-side
-    for R in built:
-        assert R._lattice_basis is None and R._reduction is None
+    assert calls == []
 
 
 def test_double_flip_restores_presentation():

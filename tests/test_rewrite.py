@@ -26,10 +26,14 @@ from dimerlab.rewrite import (
 from helpers import (
     all_primitive_paths,
     bfs_paths_equal,
+    counts,
     fan_pipeline,
+    in_relation_lattice,
     lattice_basis,
-    lattice_reduce,
     pipeline,
+    relation_vectors,
+    same_residue,
+    sympy_in_lattice,
     triangulations,
 )
 
@@ -168,111 +172,87 @@ def test_abelian_trivial_paths():
     )
 
 
-def sympy_in_lattice(rows, vec):
-    """Independent membership oracle: solve x*A = v exactly over the rationals
-    (A has full row rank here, so the solution is unique) and check it is
-    integral."""
-    from sympy import Matrix, Rational
-
-    A = Matrix(rows)
-    v = Matrix(vec)
-    try:
-        sol, params = A.T.gauss_jordan_solve(v)
-    except ValueError:
-        return False
-    if params.shape[0]:
-        raise AssertionError("oracle expects full row rank")
-    return all(Rational(x).q == 1 for x in sol)
-
-
-def relation_vectors(Q, R):
-    """count(lhs) - count(rhs) of every relation, as dense rows."""
-    rows = []
-    for lhs, rhs in R.relations:
-        vec = [0] * len(Q.arrows)
-        for a in lhs.arrows:
-            vec[a] += 1
-        for a in rhs.arrows:
-            vec[a] -= 1
-        rows.append(vec)
-    return rows
-
-
 def test_abelian_separation_matches_sympy_oracle():
     _, _, Q, R = fan_pipeline(3, 2)
-    dim = len(Q.arrows)
-    rows = relation_vectors(Q, R)
+    rows = relation_vectors(R)
 
     p = Q.path((arrow_by_endpoints(Q, 1, 2),))
     u = chordless_cycle_at(Q, 2)
     pu = p * u
-    uvec = [0] * dim
-    for a in u.arrows:
-        uvec[a] += 1
+    uvec = counts(Q, u.arrows)
     separated = abelian_invariant(p, R) != abelian_invariant(pu, R)
     assert separated == (not sympy_in_lattice(rows, uvec))
     assert separated  # for this quiver the cycle vector is outside the lattice
 
+    # the Hermite normal form basis spans the lattice of the relation rows
     combo = [r1 + 2 * r2 for r1, r2 in zip(rows[0], rows[1])]
-    assert sympy_in_lattice(rows, combo)
-    zero = tuple(0 for _ in range(dim))
-    assert lattice_reduce(lattice_basis(R), combo) == lattice_reduce(lattice_basis(R), list(zero))
+    assert sympy_in_lattice(rows, combo) and in_relation_lattice(R, combo)
+    assert not in_relation_lattice(R, uvec)
 
 
-@settings(max_examples=30)
-@given(st.data())
-def test_residue_is_the_reduced_count_vector(data):
-    # the residue sums per-arrow images; it must equal the direct reduction
-    # of the arrow-count vector, the empty multiset included
-    m = data.draw(st.integers(2, 4))
-    n = data.draw(st.integers(3, 8))
-    tris = dl.enumerate_triangulations(n)
-    T = tris[data.draw(st.integers(0, len(tris) - 1))]
-    _, _, Q, R = pipeline(n, m, T.sorted_diagonals)
-    dim = len(Q.arrows)
-    arrows = tuple(data.draw(st.lists(st.integers(0, dim - 1), max_size=40)))
-    counts = [arrows.count(a) for a in range(dim)]
-    assert R.residue(arrows) == lattice_reduce(lattice_basis(R), counts)
-    assert R.residue(()) == (0,) * dim
+@st.composite
+def residue_pairs(draw):
+    """Two raw arrow tuples in the quiver of a random triangulation with
+    m <= 4 and n <= 8, their ends unrelated: two random tuples, a tuple
+    with one relation side inserted against it with the other side, the
+    same with two relations in opposite directions, or a tuple against
+    itself plus a face cycle.  Returns (R, a, b)."""
+    m = draw(st.integers(2, 4))
+    T = draw(triangulations(max_n=8))
+    _, _, Q, R = pipeline(T.n, m, T.sorted_diagonals)
+    arrows = st.lists(st.integers(0, len(Q.arrows) - 1), max_size=30).map(tuple)
+    a = draw(arrows)
+    kind = draw(st.sampled_from(["random", "one relation", "two relations", "face"]))
+    if kind == "random":
+        return R, a, draw(arrows)
+    if kind == "face":
+        return R, a, a + draw(st.sampled_from(Q.faces)).cycle
+    cut = draw(st.integers(0, len(a)))
+    lhs, rhs = draw(st.sampled_from(R.relations))
+    x, y = a[:cut] + lhs.arrows + a[cut:], a[:cut] + rhs.arrows + a[cut:]
+    if kind == "two relations":
+        lhs, rhs = draw(st.sampled_from(R.relations))
+        x, y = x + rhs.arrows, y + lhs.arrows
+    return R, x, y
+
+
+@settings(max_examples=40, deadline=None)
+@given(residue_pairs())
+def test_residue_is_the_reduced_count_vector(pair):
+    # the residue reduces the arrow-count vector modulo the relation
+    # lattice: two tuples share their residue exactly when the Hermite
+    # normal form oracle finds their count difference in the lattice; the
+    # residue is additive, and the empty tuple's is zero
+    R, a, b = pair
+    assert (R.residue(a) == R.residue(b)) == same_residue(R, a, b)
+    assert R.residue(a + b) == tuple(x + y for x, y in zip(R.residue(a), R.residue(b)))
+    assert R.residue(()) == (0,) * (len(R.quiver.arrows) + 1)
 
 
 @settings(max_examples=15)
 @given(st.data())
 def test_lattice_basis_spans_exactly_the_relation_lattice(data):
-    # the basis is echelon with positive pivot entries, as lattice_reduce
-    # needs.  Every relation reduces to zero, so the basis spans at least
-    # the relation lattice; every basis row is an integer combination of
-    # relations, so it spans no more.  The oracle needs independent rows,
-    # so it gets a maximal independent subset of the relations, whose
-    # lattice lies inside theirs.
+    # the oracle's basis spans the relation lattice and no more, and the
+    # residue vanishes on it.  Every relation lies in the basis's span;
+    # every basis row is an integer combination of relations (the oracle
+    # needs independent rows, so it gets a maximal independent subset of
+    # the relations, whose lattice lies inside theirs); the positive and
+    # negative parts of each basis row share their residue
     from sympy import Matrix
 
     m = data.draw(st.integers(2, 4))
-    n = data.draw(st.integers(3, 8))
-    tris = dl.enumerate_triangulations(n)
-    T = tris[data.draw(st.integers(0, len(tris) - 1))]
-    _, _, Q, R = pipeline(n, m, T.sorted_diagonals)
-    rows = relation_vectors(Q, R)
+    T = data.draw(triangulations(max_n=8))
+    _, _, Q, R = pipeline(T.n, m, T.sorted_diagonals)
+    rows = relation_vectors(R)
     basis = lattice_basis(R)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
-    assert pivots == sorted(set(pivots))
-    assert all(row[j] > 0 for j, row in zip(pivots, basis))
-    zero = (0,) * len(Q.arrows)
-    assert all(lattice_reduce(basis, vec) == zero for vec in rows)
+    assert len(basis) == Matrix(rows).rank()
+    assert all(in_relation_lattice(R, vec) for vec in rows)
     _, independent = Matrix(rows).T.rref()
     assert all(sympy_in_lattice([rows[i] for i in independent], row) for row in basis)
-
-
-def test_residue_with_a_pivot_other_than_one():
-    # two loops a, b at one vertex with a a = b: the lattice is spanned by
-    # 2a - b, whose pivot is 2, so the sum of the arrows' reduced images
-    # must still be reduced once more.  No quiver of a triangulation has
-    # such a pivot.
-    Q, R = loops(2, [((0, 0), (1,))])
-    assert lattice_basis(R) == [[2, -1]]
-    assert R.residue((0, 0)) == R.residue((1,))
-    assert R.residue((0,)) != R.residue((1,))
-    assert R.residue((0, 0, 0)) == R.residue((0, 1)) == R.residue((1, 0))
+    for row in basis:
+        plus = tuple(a for a, x in enumerate(row) for _ in range(max(x, 0)))
+        minus = tuple(a for a, x in enumerate(row) for _ in range(max(-x, 0)))
+        assert R.residue(plus) == R.residue(minus)
 
 
 def test_distinct_by_abelian():
@@ -285,8 +265,7 @@ def test_distinct_by_abelian():
 
 def test_distinct_by_exhausted_closure():
     # two parallel arrows with a common right factor: fa = ga does not force
-    # f = g, the abelian difference lies in the lattice, and both closures
-    # are finite
+    # f = g, and both closures are finite
     vertices = {1: "boundary", 2: "boundary", 3: "boundary"}
     arrows = [
         Arrow(1, 2, "internal", ("t", (0, 0, 0), 0)),  # f
@@ -589,13 +568,6 @@ def test_best_first_search_agrees_with_breadth_first(pair):
         assert replay_certificate(p, v.certificate, R) == q
 
 
-def counts(Q, arrows):
-    vec = [0] * len(Q.arrows)
-    for a in arrows:
-        vec[a] += 1
-    return vec
-
-
 @st.composite
 def walk_pairs(draw):
     """Two random walks with the same source and target in the quiver of a
@@ -629,9 +601,10 @@ def walk_pairs(draw):
 @given(st.one_of(rewrite_pairs(), walk_pairs()))
 def test_face_chain_spans_the_count_difference(pair):
     # sum_F c_F cnt(F) = cnt(p) - cnt(q) for every pair with the same ends,
-    # related by rewrites or not, and c sums to 0 exactly when the residues
-    # agree.  paths_equal decides its abelian test by that sum, so it names
-    # the abelian invariant exactly when the residues differ
+    # related by rewrites or not, and c sums to 0 exactly when the lattice
+    # oracle finds cnt(p) - cnt(q) in the relation lattice.  paths_equal
+    # decides its abelian test by that sum, so it names the abelian
+    # invariant exactly when the oracle separates p and q
     Q, R, p, q = pair
     c = R.face_chain(p.arrows, q.arrows)
     assert len(c) == len(Q.faces) and all(isinstance(x, int) for x in c)
@@ -640,7 +613,7 @@ def test_face_chain_spans_the_count_difference(pair):
         for a in face.cycle:
             total[a] += coefficient
     assert total == [x - y for x, y in zip(counts(Q, p.arrows), counts(Q, q.arrows))]
-    residues_differ = R.residue(p.arrows) != R.residue(q.arrows)
+    residues_differ = not same_residue(R, p.arrows, q.arrows)
     assert (sum(c) != 0) == residues_differ
     v = paths_equal(p, q, R, SearchBudget(max_visited=2))
     assert (v.separating == "abelian_invariant") == residues_differ
@@ -678,6 +651,42 @@ def test_a_relation_set_without_faces_has_no_face_chain():
     assert R.faces is None and R.face_chain(p.arrows, q.arrows) is None
 
 
+def test_a_relation_set_without_faces_has_no_residue():
+    Q, R, p, q = four_loops()
+    with pytest.raises(RewriteError, match="without faces has no residue"):
+        R.residue(p.arrows)
+    with pytest.raises(RewriteError, match="without faces has no residue"):
+        abelian_invariant(q, R)
+
+
+def test_faceless_queries_go_straight_to_the_search():
+    # loops a, b with a a = b: a and b differ in their residue, but without
+    # faces there is no residue test, and the closure of a is {a}
+    Q, R = loops(2, [((0, 0), (1,))])
+    v = paths_equal(Path(Q, (0,)), Path(Q, (1,)), R)
+    assert (v.outcome, v.separating) == (DISTINCT, "exhausted_closure")
+
+
+def test_unsound_face_pairs_are_refused():
+    # a pair that does not cut its relation, a missing pair, and pairs that
+    # leave faces apart would each make the residue split or merge classes
+    # silently: with the first, p rewrites to q in one step, yet the face
+    # chain between them does not sum to 0
+    _, _, Q, R = fan_pipeline(3, 2)
+    p = Q.path((arrow_by_endpoints(Q, 1, 2),))
+    q = p * chordless_cycle_at(Q, 2)
+    with pytest.raises(RewriteError, match=f"relation {len(R)} is not cut from faces"):
+        RelationSet(Q, R.relations + ((p, q),), R.faces + (R.faces[0],))
+    with pytest.raises(RewriteError, match=f"{len(R)} relations but {len(R) - 1} face pairs"):
+        RelationSet(Q, R.relations, R.faces[1:])
+    with pytest.raises(RewriteError, match="do not connect all faces"):
+        RelationSet(Q, R.relations[1:], R.faces[1:])
+    swapped = tuple((minus, plus) for plus, minus in R.faces)
+    with pytest.raises(RewriteError, match="relation 0 is not cut from faces"):
+        RelationSet(Q, R.relations, swapped)
+    assert RelationSet(Q, R.relations, R.faces).faces == R.faces
+
+
 def test_faces_out_of_reach_of_the_boundary_are_refused():
     # one loop on a + and a - face: no boundary arrow fixes either face
     Q = QuiverWithFaces(
@@ -687,5 +696,12 @@ def test_faces_out_of_reach_of_the_boundary_are_refused():
         [Arrow(1, 1, "internal", ("t", (0, 0, 0), 0))],
         [Face("+", (0,), "w"), Face("-", (0,), "b")],
     )
+    with pytest.raises(RewriteError, match="2 faces are not reached from the boundary"):
+        RelationSet(Q, [], faces=[])
+    # loops b, x with x on three faces: the count of x does not fix one
+    # face from another, so only b's face is reached
+    arrows = [Arrow(1, 1, "internal", ("t", (0, 0, 0), k)) for k in range(2)]
+    faces = [Face("+", (0, 1), "w"), Face("-", (1,), "b"), Face("-", (1,), "b")]
+    Q = QuiverWithFaces(1, 1, {1: "internal"}, arrows, faces)
     with pytest.raises(RewriteError, match="2 faces are not reached from the boundary"):
         RelationSet(Q, [], faces=[])
