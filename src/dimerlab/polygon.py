@@ -9,7 +9,8 @@ No coordinates are ever used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import combinations
 
 
 class PolygonError(ValueError):
@@ -55,12 +56,8 @@ def diagonals_cross(n: int, d1, d2) -> bool:
     c, d = d2
     if len({a, b, c, d}) < 4:
         return False
-
-    def strictly_between(x: int) -> bool:
-        # x strictly inside the cyclic arc from a to b (counterclockwise)
-        return 0 < (x - a) % n < (b - a) % n
-
-    return strictly_between(c) != strictly_between(d)
+    arc = (b - a) % n  # x is strictly inside the arc from a to b iff 0 < (x - a) % n < arc
+    return (0 < (c - a) % n < arc) != (0 < (d - a) % n < arc)
 
 
 @dataclass(frozen=True)
@@ -90,11 +87,9 @@ class Triangulation:
             raise InvalidPolygonError(
                 f"a triangulation of the {n}-gon has {n - 3} diagonals, got {len(diags)}"
             )
-        ds = sorted(diags)
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                if diagonals_cross(n, ds[i], ds[j]):
-                    raise InvalidPolygonError(f"diagonals {ds[i]} and {ds[j]} cross")
+        for d1, d2 in combinations(sorted(diags), 2):
+            if diagonals_cross(n, d1, d2):
+                raise InvalidPolygonError(f"diagonals {d1} and {d2} cross")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "diagonals", diags)
 
@@ -113,10 +108,7 @@ class Triangulation:
 
     def edges(self) -> set[tuple[int, int]]:
         """All edges: the n polygon sides plus the diagonals."""
-        out = {(k, k + 1) for k in range(1, self.n)}
-        out.add((1, self.n))
-        out |= self.diagonals
-        return out
+        return {(k, k + 1) for k in range(1, self.n)} | {(1, self.n)} | self.diagonals
 
     @cached_property
     def triangles(self) -> tuple[tuple[int, int, int], ...]:
@@ -126,17 +118,14 @@ class Triangulation:
         triangle iff all three pairs are edges, so a clique scan suffices.
         """
         edges = self.edges()
-        n = self.n
-        out = []
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 1):
-                if (a, b) not in edges:
-                    continue
-                for c in range(b + 1, n + 1):
-                    if (a, c) in edges and (b, c) in edges:
-                        out.append((a, b, c))
-        assert len(out) == n - 2
-        return tuple(out)
+        out = tuple(
+            (a, b, c)
+            for a, b in sorted(edges)
+            for c in range(b + 1, self.n + 1)
+            if (a, c) in edges and (b, c) in edges
+        )
+        assert len(out) == self.n - 2
+        return out
 
     @cached_property
     def opposite(self) -> dict[tuple[int, int], tuple[int, int]]:
@@ -196,14 +185,8 @@ def fan_triangulation(n: int, apex: int = 1) -> Triangulation:
         raise InvalidPolygonError(f"polygon needs at least 3 vertices, got {n}")
     if not 1 <= apex <= n:
         raise InvalidPolygonError(f"apex {apex} out of range for the {n}-gon")
-    diags = []
-    for v in range(1, n + 1):
-        if v == apex:
-            continue
-        gap = (v - apex) % n
-        if gap not in (1, n - 1):
-            diags.append((min(apex, v), max(apex, v)))
-    return Triangulation(n, diags)
+    diagonals = [(apex, v) for v in range(1, n + 1) if (v - apex) % n not in (0, 1, n - 1)]
+    return Triangulation(n, diagonals)
 
 
 def enumerate_triangulations(n: int) -> list[Triangulation]:
@@ -252,11 +235,34 @@ def flip(T: Triangulation, d) -> tuple[Triangulation, FlipMove]:
     return Triangulation._flipped(T.n, (T.diagonals - {d}) | {inserted}, triangles), move
 
 
-def _neighbours(T: Triangulation):
-    """(diagonal, key of the triangulation its flip gives) for each diagonal
-    of T, in sorted order; nothing is built."""
-    for d in T.sorted_diagonals:
-        yield d, (T.n, tuple(sorted((T.diagonals - {d}) | {T.opposite[d]})))
+@cache
+def _mask_tables(n: int) -> tuple:
+    """The n-gon's diagonals in sorted order, the bit of each as bit[a][b]
+    (1 << i for the i-th), and each vertex's two sides as a vertex mask."""
+    diagonals = [(a, b) for a in range(1, n + 1) for b in range(a + 2, n + 1) if b - a < n - 1]
+    bit = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, (a, b) in enumerate(diagonals):
+        bit[a][b] = 1 << i
+    return diagonals, bit, [0] + [1 << v % n + 1 | 1 << (v - 2) % n + 1 for v in range(1, n + 1)]
+
+
+def _mask_neighbours(n: int, k: int) -> list:
+    """(d, mask of its flip) for each diagonal d of the triangulation with mask
+    k, in sorted order: the flip joins the two common neighbours of d's ends."""
+    diagonals, bit, adj = _mask_tables(n)
+    adj, present, rest = adj[:], [], k
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        d = a, b = diagonals[low.bit_length() - 1]
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+        present.append((d, low))
+    out = []
+    for d, low in present:
+        c = adj[d[0]] & adj[d[1]]
+        out.append((d, k ^ low ^ bit[(c & -c).bit_length() - 1][c.bit_length() - 1]))
+    return out
 
 
 def flip_sequence(src: Triangulation, dst: Triangulation) -> list[FlipMove]:
@@ -264,60 +270,54 @@ def flip_sequence(src: Triangulation, dst: Triangulation) -> list[FlipMove]:
     breadth-first search from `src` returns.
 
     Name a move by the index of its removed diagonal in the sorted diagonals
-    of the triangulation it flips.  A plain BFS, which dequeues in order,
-    tries diagonals in sorted order and keeps each triangulation's first
-    discovery, returns the lexicographically least shortest move sequence.
-    By induction on the level: the queue holds each level in lexicographic
-    order of the tree paths, and a triangulation's parent is the first
-    dequeued one on the level above that is adjacent to it.  Its tree path
-    is therefore the least shortest path, and the next level is enqueued in
-    lexicographic order of (parent's path, index), which is the order of
-    its tree paths.
+    of the triangulation it flips.  A plain BFS that tries diagonals in
+    sorted order and keeps each triangulation's first discovery returns the
+    lexicographically least shortest move sequence.  By induction on the
+    level: the queue holds each level in lexicographic order of the tree
+    paths, a triangulation's parent is the first one on the level above
+    that is adjacent to it, and the next level is enqueued in order of
+    (parent's path, index).
 
-    The same sequence is found from both ends in three steps:
+    The search keys a triangulation by an int mask whose bit i stands for
+    the i-th diagonal of the n-gon in sorted order.  Its ascending set bits
+    are then the sorted diagonals, so `_mask_neighbours` lists the flips in
+    index order, the order the proof needs.  Three steps find the sequence:
 
-    1. Distance.  Whole levels are expanded from `src` and from `dst`, the
-       smaller frontier first, until a new level meets the other side's
-       seen set.  D is the least sum of the two depths of a meeting key.
-    2. Distance to go.  `togo` starts as the backward side's depths: the
-       exact distance to `dst` of every key within the backward depth.  The
-       expanded forward levels are then read from the top down: a key at
-       level i gets togo D - i when one of its neighbours has togo
-       D - i - 1.  Every togo is exact, and every key of a shortest path
-       gets one: at a forward level not expanded, the key is within the
-       backward depth of `dst`; at an expanded level i, its successor on
-       the path, at level i + 1, got one first.
-    3. Walk.  From `src`, each step flips the first diagonal in sorted
-       order whose neighbour has togo one less than now: the least index
-       that stays on a shortest path.
-
-    Neighbour keys are read off the diagonal sets; `flip` builds only the
-    triangulations a level expands and the D returned moves.
+    1. Distance.  Whole levels are expanded from both ends, the smaller
+       frontier first, until a new level meets the other side's seen set.
+       D is the least sum of the two depths of a meeting mask.
+    2. Distance to go.  `togo` starts as the exact distance to `dst` of
+       every mask within the backward depth.  The expanded forward levels
+       are then read from the top down: a mask at level i gets togo D - i
+       when a neighbour has togo D - i - 1.  Every mask of a shortest path
+       gets one: at a forward level not expanded it lies within the
+       backward depth; at an expanded level i, its successor got one first.
+    3. Walk.  From `src`, each step flips the first diagonal in sorted order
+       whose neighbour has togo one less: the least index that stays on a
+       shortest path.  `flip` builds only these D moves.
     """
     if src.n != dst.n:
         raise IncompatiblePolygonsError(f"cannot connect n={src.n} to n={dst.n}")
-    # per side (0 from src, 1 from dst): key -> depth, and the newest level
-    # as (T, d) pairs, each standing for flip(T, d) (T itself when d is None)
-    seen = ({src.key(): 0}, {dst.key(): 0})
-    fronts = [[(src, None)], [(dst, None)]]
-    forward = []  # the forward levels expanded, as triangulations
+    n, bit = src.n, _mask_tables(src.n)[1]
+    start, goal = (sum(bit[a][b] for a, b in T.diagonals) for T in (src, dst))
+    # per side (0 from src, 1 from dst): mask -> depth, and the newest level
+    seen, fronts = ({start: 0}, {goal: 0}), [[start], [goal]]
+    forward = []  # the forward levels expanded, as (mask, its neighbours)
     meets = seen[0].keys() & seen[1].keys()
     while not meets:
         side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
         own, other = seen[side], seen[1 - side]
         if not fronts[side]:
             raise PolygonError("flip graph is connected; this should not happen")
-        level, new = [], []
-        for T, d in fronts[side]:
-            cur = T if d is None else flip(T, d)[0]
-            level.append(cur)
-            depth = own[cur.key()] + 1
-            for e, k in _neighbours(cur):
-                if k not in own:
-                    own[k] = depth
-                    new.append((cur, e))
-                    if k in other:
-                        meets.add(k)
+        level = [(k, _mask_neighbours(n, k)) for k in fronts[side]]
+        depth, new = own[fronts[side][0]] + 1, []
+        for _, neighbours in level:
+            for _, j in neighbours:
+                if j not in own:
+                    own[j] = depth
+                    new.append(j)
+                    if j in other:
+                        meets.add(j)
         if side == 0:
             forward.append(level)
         fronts[side] = new
@@ -325,13 +325,13 @@ def flip_sequence(src: Triangulation, dst: Triangulation) -> list[FlipMove]:
 
     togo = dict(seen[1])
     for i in range(len(forward) - 1, -1, -1):
-        for T in forward[i]:
-            if any(togo.get(k) == D - i - 1 for _, k in _neighbours(T)):
-                togo[T.key()] = D - i
+        for k, neighbours in forward[i]:
+            if any(togo.get(j) == D - i - 1 for _, j in neighbours):
+                togo[k] = D - i
 
-    moves, cur = [], src
+    moves, cur, k = [], src, start
     for t in range(D - 1, -1, -1):
-        d = next(d for d, k in _neighbours(cur) if togo.get(k) == t)
+        d, k = next((d, j) for d, j in _mask_neighbours(n, k) if togo.get(j) == t)
         cur, move = flip(cur, d)
         moves.append(move)
     return moves

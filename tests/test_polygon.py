@@ -13,6 +13,7 @@ from dimerlab.polygon import (
     InvalidPolygonError,
     PolygonError,
     UnknownDiagonalError,
+    _mask_neighbours,
     apply_moves,
     diagonals_cross,
     flip,
@@ -31,18 +32,16 @@ def catalan(k):
     return cs[k]
 
 
+def all_diagonals(n):
+    return [(a, b) for a in range(1, n + 1) for b in range(a + 2, n + 1) if (a, b) != (1, n)]
+
+
 def brute_force_triangulations(n):
     # oracle: all (n-3)-subsets of diagonals, filtered for noncrossing
     from itertools import combinations
 
-    diags = [
-        (a, b)
-        for a in range(1, n + 1)
-        for b in range(a + 2, n + 1)
-        if (a, b) != (1, n)
-    ]
     out = []
-    for sub in combinations(diags, n - 3):
+    for sub in combinations(all_diagonals(n), n - 3):
         if all(
             not diagonals_cross(n, d1, d2)
             for i, d1 in enumerate(sub)
@@ -210,11 +209,39 @@ def test_flip_sequence_matches_a_plain_bfs_on_random_pairs(pair):
     assert dl.flip_sequence(src, dst) == plain_bfs_moves(plain_bfs_tree(src, dst), dst)
 
 
-def test_flip_sequence_builds_few_triangulations(monkeypatch):
-    # the first n = 11 walk of the flip-walk benchmark: a plain BFS from the
-    # fan calls flip 3,461 times to return its 8 moves
+def first_walk_at_11():
+    """The fan and the target of the first n = 11 walk of the flip-walk
+    benchmark, and the number of moves recorded for it."""
     with open(REFERENCE) as f:
         w = next(w for w in json.load(f)["flip-walk"] if w["n"] == 11)
+    target = dl.Triangulation(11, [tuple(d) for d in w["diagonals"]])
+    return dl.fan_triangulation(11, 1), target, w["moves"]
+
+
+def test_flip_sequence_matches_a_plain_bfs_at_benchmark_size():
+    src, dst, count = first_walk_at_11()
+    moves = dl.flip_sequence(src, dst)
+    assert len(moves) == count
+    assert moves == plain_bfs_moves(plain_bfs_tree(src, dst), dst)
+
+
+def mask(T):
+    # bit i stands for the i-th diagonal of the n-gon in sorted order
+    every = all_diagonals(T.n)
+    return sum(1 << every.index(d) for d in T.diagonals)
+
+
+@settings(max_examples=80)
+@given(triangulations(14, 4))
+def test_mask_neighbours_are_the_flips_in_sorted_order(T):
+    expected = [(d, mask(flip(T, d)[0])) for d in T.sorted_diagonals]
+    assert _mask_neighbours(T.n, mask(T)) == expected
+
+
+def test_flip_sequence_builds_few_triangulations(monkeypatch):
+    # a plain BFS from the fan calls flip 3,461 times to return these 8
+    # moves; the search reads neighbours off masks and builds only the moves
+    src, target, count = first_walk_at_11()
     calls = []
 
     def counted(T, d):
@@ -222,10 +249,9 @@ def test_flip_sequence_builds_few_triangulations(monkeypatch):
         return flip(T, d)
 
     monkeypatch.setattr(dl.polygon, "flip", counted)
-    target = dl.Triangulation(11, [tuple(d) for d in w["diagonals"]])
-    moves = dl.flip_sequence(dl.fan_triangulation(11, 1), target)
-    assert len(moves) == w["moves"]
-    assert len(calls) < 3461 // 2
+    moves = dl.flip_sequence(src, target)
+    assert len(moves) == count
+    assert calls == [move.removed for move in moves]
 
 
 def test_every_triangulation_reachable_from_fan():
