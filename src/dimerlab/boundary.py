@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import KeysView
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .dimer import build_dimer, reduce_dimer
 from .polygon import Triangulation, flip
@@ -131,6 +131,53 @@ def build_gamma(m: int, n: int) -> GammaQuiver:
     return GammaQuiver(m, n, arrows)
 
 
+@cache
+def _gamma_tables(m: int, n: int) -> tuple[GammaQuiver, dict, tuple]:
+    """Gamma(m, n), built once per (m, n) and shared (read-only), with the
+    family of its arrow between each (source, target) and the relation
+    table of verify_theorem_relations: one (family, k, lhs, rhs, text)
+    entry per instance, in the order they are checked, a side being a
+    tuple of Gamma arrow names (letter, index)."""
+    G = build_gamma(m, n)
+    family = {ends: name[0] for name, ends in G.arrows.items()}
+    mn = m * n
+
+    def text(word: tuple) -> str:
+        return " ".join(f"{fam}_{i}" for fam, i in word)
+
+    table = []
+    for k in range(1, mn + 1):
+        km = k % m
+        y_tail = gamma_tail(k, m, mn)
+        iii_rhs = [("y", k - 2), ("x", k - 1), ("x", k)]
+        iv_rhs = [("z", k - 1), ("x", k)] if m > 2 else iii_rhs  # m = 2: no z arrows
+        rows = [
+            ("I", km not in (0, 1), [("x", y_tail), ("y", k)], [("y", k + 1), ("z", k)]),
+            ("II", km not in (0, 1, 2), [("x", k + 1), ("z", k)], [("z", k - 1), ("x", k)]),
+            ("III", km == 2, [("x", k + 1), ("z", k)], iii_rhs),
+            ("IV", km == 0, [("x", k + 1), ("x", k + 2), ("y", k)], iv_rhs),
+            (
+                "V",
+                km != 1 % m,
+                [("y", y_tail), ("y", k)],
+                [("x", k + 2 * m + 1 + i) for i in range(mn - 2 * m)],
+            ),
+        ]
+        for fam, applies, lhs_word, rhs_word in rows:
+            if not applies:
+                continue
+            lhs = tuple((letter, modl(i, mn)) for letter, i in lhs_word)
+            rhs = tuple((letter, modl(i, mn)) for letter, i in rhs_word)
+            # V's long x side is shown by its two ends
+            rhs_text = (
+                f"{text(rhs[:1])}..{text(rhs[-1:])} ({len(rhs)} arrows)"
+                if fam == "V"
+                else text(rhs)
+            )
+            table.append((fam, k, lhs, rhs, f"{text(lhs)} = {rhs_text}"))
+    return G, family, tuple(table)
+
+
 # ---------------------------------------------------------------------------
 # Presentation extraction
 
@@ -205,7 +252,7 @@ def boundary_generators(
     truncated closure of a path raises InconclusivePresentationError.
     """
     budget = budget or SearchBudget()
-    family = {ends: name[0] for name, ends in build_gamma(Q.m, Q.n).arrows.items()}
+    family = _gamma_tables(Q.m, Q.n)[1]
     internal = {v for v, kind in Q.vertices.items() if kind == "internal"}
     classes: list[GeneratorClass] = []
     placed: set[tuple] = set()
@@ -383,49 +430,17 @@ def verify_theorem_relations(
     For m = 2 families I-III are empty and IV degenerates to
     x_{k+1} x_{k+2} y_k = y_{k-2} x_{k-1} x_k.
     """
-    m, n = BP.m, BP.n
-    mn = m * n
     if not match.ok:
         raise BoundaryError(f"Gamma match required first: {match.obstruction}")
-
-    def read(word: list) -> tuple[str, Path]:
-        """Text and path of a word of Gamma arrows (letter, index)."""
-        names = [(fam, modl(i, mn)) for fam, i in word]
-        path = match.rep_of(names[0])
-        for name in names[1:]:
-            path = path * match.rep_of(name)
-        return " ".join(f"{fam}_{i}" for fam, i in names), path
-
     report = RelationReport()
-    for k in range(1, mn + 1):
-        km = k % m
-        y_tail = gamma_tail(k, m, mn)
-        iii_rhs = [("y", k - 2), ("x", k - 1), ("x", k)]
-        iv_rhs = [("z", k - 1), ("x", k)] if m > 2 else iii_rhs  # m = 2: no z arrows
-        table = [
-            ("I", km not in (0, 1), [("x", y_tail), ("y", k)], [("y", k + 1), ("z", k)]),
-            ("II", km not in (0, 1, 2), [("x", k + 1), ("z", k)], [("z", k - 1), ("x", k)]),
-            ("III", km == 2, [("x", k + 1), ("z", k)], iii_rhs),
-            ("IV", km == 0, [("x", k + 1), ("x", k + 2), ("y", k)], iv_rhs),
-            (
-                "V",
-                km != 1 % m,
-                [("y", y_tail), ("y", k)],
-                [("x", k + 2 * m + 1 + i) for i in range(mn - 2 * m)],
-            ),
-        ]
-        for family, applies, lhs_word, rhs_word in table:
-            if not applies:
-                continue
-            lhs_text, lhs = read(lhs_word)
-            rhs_text, rhs = read(rhs_word)
-            if family == "V":  # the long x side is shown by its two ends
-                first, *_, last = rhs_text.split()
-                rhs_text = f"{first}..{last} ({len(rhs_word)} arrows)"
-            verdict = paths_equal(lhs, rhs, R, budget)
-            report.instances.append(
-                RelationInstance(family, k, f"{lhs_text} = {rhs_text}", verdict)
-            )
+    for family, k, *sides, text in _gamma_tables(BP.m, BP.n)[2]:
+        # one path per side, from its representatives' arrows in one tuple
+        lhs, rhs = (
+            Path(BP.quiver, [a for name in side for a in match.rep_of(name).arrows])
+            for side in sides
+        )
+        verdict = paths_equal(lhs, rhs, R, budget)
+        report.instances.append(RelationInstance(family, k, text, verdict))
     return report
 
 
@@ -593,7 +608,7 @@ def fan_generator_paths(m: int, n: int, Q: QuiverWithFaces) -> dict:
         return hits[0]
 
     table: dict[tuple, Path] = {}
-    for (fam, h), (tail, _) in sorted(build_gamma(m, n).arrows.items()):
+    for (fam, h), (tail, _) in sorted(_gamma_tables(m, n)[0].arrows.items()):
         if fam == "x":
             aid = Q.find_arrow(tail, h)
             if aid is None:
@@ -721,7 +736,7 @@ def _extract(
     Q = dual_quiver(reduce_dimer(build_dimer(T, m)))
     R = potential_relations(Q)
     BP = boundary_generators(Q, R, budget)
-    return R, BP, match_gamma(BP, build_gamma(m, T.n))
+    return R, BP, match_gamma(BP, _gamma_tables(m, T.n)[0])
 
 
 def verify_boundary_algebra(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from functools import cache
 
 from .polygon import Triangulation, is_polygon_edge
 
@@ -173,24 +174,6 @@ def _decode(x):
     return x
 
 
-def _upward_points(m: int):
-    """Barycentric triples with sum m-1 (one per upward small triangle)."""
-    return [
-        (i, j, m - 1 - i - j)
-        for i in range(m)
-        for j in range(m - i)
-    ]
-
-
-def _downward_points(m: int):
-    """Barycentric triples with sum m-2 (one per downward small triangle)."""
-    return [
-        (i, j, m - 2 - i - j)
-        for i in range(m - 1)
-        for j in range(m - 1 - i)
-    ]
-
-
 def _plus_e(p: tuple, j: int) -> tuple:
     q = list(p)
     q[j] += 1
@@ -203,15 +186,39 @@ def _minus_e(p: tuple, j: int) -> tuple:
     return tuple(q)
 
 
-def segment_black_id(tri: tuple, j: int, p: tuple) -> NodeId:
-    """The segment black on side j (opposite corner j) of upward p in `tri`.
+@cache
+def _triangle_tables(m: int) -> tuple[tuple, tuple]:
+    """One triangle's local geometry at order m, in its own frame, built
+    once per m.  up: each upward small triangle's barycentric point p (sum
+    m - 1) with its black neighbour across side j (opposite corner j) for
+    j = 0, 1, 2, ('d', p - e_j) where p[j] > 0 and otherwise the side's
+    segment ('b', u, v, p[v]), u < v the other two corners.  down: each
+    downward small triangle's point q (sum m - 2) with its white
+    neighbours q + e_j."""
+    up, down = [], []
+    for i in range(m):
+        for j in range(m - i):
+            p = (i, j, m - 1 - i - j)
+            sides = []
+            for c in range(3):
+                u, v = [x for x in range(3) if x != c]
+                sides.append(("d", _minus_e(p, c)) if p[c] > 0 else ("b", u, v, p[v]))
+            up.append((p, tuple(sides)))
+            if i + j < m - 1:
+                q = (i, j, m - 2 - i - j)
+                down.append((q, tuple(_plus_e(q, c) for c in range(3))))
+    return tuple(up), tuple(down)
 
-    Segments of an edge are indexed 0..m-1 from the smaller vertex label;
-    the barycentric coordinate of the larger-labelled corner is exactly
-    that index.
-    """
-    u, v = [x for x in range(3) if x != j]
-    return ("b", (tri[u], tri[v]), p[v])
+
+def _black_id(tri: tuple, side: tuple) -> NodeId:
+    """The id of the black neighbour across `side` (from _triangle_tables)
+    in triangle `tri`.  Segments of an edge are indexed 0..m-1 from the
+    smaller vertex label; the barycentric coordinate of the larger-labelled
+    corner is exactly that index."""
+    if side[0] == "d":
+        return ("d", tri, side[1])
+    _, u, v, s = side
+    return ("b", (tri[u], tri[v]), s)
 
 
 def build_dimer(T: Triangulation, m: int) -> GLmDimer:
@@ -225,35 +232,32 @@ def build_dimer(T: Triangulation, m: int) -> GLmDimer:
     if m < 2:
         raise UnsupportedOrderError(f"GL_m-dimers need m >= 2, got {m}")
     n = T.n
+    up, down = _triangle_tables(m)
     nodes: dict[NodeId, DimerNode] = {}
-    rotation: dict[NodeId, list[NodeId]] = {}
+    rotation: dict[NodeId, tuple[NodeId, ...]] = {}
     edge_tags: dict[frozenset, tuple] = {}
     seg_whites: dict[NodeId, list[NodeId]] = defaultdict(list)
 
     for tri in T.triangles:
-        for p in _upward_points(m):
+        for p, sides in up:
             w = ("w", tri, p)
             nodes[w] = DimerNode(w, WHITE, LOC_INTERIOR, ((tri, p),))
-            nbrs = []
-            for j in range(3):
-                if p[j] > 0:
-                    nb = ("d", tri, _minus_e(p, j))
-                else:
-                    nb = segment_black_id(tri, j, p)
+            nbrs = tuple(_black_id(tri, side) for side in sides)
+            for j, nb in enumerate(nbrs):
+                if nb[0] == "b":
                     seg_whites[nb].append(w)
-                nbrs.append(nb)
                 edge_tags[frozenset((w, nb))] = (tri, p, j)
             rotation[w] = nbrs
-        for q in _downward_points(m):
+        for q, whites in down:
             d = ("d", tri, q)
             nodes[d] = DimerNode(d, BLACK, LOC_INTERIOR, ((tri, q),))
-            rotation[d] = [("w", tri, _plus_e(q, j)) for j in range(3)]
+            rotation[d] = tuple(("w", tri, p) for p in whites)
 
     for b, ws in seg_whites.items():
         _, edge, s = b
         loc = LOC_BOUNDARY if is_polygon_edge(n, edge) else LOC_DIAGONAL
         nodes[b] = DimerNode(b, BLACK, loc, ((edge, s),))
-        rotation[b] = sorted(ws)
+        rotation[b] = tuple(sorted(ws))
 
     boundary = []
     for k in range(1, n + 1):
@@ -267,7 +271,7 @@ def build_dimer(T: Triangulation, m: int) -> GLmDimer:
         m=m,
         triangulation=T,
         nodes=nodes,
-        rotation={v: tuple(r) for v, r in rotation.items()},
+        rotation=rotation,
         edge_tags=edge_tags,
         boundary=tuple(boundary),
     )
@@ -303,15 +307,16 @@ def reduce_dimer(D: GLmDimer, order: list[NodeId] | None = None) -> GLmDimer:
         del edge_tags[frozenset((w2, beta))]
         nodes[new] = DimerNode(new, WHITE, LOC_INTERIOR, host)
         rotation[new] = spliced
-        for old in (w1, w2):
-            if old == new:
+        # the rotation indexes a node's edges: only the merged-away white's
+        # edges are re-keyed
+        old, old_nbrs = (w2, r2) if new == w1 else (w1, r1)
+        for other in old_nbrs:
+            if other == beta:
                 continue
-            for e in [e for e in edge_tags if old in e]:
-                other = next(x for x in e if x != old)
-                fresh = frozenset((new, other))
-                if fresh in edge_tags:
-                    raise DimerError("contraction would create a double edge")
-                edge_tags[fresh] = edge_tags.pop(e)
+            fresh = frozenset((new, other))
+            if fresh in edge_tags:
+                raise DimerError("contraction would create a double edge")
+            edge_tags[fresh] = edge_tags.pop(frozenset((old, other)))
         for nb in spliced:
             rotation[nb] = [new if x in (w1, w2) else x for x in rotation[nb]]
 
@@ -344,9 +349,10 @@ def trace_faces(rotation: dict[NodeId, tuple[NodeId, ...]]) -> list[list[tuple]]
     this convention interior faces come out counterclockwise and the outer
     face clockwise.  Returns the list of dart cycles, deterministically.
     """
-    pos = {
-        v: {w: i for i, w in enumerate(nbrs)} for v, nbrs in rotation.items()
-    }
+    following = {}
+    for v, nbrs in rotation.items():
+        for i, u in enumerate(nbrs):
+            following[u, v] = (v, nbrs[i - 1])
     darts = [(u, v) for u in sorted(rotation) for v in rotation[u]]
     seen: set[tuple] = set()
     faces = []
@@ -358,10 +364,7 @@ def trace_faces(rotation: dict[NodeId, tuple[NodeId, ...]]) -> list[list[tuple]]
         while cur not in seen:
             seen.add(cur)
             cycle.append(cur)
-            u, v = cur
-            nbrs = rotation[v]
-            w = nbrs[(pos[v][u] - 1) % len(nbrs)]
-            cur = (v, w)
+            cur = following[cur]
         if cur != start:
             raise DimerError("rotation system does not close up into faces")
         faces.append(cycle)

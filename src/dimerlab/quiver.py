@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cache
 
 from .dimer import (
     BLACK,
@@ -212,15 +213,23 @@ def rim_pos(v: int, mn: int) -> str:
     return f"{round(radius * math.cos(ang), 4)},{round(radius * math.sin(ang), 4)}!"
 
 
-def lattice_id(tri: tuple, pt: tuple):
-    """Global id of a subdivision lattice point given in one triangle's frame."""
-    zeros = [j for j in range(3) if pt[j] == 0]
-    if len(zeros) == 2:
-        (j,) = [j for j in range(3) if pt[j] != 0]
-        return ("C", tri[j])
-    if len(zeros) == 1:
-        j = zeros[0]
-        u, v = [x for x in range(3) if x != j]
+@cache
+def _edge_points(p: tuple, j: int) -> tuple:
+    """The patterns (lattice_id) of the lattice points beside the edge with
+    tag (triangle, p, j), computed once per (p, j): p + e_{j+2}, on the
+    white-to-black dart's side, and p + e_{j+1}, on the black-to-white one."""
+    pts = _plus_e(p, (j + 2) % 3), _plus_e(p, (j + 1) % 3)
+    return tuple((tuple(c for c in range(3) if pt[c]), pt) for pt in pts)
+
+
+def lattice_id(tri: tuple, pattern: tuple):
+    """Global id of a subdivision lattice point in triangle tri's frame,
+    from its pattern: the corners c with pt[c] > 0, and the point pt."""
+    inside, pt = pattern
+    if len(inside) == 1:
+        return ("C", tri[inside[0]])
+    if len(inside) == 2:
+        u, v = inside
         return ("L", (tri[u], tri[v]), pt[v])
     return ("I", tri, pt)
 
@@ -245,12 +254,17 @@ def dual_quiver(D: GLmDimer) -> QuiverWithFaces:
     m, n = D.m, D.n
     mn = m * n
 
-    rot = {v: list(r) for v, r in D.rotation.items()}
-    bdry = D.boundary
-    for k, b in enumerate(bdry):
+    # faces are traced on integer node indexes, given in sorted-id order so
+    # that the faces come out in the same order as on the ids
+    ids = sorted(D.rotation)
+    index = {v: i for i, v in enumerate(ids)}
+    own = {index[v]: tuple(index[w] for w in r) for v, r in D.rotation.items()}
+    rot = dict(own)  # with the boundary circle's arcs
+    bdry = tuple(index[b] for b in D.boundary)
+    for k, b in enumerate(D.boundary):
         (white,) = D.rotation[b]
-        rot[b] = [bdry[(k + 1) % mn], white, bdry[(k - 1) % mn]]
-    dart_faces = trace_faces({v: tuple(r) for v, r in rot.items()})
+        rot[bdry[k]] = (bdry[(k + 1) % mn], index[white], bdry[(k - 1) % mn])
+    dart_faces = trace_faces(rot)
 
     face_of_dart = {}
     for fi, cyc in enumerate(dart_faces):
@@ -269,24 +283,26 @@ def dual_quiver(D: GLmDimer) -> QuiverWithFaces:
 
     # internal faces: identify each with its lattice point via the edge tags;
     # every dart of a face must agree, which pins down the embedding
-    def dart_lattice(dart):
-        u, v = dart
-        tag = D.edge_tags.get(frozenset((u, v)))
-        if tag is None:
-            return None  # an arc
+    points = [set() for _ in dart_faces]
+    edges = []  # (white index, black index, black id, tag), in tag order
+    for e, tag in sorted(D.edge_tags.items(), key=lambda kv: kv[1]):
+        u, v = e
+        w, b = (u, v) if D.nodes[u].color == WHITE else (v, u)
+        assert D.nodes[w].color == WHITE and D.nodes[b].color == BLACK
         tri, p, j = tag
-        if D.nodes[u].color == WHITE:
-            return lattice_id(tri, _plus_e(p, (j + 2) % 3))
-        return lattice_id(tri, _plus_e(p, (j + 1) % 3))
+        at_w, at_b = _edge_points(p, j)
+        iw, ib = index[w], index[b]
+        points[face_of_dart[iw, ib]].add(lattice_id(tri, at_w))
+        points[face_of_dart[ib, iw]].add(lattice_id(tri, at_b))
+        edges.append((iw, ib, b, tag))
 
     vertex_of_face = {}
-    for fi, cyc in enumerate(dart_faces):
+    for fi, pts in enumerate(points):
         if fi == outer:
             continue
-        points = {dart_lattice(d) for d in cyc} - {None}
-        if len(points) != 1:
-            raise QuiverError(f"face {fi} has inconsistent lattice points {points}")
-        (pt,) = points
+        if len(pts) != 1:
+            raise QuiverError(f"face {fi} has inconsistent lattice points {pts}")
+        (pt,) = pts
         if fi in label_of_face:
             lbl = label_of_face[fi]
             if pt != _expected_boundary_lattice(lbl, m, n):
@@ -299,27 +315,26 @@ def dual_quiver(D: GLmDimer) -> QuiverWithFaces:
     for fi, vid in vertex_of_face.items():
         vertices[vid] = "boundary" if fi in label_of_face else "internal"
 
-    edges = sorted(D.edge_tags.items(), key=lambda kv: kv[1])
     arrows = []
-    aid_of_edge = {}
-    for e, tag in edges:
-        w, b = sorted(e, key=lambda v: D.nodes[v].color, reverse=True)  # white first
-        assert D.nodes[w].color == WHITE and D.nodes[b].color == BLACK
-        src = vertex_of_face[face_of_dart[(b, w)]]
-        tgt = vertex_of_face[face_of_dart[(w, b)]]
+    aid_of_dart = {}  # (white index, black index) -> arrow id
+    for iw, ib, b, tag in edges:
+        src = vertex_of_face[face_of_dart[ib, iw]]
+        tgt = vertex_of_face[face_of_dart[iw, ib]]
         kind = "boundary" if D.nodes[b].location == LOC_BOUNDARY else "internal"
-        aid_of_edge[e] = len(arrows)
+        aid_of_dart[iw, ib] = len(arrows)
         arrows.append(Arrow(src, tgt, kind, tag))
 
-    faces = []
-    for w in D.whites():
-        cyc = [aid_of_edge[frozenset((w, nb))] for nb in D.rotation[w]]
-        faces.append(Face("+", _normalize_cycle(cyc), w))
-    for b in D.internal_blacks():
-        cyc = [aid_of_edge[frozenset((b, nb))] for nb in reversed(D.rotation[b])]
-        faces.append(Face("-", _normalize_cycle(cyc), b))
+    white_faces, black_faces = [], []
+    for i, v in enumerate(ids):
+        rec = D.nodes[v]
+        if rec.color == WHITE:
+            cyc = [aid_of_dart[i, nb] for nb in own[i]]
+            white_faces.append(Face("+", _normalize_cycle(cyc), v))
+        elif rec.location != LOC_BOUNDARY:
+            cyc = [aid_of_dart[nb, i] for nb in reversed(own[i])]
+            black_faces.append(Face("-", _normalize_cycle(cyc), v))
 
-    Q = QuiverWithFaces(m, n, vertices, arrows, faces)
+    Q = QuiverWithFaces(m, n, vertices, arrows, white_faces + black_faces)
     for f in Q.faces:
         for i, aid in enumerate(f.cycle):
             nxt = f.cycle[(i + 1) % len(f.cycle)]

@@ -327,12 +327,13 @@ def _check_face_pairs(Q, relations: tuple, faces: tuple) -> None:
 
 def _cut_arrow(cycle: tuple, side: tuple):
     """The arrow a of cycle with side the rest of the cycle read from
-    after a, or None when there is none."""
-    if len(side) + 1 == len(cycle):
-        for i, arrow in enumerate(cycle):
-            if cycle[i + 1 :] + cycle[:i] == side:
-                return arrow
-    return None
+    after a, or None when there is none.  The rest starts at side[0], so a
+    is the arrow before side[0] in the cycle (a face holds each arrow once;
+    where an arrow repeats, only its first occurrence is tried)."""
+    if len(side) + 1 != len(cycle) or (side and side[0] not in cycle):
+        return None
+    k = cycle.index(side[0]) if side else 0
+    return cycle[k - 1] if (cycle[k:] + cycle[:k])[:-1] == side else None
 
 
 @dataclass(frozen=True)

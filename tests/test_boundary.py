@@ -275,7 +275,7 @@ def test_relation_v_x_side_length_general():
             assert f"({mn - 2 * m} arrows)" in inst.description
 
 
-def test_relation_texts_fan_3_3():
+def test_relation_texts_fan_3_3(monkeypatch):
     _, _, Q, R = fan_pipeline(3, 3)
     BP, match = fan_presentation(3, 3)
     report = dl.verify_theorem_relations(BP, R, match=match)
@@ -295,6 +295,30 @@ def test_relation_texts_fan_3_3():
         ("V", 8, "y_3 y_8 = x_6..x_8 (3 arrows)"),
         ("IV", 9, "x_1 x_2 y_9 = z_8 x_9"),
         ("V", 9, "y_2 y_9 = x_7..x_9 (3 arrows)"),
+    ]
+    # fan (2, 11): V's long side has m(n - 2) = 18 arrows, and Gamma(2, 11)
+    # with its relation table is built once, however many reports use it
+    _, _, _, R = fan_pipeline(11, 2)
+    BP, match = fan_presentation(11, 2)
+    builds = []
+    build_gamma = dl.boundary.build_gamma
+    monkeypatch.setattr(dl.boundary, "build_gamma", lambda m, n: builds.append((m, n)) or build_gamma(m, n))
+    dl.boundary._gamma_tables.cache_clear()
+    reports = [dl.verify_theorem_relations(BP, R, match=match) for _ in range(2)]
+    assert builds == [(2, 11)]
+    assert reports[0].to_json() == reports[1].to_json()
+    assert [(i.k, i.description) for i in reports[0].instances if i.family == "V"] == [
+        (2, "y_4 y_2 = x_7..x_2 (18 arrows)"),
+        (4, "y_6 y_4 = x_9..x_4 (18 arrows)"),
+        (6, "y_8 y_6 = x_11..x_6 (18 arrows)"),
+        (8, "y_10 y_8 = x_13..x_8 (18 arrows)"),
+        (10, "y_12 y_10 = x_15..x_10 (18 arrows)"),
+        (12, "y_14 y_12 = x_17..x_12 (18 arrows)"),
+        (14, "y_16 y_14 = x_19..x_14 (18 arrows)"),
+        (16, "y_18 y_16 = x_21..x_16 (18 arrows)"),
+        (18, "y_20 y_18 = x_1..x_18 (18 arrows)"),
+        (20, "y_22 y_20 = x_3..x_20 (18 arrows)"),
+        (22, "y_2 y_22 = x_5..x_22 (18 arrows)"),
     ]
 
 

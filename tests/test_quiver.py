@@ -1,3 +1,6 @@
+import ast
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -5,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dimerlab as dl
+from dimerlab.dimer import DimerError
 from dimerlab.quiver import (
     Arrow,
     Face,
     MustReduceFirstError,
     NoCycleError,
+    QuiverError,
     QuiverWithFaces,
     chordless_cycle_at,
     chordless_cycles,
@@ -146,6 +151,81 @@ def test_dual_quiver_requires_reduced():
     D = dl.build_dimer(dl.fan_triangulation(5, 1), 2)
     with pytest.raises(MustReduceFirstError):
         dl.dual_quiver(D)
+
+
+# Each construction check of dual_quiver, reached by corrupting the reduced
+# dimer of fan (4, 2) by hand.  Two checks are not reached this way: a
+# boundary arc traced into the outer face needs a repeated boundary black,
+# whose overwritten rotation makes face tracing fail first (KeyError), and
+# labels that do not cover 1..m*n need two boundary arcs on one face, whose
+# lattice points disagree first.
+
+FAN_4_2_DOWN = ("d", (1, 2, 3), (0, 0, 0))  # its rotation is three whites
+
+
+def corrupted_fan_4_2(**fields):
+    _, D, _, _ = fan_pipeline(4, 2)
+    return dataclasses.replace(D, **fields)
+
+
+def test_dual_quiver_rejects_a_face_with_two_lattice_points():
+    _, D, _, _ = fan_pipeline(4, 2)
+    tags = dict(D.edge_tags)
+    first, second = sorted(tags, key=tags.get)[:2]
+    tags[first], tags[second] = tags[second], tags[first]
+    with pytest.raises(QuiverError) as exc:
+        dl.dual_quiver(corrupted_fan_4_2(edge_tags=tags))
+    head, points = str(exc.value).split(" points ")
+    assert head == "face 6 has inconsistent lattice"
+    assert ast.literal_eval(points) == {("L", (2, 3), 1), ("L", (1, 3), 1), ("C", 3)}
+
+
+def test_dual_quiver_rejects_a_boundary_face_at_the_wrong_point():
+    _, D, _, _ = fan_pipeline(4, 2)
+    with pytest.raises(QuiverError) as exc:
+        dl.dual_quiver(corrupted_fan_4_2(boundary=D.boundary[1:] + D.boundary[:1]))
+    assert str(exc.value) == "boundary face 1 sits at unexpected point ('L', (1, 2), 1)"
+
+
+def test_dual_quiver_rejects_a_face_that_does_not_chain():
+    _, D, _, _ = fan_pipeline(4, 2)
+    rotation = dict(D.rotation)
+    rotation[FAN_4_2_DOWN] = (rotation[FAN_4_2_DOWN][2], *rotation[FAN_4_2_DOWN])
+    with pytest.raises(QuiverError) as exc:
+        dl.dual_quiver(corrupted_fan_4_2(rotation=rotation))
+    assert str(exc.value) == (
+        "face Face(orientation='-', cycle=(1, 3, 5, 1), dual=('d', (1, 2, 3), (0, 0, 0))) "
+        "does not chain at arrow 1"
+    )
+
+
+def test_dual_quiver_rejects_a_rotation_that_does_not_close_up():
+    _, D, _, _ = fan_pipeline(4, 2)
+    rotation = dict(D.rotation)
+    rotation[FAN_4_2_DOWN] = (rotation[FAN_4_2_DOWN][0], *rotation[FAN_4_2_DOWN])
+    with pytest.raises(DimerError) as exc:
+        dl.dual_quiver(corrupted_fan_4_2(rotation=rotation))
+    assert str(exc.value) == "rotation system does not close up into faces"
+
+
+def test_construction_output_is_pinned():
+    # the reduced dimer, the quiver and the relation sides with their face
+    # pairs of every triangulation for m = 2 with n <= 8, m = 3 with n <= 7
+    # and m = 4 with n <= 6, hashed in canonical JSON
+    grid = [(2, n) for n in range(3, 9)] + [(3, n) for n in range(3, 8)]
+    grid += [(4, n) for n in range(3, 7)]
+    digest = hashlib.sha256()
+    for m, n in grid:
+        for T in dl.enumerate_triangulations(n):
+            D = dl.reduce_dimer(dl.build_dimer(T, m))
+            Q = dl.dual_quiver(D)
+            R = dl.potential_relations(Q)
+            relations = [
+                [list(lhs.arrows), list(rhs.arrows), list(pair)]
+                for (lhs, rhs), pair in zip(R.relations, R.faces)
+            ]
+            digest.update(json.dumps([D.to_json(), Q.to_json(), relations], sort_keys=True).encode())
+    assert digest.hexdigest() == "10b8b324771d685cfd49348f6f278c41767bbda51a9fa01830ca29e8d76e63c5"
 
 
 def test_validate_passes_on_constructed_quivers():
