@@ -15,6 +15,7 @@ from .polygon import (
     flip_sequence,
 )
 from .dimer import (
+    AsymmetricRotationError,
     GLmDimer,
     UnsupportedOrderError,
     build_dimer,

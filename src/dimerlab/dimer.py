@@ -37,6 +37,17 @@ class UnsupportedOrderError(DimerError):
     """The construction needs m >= 2."""
 
 
+class AsymmetricRotationError(DimerError):
+    """A rotation system lists w at v but not v at w, so the edge vw has
+    one dart only (validate_dimer's rotation-symmetric check)."""
+
+    def __init__(self, v, w):
+        self.v, self.w = v, w
+        super().__init__(
+            f"rotation is not symmetric: {v!r} lists {w!r}, but {w!r} does not list {v!r}"
+        )
+
+
 NodeId = tuple
 
 
@@ -348,6 +359,7 @@ def trace_faces(rotation: dict[NodeId, tuple[NodeId, ...]]) -> list[list[tuple]]
     is (v, w) where w precedes u in the counterclockwise rotation at v; with
     this convention interior faces come out counterclockwise and the outer
     face clockwise.  Returns the list of dart cycles, deterministically.
+    Raises AsymmetricRotationError for a dart with no dart back.
     """
     following = {}
     for v, nbrs in rotation.items():
@@ -361,10 +373,13 @@ def trace_faces(rotation: dict[NodeId, tuple[NodeId, ...]]) -> list[list[tuple]]
             continue
         cycle = []
         cur = start
-        while cur not in seen:
-            seen.add(cur)
-            cycle.append(cur)
-            cur = following[cur]
+        try:
+            while cur not in seen:
+                seen.add(cur)
+                cycle.append(cur)
+                cur = following[cur]
+        except KeyError:
+            raise AsymmetricRotationError(*cur) from None
         if cur != start:
             raise DimerError("rotation system does not close up into faces")
         faces.append(cycle)

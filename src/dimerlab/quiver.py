@@ -23,6 +23,7 @@ from functools import cache
 
 from .dimer import (
     BLACK,
+    AsymmetricRotationError,
     GLmDimer,
     LOC_BOUNDARY,
     WHITE,
@@ -264,7 +265,10 @@ def dual_quiver(D: GLmDimer) -> QuiverWithFaces:
     for k, b in enumerate(D.boundary):
         (white,) = D.rotation[b]
         rot[bdry[k]] = (bdry[(k + 1) % mn], index[white], bdry[(k - 1) % mn])
-    dart_faces = trace_faces(rot)
+    try:
+        dart_faces = trace_faces(rot)
+    except AsymmetricRotationError as exc:
+        raise AsymmetricRotationError(ids[exc.v], ids[exc.w]) from None
 
     face_of_dart = {}
     for fi, cyc in enumerate(dart_faces):
@@ -301,7 +305,7 @@ def dual_quiver(D: GLmDimer) -> QuiverWithFaces:
         if fi == outer:
             continue
         if len(pts) != 1:
-            raise QuiverError(f"face {fi} has inconsistent lattice points {pts}")
+            raise QuiverError(f"face {fi} has inconsistent lattice points {sorted(pts)}")
         (pt,) = pts
         if fi in label_of_face:
             lbl = label_of_face[fi]

@@ -25,7 +25,10 @@ least 2g + h (g the steps taken, c measured against the other side's
 start, so p starts from c and q from -c), deeper first on ties.  Where
 every step of a rewrite lowers h by 2, all interleavings of its
 commuting steps tie on 2g + h; the tie-break follows one of them down
-instead of visiting them all.  The order is all that h changes: every
+instead of visiting them all.  Of the two sides, the one whose next
+state ranks first expands, so a side that is still descending keeps the
+turn and is not met halfway by the other side descending along another
+order of the same steps.  The order is all that h changes: every
 state reached is kept, an Equal certificate is replayed, and Distinct by
 search still needs a closure exhausted without dropping a word, which is
 then the whole class.  A RelationSet without faces has no residue: its
@@ -410,8 +413,8 @@ class _Closure:
     start.  open is a heap of ((2g + h, -g), order reached, state, chain,
     move) entries for the states not yet expanded, g their steps from the
     start and h the sum of |c_F| over their face chain c against the goal
-    word, less that sum at the start (the heap compares only within a
-    closure).
+    word, less that sum at the start.  The two sides of a query start
+    from c and -c, whose sums agree, so _search compares their keys.
     An entry holds its parent's chain and the move (F+, F-, unit) that it
     makes, applied when the entry is popped, so chains live only in the
     open set.  The start's chain is given when the closure is built; it is
@@ -490,10 +493,15 @@ def _steps(parents: dict, state: tuple) -> tuple:
 
 
 def _search(closures: tuple, hits: tuple, R: RelationSet, max_visited: int) -> tuple:
-    """Expand one or two closures best-first, each time the one with the
-    fewer open states (the first on ties), until a closure reaches a new
+    """Expand one or two closures best-first, until a closure reaches a new
     state that its hit accepts, a closure is exhausted without pruning,
-    every closure is exhausted, or the budget runs out.
+    every closure is exhausted, or the budget runs out.  Each time, the
+    closure whose least open entry has the least key (2g + h, -g) goes
+    next; on a tie, the one with the fewer open states, then the first.
+    Where h guides, the side that is still descending keeps the turn and
+    reaches the other side's start on its own, instead of both sides
+    descending along different orders of the same commuting steps; on a
+    plateau of h the keys tie level by level, and the sides alternate.
 
     Returns (outcome, found, visited): the outcome is EQUAL on a hit,
     DISTINCT on exhaustion without pruning and UNKNOWN otherwise; found is
@@ -504,19 +512,24 @@ def _search(closures: tuple, hits: tuple, R: RelationSet, max_visited: int) -> t
     visited = len(closures)  # each starts from one state
     while True:
         side = None
-        for closure, closure_hit in zip(closures, hits):
-            if closure.open and (side is None or len(closure.open) < len(side.open)):
-                side, hit = closure, closure_hit
+        for i, closure in enumerate(closures):
+            heap = closure.open
+            if not heap:
+                continue
+            key = heap[0][0]
+            if side is None or key < best or (key == best and len(heap) < size):
+                side, best, size = i, key, len(heap)
         if side is None:
             return UNKNOWN, None, visited
-        before = len(side.parents)
-        found = side.expand(R, hit, max_visited - visited)
-        visited += len(side.parents) - before
+        closure = closures[side]
+        before = len(closure.parents)
+        found = closure.expand(R, hits[side], max_visited - visited)
+        visited += len(closure.parents) - before
         if found is _OVERFLOW:
             return UNKNOWN, None, visited
         if found is not None:
-            return EQUAL, (closures.index(side), *found), visited
-        if not side.open and not side.pruned:
+            return EQUAL, (side, *found), visited
+        if not closure.open and not closure.pruned:
             return DISTINCT, None, visited
 
 
@@ -530,10 +543,11 @@ def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = 
     its queries go straight to the search.  Otherwise one bidirectional
     best-first closure search runs between the full paths under the
     relation rewrites, both closures under the length bound of the longer
-    path, always expanding the side with the fewer open states.  Each
-    side pops the state of least 2g + h, deeper first on ties, where h
-    sums the face chain between the state and the other side's start: p's
-    side starts from c, q's from -c (h = 0 without faces).  h changes only
+    path.  Each side pops the state of least 2g + h, deeper first on
+    ties, where h sums the face chain between the state and the other
+    side's start: p's side starts from c, q's from -c (h = 0 without
+    faces).  The side whose next state ranks first expands, and on a tie
+    the side with the fewer open states (see _search).  h changes only
     the order: a meeting point yields Equal with a certificate that is
     replayed before being returned, and exhaustion of a complete (never
     length-pruned) closure yields Distinct, since that closure is the

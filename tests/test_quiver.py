@@ -1,14 +1,16 @@
-import ast
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dimerlab as dl
-from dimerlab.dimer import DimerError
+from dimerlab.dimer import AsymmetricRotationError, DimerError
 from dimerlab.quiver import (
     Arrow,
     Face,
@@ -156,9 +158,9 @@ def test_dual_quiver_requires_reduced():
 # Each construction check of dual_quiver, reached by corrupting the reduced
 # dimer of fan (4, 2) by hand.  Two checks are not reached this way: a
 # boundary arc traced into the outer face needs a repeated boundary black,
-# whose overwritten rotation makes face tracing fail first (KeyError), and
-# labels that do not cover 1..m*n need two boundary arcs on one face, whose
-# lattice points disagree first.
+# whose overwritten rotation makes face tracing fail first (with an
+# AsymmetricRotationError), and labels that do not cover 1..m*n need two
+# boundary arcs on one face, whose lattice points disagree first.
 
 FAN_4_2_DOWN = ("d", (1, 2, 3), (0, 0, 0))  # its rotation is three whites
 
@@ -168,6 +170,25 @@ def corrupted_fan_4_2(**fields):
     return dataclasses.replace(D, **fields)
 
 
+SWAPPED_TAGS_TEXT = (
+    "face 6 has inconsistent lattice points [('C', 3), ('L', (1, 3), 1), ('L', (2, 3), 1)]"
+)
+
+# the tag swap below, as a script that prints dual_quiver's error text
+SWAPPED_TAGS_SCRIPT = """
+import dataclasses
+import dimerlab as dl
+D = dl.reduce_dimer(dl.build_dimer(dl.fan_triangulation(4, 1), 2))
+tags = dict(D.edge_tags)
+first, second = sorted(tags, key=tags.get)[:2]
+tags[first], tags[second] = tags[second], tags[first]
+try:
+    dl.dual_quiver(dataclasses.replace(D, edge_tags=tags))
+except dl.quiver.QuiverError as exc:
+    print(exc)
+"""
+
+
 def test_dual_quiver_rejects_a_face_with_two_lattice_points():
     _, D, _, _ = fan_pipeline(4, 2)
     tags = dict(D.edge_tags)
@@ -175,9 +196,25 @@ def test_dual_quiver_rejects_a_face_with_two_lattice_points():
     tags[first], tags[second] = tags[second], tags[first]
     with pytest.raises(QuiverError) as exc:
         dl.dual_quiver(corrupted_fan_4_2(edge_tags=tags))
-    head, points = str(exc.value).split(" points ")
-    assert head == "face 6 has inconsistent lattice"
-    assert ast.literal_eval(points) == {("L", (2, 3), 1), ("L", (1, 3), 1), ("C", 3)}
+    assert str(exc.value) == SWAPPED_TAGS_TEXT
+
+
+def test_lattice_point_error_text_does_not_follow_the_hash_seed():
+    # the points are a set of tuples of strings, whose order follows the
+    # string hash seed; the text lists them sorted
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    texts = []
+    for seed in ("1", "3"):  # seeds under which the set prints in two orders
+        proc = subprocess.run(
+            [sys.executable, "-c", SWAPPED_TAGS_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        texts.append(proc.stdout)
+    assert texts == [SWAPPED_TAGS_TEXT + "\n"] * 2
 
 
 def test_dual_quiver_rejects_a_boundary_face_at_the_wrong_point():
@@ -206,6 +243,21 @@ def test_dual_quiver_rejects_a_rotation_that_does_not_close_up():
     with pytest.raises(DimerError) as exc:
         dl.dual_quiver(corrupted_fan_4_2(rotation=rotation))
     assert str(exc.value) == "rotation system does not close up into faces"
+
+
+def test_dual_quiver_names_the_nodes_of_an_asymmetric_rotation():
+    # drop the down black from its first white's rotation: the black still
+    # lists the white
+    _, D, _, _ = fan_pipeline(4, 2)
+    rotation = dict(D.rotation)
+    white = rotation[FAN_4_2_DOWN][0]
+    rotation[white] = tuple(b for b in rotation[white] if b != FAN_4_2_DOWN)
+    with pytest.raises(AsymmetricRotationError) as exc:
+        dl.dual_quiver(corrupted_fan_4_2(rotation=rotation))
+    assert str(exc.value) == (
+        "rotation is not symmetric: ('d', (1, 2, 3), (0, 0, 0)) lists ('w', (1, 2, 3), (1, 0, 0)), "
+        "but ('w', (1, 2, 3), (1, 0, 0)) does not list ('d', (1, 2, 3), (0, 0, 0))"
+    )
 
 
 def test_construction_output_is_pinned():

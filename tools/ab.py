@@ -12,7 +12,9 @@ run, so each run compiles ``src/`` cold, which counts in ``setup_s``.
 Prints every run's end-to-end metrics as it ends, then one row per metric:
 the median of each side, the parent's quartiles, and the pairs in which
 the change was better, worse or tied (the direction comes from
-BENCHMARK.json).  Exits 1 if a run fails or reports ``correct: false``.
+BENCHMARK.json).  Then one verdict per metric (see verdict): ``claim met``,
+``over bound`` or ``within bound``.  Exits 1 if a run fails or reports
+``correct: false``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,37 @@ def clear_pycache(*checkouts: str) -> None:
             if "__pycache__" in dirs:
                 dirs.remove("__pycache__")
                 shutil.rmtree(os.path.join(path, "__pycache__"))
+
+
+def pairs_won(old: list, new: list, better: str) -> tuple[int, int]:
+    """The pairs in which the change was better, and those in which it was
+    worse; better is 'lower' or 'higher'."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+    losses = sum(sign * (b - a) < 0 for a, b in zip(old, new))
+    return wins, losses
+
+
+def verdict(old: list, new: list, better: str, bound: float) -> str:
+    """The verdict on one metric from paired runs, old[i] and new[i] the
+    parent's and the change's values in pair i.
+
+    'claim met' when the change is better in at least 9 of 10 pairs and its
+    median is better than the parent's by more than the parent's q3 - q1;
+    'over bound' when its median is worse than the parent's by more than
+    bound, a fraction of the parent's median; 'within bound' otherwise.
+    """
+    wins, _ = pairs_won(old, new, better)
+    q1, _, q3 = statistics.quantiles(old, n=4)
+    parent = statistics.median(old)
+    gain = statistics.median(new) - parent
+    if better == "lower":
+        gain = -gain
+    if 10 * wins >= 9 * len(old) and gain > q3 - q1:
+        return "claim met"
+    if -gain > bound * abs(parent):
+        return "over bound"
+    return "within bound"
 
 
 def run_once(command: list, checkout: str, args) -> dict:
@@ -66,6 +99,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -79,15 +113,16 @@ def main(argv=None) -> int:
 
     print(f"\n{args.workload}, seed {args.seed}, {args.seconds:g} s runs, {args.pairs} pairs")
     print(f"{'metric':14s} {'parent':>10s} {'change':>10s} {'parent q1..q3':>21s}  better/worse/tied")
+    verdicts = []
     for name, direction in better.items():
         old = [m[name] for m in runs["parent"]]
         new = [m[name] for m in runs["change"]]
         q1, _, q3 = statistics.quantiles(old, n=4)
-        sign = 1 if direction == "higher" else -1
-        wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
-        losses = sum(sign * (b - a) < 0 for a, b in zip(old, new))
+        wins, losses = pairs_won(old, new, direction)
         print(f"{name:14s} {statistics.median(old):10.6g} {statistics.median(new):10.6g} "
               f"{q1:10.6g}..{q3:<10.6g} {wins}/{losses}/{args.pairs - wins - losses}")
+        verdicts.append(f"{name:14s} {verdict(old, new, direction, bounds[name])}")
+    print("", *verdicts, sep="\n")
     return 0
 
 
