@@ -82,11 +82,6 @@ class GammaQuiver:
     def vertex_count(self) -> int:
         return self.m * self.n
 
-    def name_by_signature(self) -> dict:
-        return {
-            (src, tgt, name[0]): name for name, (src, tgt) in self.arrows.items()
-        }
-
     def to_json(self) -> dict:
         return {
             "m": self.m,
@@ -134,12 +129,12 @@ def build_gamma(m: int, n: int) -> GammaQuiver:
 @cache
 def _gamma_tables(m: int, n: int) -> tuple[GammaQuiver, dict, tuple]:
     """Gamma(m, n), built once per (m, n) and shared (read-only), with the
-    family of its arrow between each (source, target) and the relation
-    table of verify_theorem_relations: one (family, k, lhs, rhs, text)
-    entry per instance, in the order they are checked, a side being a
-    tuple of Gamma arrow names (letter, index)."""
+    name of its arrow between each (source, target) (Gamma has at most one
+    per pair) and the relation table of verify_theorem_relations: one
+    (family, k, lhs, rhs, text) entry per instance, in the order they are
+    checked, a side being a tuple of Gamma arrow names (letter, index)."""
     G = build_gamma(m, n)
-    family = {ends: name[0] for name, ends in G.arrows.items()}
+    names = {ends: name for name, ends in G.arrows.items()}
     mn = m * n
 
     def text(word: tuple) -> str:
@@ -175,7 +170,7 @@ def _gamma_tables(m: int, n: int) -> tuple[GammaQuiver, dict, tuple]:
                 else text(rhs)
             )
             table.append((fam, k, lhs, rhs, f"{text(lhs)} = {rhs_text}"))
-    return G, family, tuple(table)
+    return G, names, tuple(table)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +225,7 @@ class BoundaryPresentation:
 
 
 def boundary_generators(
-    Q: QuiverWithFaces, R: RelationSet, budget: SearchBudget | None = None
+    Q: QuiverWithFaces, R: RelationSet, budget: SearchBudget = SearchBudget()
 ) -> BoundaryPresentation:
     """Extract the generator classes of the boundary algebra in one walk.
 
@@ -251,8 +246,7 @@ def boundary_generators(
     arrow with its endpoints (Gamma has at most one per pair).  A
     truncated closure of a path raises InconclusivePresentationError.
     """
-    budget = budget or SearchBudget()
-    family = _gamma_tables(Q.m, Q.n)[1]
+    names = _gamma_tables(Q.m, Q.n)[1]
     internal = {v for v, kind in Q.vertices.items() if kind == "internal"}
     classes: list[GeneratorClass] = []
     placed: set[tuple] = set()
@@ -289,7 +283,8 @@ def boundary_generators(
             if verdict == "generator":
                 members = [a for a in states if primitive(a)]
                 rep = Path(Q, min(members, key=lambda a: (len(a), a)))
-                tag = family.get((p.source, tgt))
+                name = names.get((p.source, tgt))
+                tag = name[0] if name else None
                 classes.append(GeneratorClass(p.source, tgt, tag, rep, size=len(members)))
 
     for s in Q.boundary_vertices:
@@ -303,7 +298,7 @@ def _budget_text(budget: SearchBudget, max_len: int) -> str:
 
 
 def factors_through_boundary(
-    p: Path, R: RelationSet, budget: SearchBudget | None = None
+    p: Path, R: RelationSet, budget: SearchBudget = SearchBudget()
 ) -> tuple[str, int, KeysView[tuple]]:
     """Whether some path equal to p visits a boundary vertex strictly inside.
 
@@ -343,8 +338,9 @@ class GammaMatch:
 
 
 def match_gamma(BP: BoundaryPresentation, G: GammaQuiver) -> GammaMatch:
-    """Carry the presentation's generators onto Gamma's arrows, each class to
-    the arrow with its (source, target, family) signature.
+    """Carry the presentation's generators onto the arrows of G = Gamma(m, n),
+    each class to the arrow with its (source, target): Gamma has at most one
+    per pair, so the ends fix the name, and the class's tag is its family.
 
     The boundary labels are the polygon's own (dual_quiver fixes them), so
     no relabelling is searched.
@@ -354,8 +350,8 @@ def match_gamma(BP: BoundaryPresentation, G: GammaQuiver) -> GammaMatch:
         raise IncompatibleGammaError(
             f"presentation has {BP.boundary_count} boundary vertices, Gamma has {mn}"
         )
-    names = G.name_by_signature()  # a signature fixes the target and the family
-    if Counter((c.source, c.target, c.tag) for c in BP.classes) != Counter(names.keys()):
+    names = _gamma_tables(G.m, G.n)[1]
+    if Counter((c.source, c.target) for c in BP.classes) != Counter(names.keys()):
         missing = [c.describe() for c in BP.classes if c.tag is None]
         return GammaMatch(
             ok=False,
@@ -365,7 +361,7 @@ def match_gamma(BP: BoundaryPresentation, G: GammaQuiver) -> GammaMatch:
             ),
         )
     return GammaMatch(
-        ok=True, assignment={names[(c.source, c.target, c.tag)]: c for c in BP.classes}
+        ok=True, assignment={names[(c.source, c.target)]: c for c in BP.classes}
     )
 
 
@@ -415,7 +411,7 @@ class RelationReport:
 def verify_theorem_relations(
     BP: BoundaryPresentation,
     R: RelationSet,
-    budget: SearchBudget | None = None,
+    budget: SearchBudget = SearchBudget(),
     *,
     match: GammaMatch,
 ) -> RelationReport:
@@ -467,7 +463,7 @@ class CentralElementReport:
 
 
 def verify_central_element(
-    BP: BoundaryPresentation, R: RelationSet, budget: SearchBudget | None = None
+    BP: BoundaryPresentation, R: RelationSet, budget: SearchBudget = SearchBudget()
 ) -> CentralElementReport:
     """Check u_{s(a)} a = a u_{t(a)} for every boundary generator a.
 
@@ -661,7 +657,7 @@ def fan_generator_paths(m: int, n: int, Q: QuiverWithFaces) -> dict:
 def check_fan_formulas(
     BP: BoundaryPresentation,
     R: RelationSet,
-    budget: SearchBudget | None = None,
+    budget: SearchBudget = SearchBudget(),
     *,
     match: GammaMatch,
 ) -> RelationReport:
@@ -729,9 +725,9 @@ def _extract(
     T: Triangulation, m: int, budget: SearchBudget
 ) -> tuple[RelationSet, BoundaryPresentation, GammaMatch]:
     """Build, reduce, dualize, extract the presentation and match it against
-    Gamma(m, n) under a resolved budget; raises InconclusivePresentationError
-    from the extraction.  The last result is kept: along a flip walk each
-    move's before-side is the previous move's after-side.  A raised
+    Gamma(m, n); raises InconclusivePresentationError from the extraction.
+    The last result is kept: along a flip walk each move's before-side is
+    the previous move's after-side.  A raised
     InconclusivePresentationError is never kept."""
     Q = dual_quiver(reduce_dimer(build_dimer(T, m)))
     R = potential_relations(Q)
@@ -740,11 +736,10 @@ def _extract(
 
 
 def verify_boundary_algebra(
-    T: Triangulation, m: int, budget: SearchBudget | None = None
+    T: Triangulation, m: int, budget: SearchBudget = SearchBudget()
 ) -> VerificationOutcome:
     """Run the full pipeline on one triangulation: build, reduce, dualize,
     extract, match against Gamma(m, n), verify relations and centrality."""
-    budget = budget or SearchBudget()
     outcome = VerificationOutcome(n=T.n, m=m, triangulation=T)
     try:
         R, BP, match = _extract(T, m, budget)
@@ -811,7 +806,7 @@ def _tag_sequence(p: Path) -> tuple:
 
 
 def verify_flip_transport(
-    T: Triangulation, d, m: int, budget: SearchBudget | None = None
+    T: Triangulation, d, m: int, budget: SearchBudget = SearchBudget()
 ) -> FlipTransportCertificate:
     """Exhibit how one diagonal flip transports the boundary presentation.
 
@@ -827,8 +822,6 @@ def verify_flip_transport(
     quad_old = {tri for tri in T.triangles if set(move.removed) <= set(tri)}
     quad_new = {tri for tri in T2.triangles if set(move.inserted) <= set(tri)}
     cert = FlipTransportCertificate(move=move, matched_before=False, matched_after=False)
-    # resolved now, so a changed DIMERLAB_BUDGET_VISITED misses the reuse
-    budget = budget or SearchBudget()
     try:
         _, _, match1 = _extract(T, m, budget)
         R2, BP2, match2 = _extract(T2, m, budget)

@@ -30,7 +30,7 @@ from .polygon import (
     normalize_diagonal,
 )
 from .quiver import QuiverError, dual_quiver
-from .rewrite import RewriteError, SearchBudget, default_max_visited
+from .rewrite import DEFAULT_MAX_VISITED, RewriteError, SearchBudget
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -122,9 +122,9 @@ def _add_budget(sub):
     sub.add_argument(
         "--budget-visited",
         type=_positive_int,
-        default=None,
+        default=DEFAULT_MAX_VISITED,
         help=f"max paths one search may visit, an equality query or an extraction "
-        f"closure (default {default_max_visited()}); "
+        f"closure (default {DEFAULT_MAX_VISITED}); "
         "path lengths have a fixed per-search bound",
     )
 
@@ -172,12 +172,11 @@ def _budget_json(budget: SearchBudget) -> dict:
 def _sweep_row(task) -> dict:
     import time
 
-    n, m, index, diagonals, budget, timings = task
-    T = Triangulation(n, [tuple(d) for d in diagonals])
+    T, m, index, budget, timings = task
     t0 = time.monotonic()
     outcome = verify_boundary_algebra(T, m, budget=budget)
     row = {
-        "n": n,
+        "n": T.n,
         "m": m,
         "index": index,
         "diagonals": [list(d) for d in T.sorted_diagonals],
@@ -201,20 +200,13 @@ def cmd_sweep(args) -> int:
         raise CliError(f"--workers must be at least 1, got {args.workers}")
     budget = SearchBudget(args.budget_visited)
     ms = sorted(set(args.m))  # a repeated value runs once
-    tasks = []
-    for m in ms:
-        for n in range(3, args.max_n + 1):
-            for index, T in enumerate(enumerate_triangulations(n)):
-                tasks.append(
-                    (
-                        n,
-                        m,
-                        index,
-                        [list(d) for d in T.sorted_diagonals],
-                        budget,
-                        args.timings,
-                    )
-                )
+    # a Triangulation pickles as it is, so the pool needs no conversion
+    tasks = [
+        (T, m, index, budget, args.timings)
+        for m in ms
+        for n in range(3, args.max_n + 1)
+        for index, T in enumerate(enumerate_triangulations(n))
+    ]
     if args.workers > 1 and tasks:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
@@ -309,7 +301,6 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        # the parser reads DIMERLAB_BUDGET_VISITED for its help text
         args = make_parser().parse_args(argv)
         return args.func(args)
     except InconclusivePresentationError as exc:

@@ -465,7 +465,7 @@ def validate_dimer(D: GLmDimer) -> ValidationReport:
         seen.add(start)
         while queue:
             v = queue.popleft()
-            for w in D.rotation[v]:
+            for w in D.rotation.get(v, ()):
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
@@ -487,7 +487,7 @@ def validate_dimer(D: GLmDimer) -> ValidationReport:
         for b in D.boundary
         if D.nodes.get(b) is None
         or D.nodes[b].location != LOC_BOUNDARY
-        or D.degree(b) != 1
+        or len(D.rotation.get(b, ())) != 1
     ]
     expected = sorted(b for b, r in D.nodes.items() if r.location == LOC_BOUNDARY)
     rep.add(

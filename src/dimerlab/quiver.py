@@ -24,6 +24,7 @@ from functools import cache
 from .dimer import (
     BLACK,
     AsymmetricRotationError,
+    DimerError,
     GLmDimer,
     LOC_BOUNDARY,
     WHITE,
@@ -259,8 +260,17 @@ def dual_quiver(D: GLmDimer) -> QuiverWithFaces:
     # that the faces come out in the same order as on the ids
     ids = sorted(D.rotation)
     index = {v: i for i, v in enumerate(ids)}
-    own = {index[v]: tuple(index[w] for w in r) for v, r in D.rotation.items()}
+    try:
+        own = {index[v]: tuple(index[w] for w in r) for v, r in D.rotation.items()}
+    except KeyError:  # a node listed with no rotation of its own
+        v, w = next((v, w) for v, r in D.rotation.items() for w in r if w not in index)
+        raise AsymmetricRotationError(v, w) from None
     rot = dict(own)  # with the boundary circle's arcs
+    for b in D.boundary:
+        if len(D.rotation.get(b, ())) != 1:
+            raise DimerError(
+                f"boundary black {b!r} has rotation {D.rotation.get(b)!r}, not one white"
+            )
     bdry = tuple(index[b] for b in D.boundary)
     for k, b in enumerate(D.boundary):
         (white,) = D.rotation[b]

@@ -47,7 +47,6 @@ finite closure).
 
 from __future__ import annotations
 
-import os
 from collections.abc import KeysView
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -57,7 +56,6 @@ DISTINCT = "distinct"
 UNKNOWN = "unknown"
 
 DEFAULT_MAX_VISITED = 1_000_000
-ENV_BUDGET_VISITED = "DIMERLAB_BUDGET_VISITED"
 
 
 class RewriteError(ValueError):
@@ -76,31 +74,17 @@ class OracleSoundnessError(RewriteError):
     """An Equal verdict failed its own replay."""
 
 
-def default_max_visited() -> int:
-    raw = os.environ.get(ENV_BUDGET_VISITED)
-    if raw is None:
-        return DEFAULT_MAX_VISITED
-    try:
-        value = int(raw)
-    except ValueError:
-        raise RewriteError(f"{ENV_BUDGET_VISITED} must be an integer, got {raw!r}")
-    if value <= 0:
-        raise RewriteError(f"{ENV_BUDGET_VISITED} must be positive, got {raw!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class SearchBudget:
     """The most states one query may visit, over every closure it runs; a
-    closure of the generator extraction is a query of its own.  None reads
-    default_max_visited() once, when the budget is built."""
+    closure of the generator extraction is a query of its own.  The one
+    budget of the library and the CLI (--budget-visited), DEFAULT_MAX_VISITED
+    unless given; frozen, so one instance is shared as the default."""
 
-    max_visited: int | None = None
+    max_visited: int = DEFAULT_MAX_VISITED
 
     def __post_init__(self):
-        if self.max_visited is None:
-            object.__setattr__(self, "max_visited", default_max_visited())
-        elif self.max_visited <= 0:
+        if self.max_visited <= 0:
             raise RewriteError(f"budget must be positive, got {self}")
 
 
@@ -533,7 +517,9 @@ def _search(closures: tuple, hits: tuple, R: RelationSet, max_visited: int) -> t
             return DISTINCT, None, visited
 
 
-def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = None) -> EqualityVerdict:
+def paths_equal(
+    p: Path, q: Path, R: RelationSet, budget: SearchBudget = SearchBudget()
+) -> EqualityVerdict:
     """Decide p = q in the dimer algebra, within budget.
 
     The face chain c between p and q (RelationSet.face_chain) is found
@@ -558,7 +544,6 @@ def paths_equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget | None = 
         raise IncomparablePathsError(
             f"endpoints differ: {p.source!r}->{p.target!r} vs {q.source!r}->{q.target!r}"
         )
-    budget = budget or SearchBudget()
     if p.key() == q.key():
         return EqualityVerdict(EQUAL, certificate=(), visited=1)
     if budget.max_visited < 2:
@@ -592,7 +577,7 @@ _FOUND = {EQUAL: True, DISTINCT: False, UNKNOWN: None}
 
 
 def class_contains(
-    p: Path, R: RelationSet, hit, budget: SearchBudget | None = None
+    p: Path, R: RelationSet, hit, budget: SearchBudget = SearchBudget()
 ) -> tuple[bool | None, int, KeysView[tuple]]:
     """Whether some path equal to p has hit(arrows) true, how many states
     the search visited, and those states (arrow tuples, p's own first).
@@ -601,7 +586,6 @@ def class_contains(
     None when the budget ran out first.  The word found with hit true is
     not among the states, unless it is p itself.  The closure has no goal
     word, so h = 0 and the search is breadth-first."""
-    budget = budget or SearchBudget()
     closure = _Closure(p.arrows, R.length_bound(len(p)))
     states = closure.parents.keys()
     if hit(p.arrows):

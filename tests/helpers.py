@@ -95,7 +95,7 @@ def plain_bfs_moves(parent, dst):
     return moves[::-1]
 
 
-def pairwise_classes(paths, R, budget=None):
+def pairwise_classes(paths, R, budget=dl.SearchBudget()):
     """Reference for the equality classes of primitive paths that
     boundary_generators finds by closures: each path, in (length, arrows)
     order, is compared by paths_equal with the last member of each class
@@ -138,7 +138,7 @@ def all_primitive_paths(Q):
     }
 
 
-def pairwise_generators(Q, R, budget=None):
+def pairwise_generators(Q, R, budget=dl.SearchBudget()):
     """Reference for boundary_generators, grouping by pairwise_classes and
     keeping the classes whose least path factors_through_boundary calls a
     generator, over every primitive path (all_primitive_paths).  Returns the GeneratorClass tuple in the presentation's

@@ -24,7 +24,7 @@ from dimerlab.boundary import (
 )
 from dimerlab.quiver import Arrow, QuiverWithFaces
 from dimerlab.rewrite import (
-    ENV_BUDGET_VISITED,
+    DEFAULT_MAX_VISITED,
     EQUAL,
     UNKNOWN,
     EqualityVerdict,
@@ -139,7 +139,7 @@ def test_presentation_budget_exhaustion_is_inconclusive(monkeypatch):
     # path's length bound, and how many states the closure visited
     closures = []
 
-    def recorded(p, R, budget=None):
+    def recorded(p, R, budget=SearchBudget()):
         result = factors_through_boundary(p, R, budget)
         closures.append((p, result))
         return result
@@ -179,7 +179,7 @@ def test_a_starved_prefix_closure_never_prunes(monkeypatch):
     def extract(starve_prefixes):
         path_closures = []
 
-        def closure(p, R, budget=None):
+        def closure(p, R, budget=SearchBudget()):
             if p.target not in internal:
                 path_closures.append(p)
             elif starve_prefixes:
@@ -358,7 +358,7 @@ def test_certificates_replay_on_large_random_triangulations(data):
     assume(not set.intersection(*map(set, T.diagonals)))  # no apex: not a fan
     calls = []
 
-    def recorded(p, q, R, budget=None):
+    def recorded(p, q, R, budget=SearchBudget()):
         verdict = paths_equal(p, q, R, budget)
         calls.append((p, q, R, verdict))
         return verdict
@@ -372,32 +372,67 @@ def test_certificates_replay_on_large_random_triangulations(data):
         assert replay_certificate(p, instance.verdict.certificate, R) == q
 
 
-def test_the_length_rule_never_prunes_a_closure():
-    # the evidence that the per-query length rule needs no override: no
-    # closure of any run on these grids drops a word for its length.  Every
-    # closure expands through _Closure.expand, those of the equality search
-    # (whose hit is the other side's states) and those of class_contains.
-    expand, expansions, pruned, searches = _Closure.expand, [], [], set()
+def closures_of_passing_runs(runs):
+    """Verify each (triangulation, m) of runs, check that it passes, and
+    return every closure expanded on the way, once each, with the search it
+    belongs to.  Every closure expands through _Closure.expand, those of
+    the equality search (whose hit is the other side's states) and those
+    of class_contains.  The kept extraction is dropped first, so every
+    run extracts."""
+    expand, closures = _Closure.expand, {}
+    _extract.cache_clear()
 
     def watched(self, R, hit, room):
-        found = expand(self, R, hit, room)
-        expansions.append(self)
         equality = isinstance(getattr(hit, "__self__", None), dict)
-        searches.add("paths_equal" if equality else "class_contains")
-        if self.pruned:
-            pruned.append(self)
-        return found
+        closures[id(self)] = (self, "paths_equal" if equality else "class_contains")
+        return expand(self, R, hit, room)
 
-    runs = 0
     with mock.patch.object(_Closure, "expand", watched):
-        for m, max_n in ((2, 7), (3, 6)):
-            for n in range(3, max_n + 1):
-                for T in dl.enumerate_triangulations(n):
-                    assert dl.verify_boundary_algebra(T, m).passed
-                    runs += 1
-    assert runs == 64 + 22 and expansions
-    assert searches == {"paths_equal", "class_contains"}
-    assert not pruned
+        for T, m in runs:
+            assert dl.verify_boundary_algebra(T, m).passed
+    return list(closures.values())
+
+
+def test_the_length_rule_never_prunes_a_closure():
+    # the evidence that the per-query length rule needs no override: no
+    # closure of any run on these grids drops a word for its length
+    runs = [
+        (T, m)
+        for m, max_n in ((2, 7), (3, 6))
+        for n in range(3, max_n + 1)
+        for T in dl.enumerate_triangulations(n)
+    ]
+    assert len(runs) == 64 + 22
+    closures = closures_of_passing_runs(runs)
+    assert {search for _, search in closures} == {"paths_equal", "class_contains"}
+    assert not [c for c, _ in closures if c.pruned]
+
+
+@pytest.mark.parametrize(
+    "m, n", [(4, 4), (5, 4), (6, 4), (7, 4), (8, 4), (6, 6), (7, 5), (8, 5), (9, 5)]
+)
+def test_the_length_rule_never_prunes_a_closure_on_the_fan(m, n):
+    # the fans short of the cliff at fan (9, 4): the rule drops no word
+    closures = closures_of_passing_runs([(dl.fan_triangulation(n, 1), m)])
+    assert {search for _, search in closures} == {"paths_equal", "class_contains"}
+    assert not [c for c, _ in closures if c.pruned]
+
+
+def test_the_length_rule_prunes_four_prefix_closures_at_fan_9_4():
+    # the cliff: six prefix closures of the extraction drop words longer
+    # than the bound.  Two still reach a word through a boundary vertex;
+    # the other four exhaust their 1,644 states unfinished and keep their
+    # prefix, and the run still passes.  An exact length bound would
+    # change this pin.
+    T = dl.fan_triangulation(4, 1)
+    Q = dl.dual_quiver(dl.reduce_dimer(dl.build_dimer(T, 9)))
+    pruned = [(c, search) for c, search in closures_of_passing_runs([(T, 9)]) if c.pruned]
+    assert {search for _, search in pruned} == {"class_contains"}
+    starts = [next(iter(c.parents)) for c, _ in pruned]
+    assert all(Q.vertices[Q.arrow_target[start[-1]]] == "internal" for start in starts)
+    unfinished = [c for c, _ in pruned if not c.open]
+    assert len(pruned) == 6 and len(unfinished) == 4
+    assert sum(len(c.parents) for c in unfinished) == 1644
 
 
 def test_central_element_triangle():
@@ -507,10 +542,10 @@ def test_flip_transport_affected_reps_are_valid_paths():
         assert entry["new"] == entry["delta_prefix"] + entry["core"] + entry["delta_suffix"]
 
 
-def test_flip_transport_reuse_is_never_stale(monkeypatch):
-    # each side's extraction is reused only under the budget it ran with,
-    # as resolved at the call: the before-side T2 below was extracted
-    # last, under the default budget, and a starved call must not see it
+def test_flip_transport_reuse_is_never_stale():
+    # each side's extraction is reused only under the budget it ran with:
+    # the before-side T2 below was extracted last, under the default
+    # budget, and a starved call must not see it
     T, m = dl.fan_triangulation(6, 1), 3
     T2, move = dl.flip(T, (1, 4))
     starved = SearchBudget(max_visited=3)
@@ -519,8 +554,6 @@ def test_flip_transport_reuse_is_never_stale(monkeypatch):
     assert expected["inconclusive"] and not expected["ok"]
     assert dl.verify_flip_transport(T, (1, 4), m).ok
     assert dl.verify_flip_transport(T2, move.inserted, m, starved).to_json() == expected
-    monkeypatch.setenv(ENV_BUDGET_VISITED, "3")
-    assert dl.verify_flip_transport(T2, move.inserted, m).to_json() == expected
 
 
 def test_flip_transport_certificates_match_without_reuse():
@@ -566,24 +599,24 @@ def test_double_flip_restores_presentation():
 
 
 @pytest.mark.parametrize("m, n", [(3, 8), (4, 5), (4, 6), (5, 4)])
-def test_fan_outputs_match_the_benchmark_reference(m, n, monkeypatch):
+def test_fan_outputs_match_the_benchmark_reference(m, n):
     # the report bytes of the benchmark's fans, against the digests the
-    # benchmark checks (perfbench/reference.json, under its pinned budget)
+    # benchmark checks (perfbench/reference.json, under the default budget)
     with open(REFERENCE) as f:
         reference = json.load(f)
-    monkeypatch.setenv(ENV_BUDGET_VISITED, str(reference["budget_visited"]))
+    assert reference["budget_visited"] == DEFAULT_MAX_VISITED
     out = dl.verify_boundary_algebra(dl.fan_triangulation(n, 1), m)
     data = json.dumps(out.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(data).hexdigest() == reference["fan-extract"][f"{m},{n}"]
 
 
-def test_flip_walk_outputs_match_the_benchmark_reference(monkeypatch):
+def test_flip_walk_outputs_match_the_benchmark_reference():
     # one walk from each flip-walk pool (the first at n = 11 and the
     # cheapest at n = 8), replayed as the benchmark walks it, against its
     # digest of the certificate list
     with open(REFERENCE) as f:
         reference = json.load(f)
-    monkeypatch.setenv(ENV_BUDGET_VISITED, str(reference["budget_visited"]))
+    assert reference["budget_visited"] == DEFAULT_MAX_VISITED
     walks = reference["flip-walk"]
     large = next(w for w in walks if w["n"] == 11)
     small = min((w for w in walks if w["n"] == 8), key=lambda w: w["residue_calls"])

@@ -10,7 +10,7 @@ import pytest
 import dimerlab as dl
 from dimerlab.cli import main, parse_triangulation_spec
 from dimerlab.quiver import QuiverWithFaces
-from dimerlab.rewrite import ENV_BUDGET_VISITED
+from dimerlab.rewrite import DEFAULT_MAX_VISITED
 
 REFERENCE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference.json")
 
@@ -132,12 +132,12 @@ def test_sweep_runs_a_repeated_m_once():
     assert json.loads(once)["grid"]["m"] == [2, 3]
 
 
-def test_sweep_output_matches_the_benchmark_reference(monkeypatch):
+def test_sweep_output_matches_the_benchmark_reference():
     # the stdout bytes of the benchmark's sweep, against the digest the
-    # benchmark checks (perfbench/reference.json, under its pinned budget)
+    # benchmark checks (perfbench/reference.json, under the default budget)
     with open(REFERENCE) as f:
         reference = json.load(f)
-    monkeypatch.setenv(ENV_BUDGET_VISITED, str(reference["budget_visited"]))
+    assert reference["budget_visited"] == DEFAULT_MAX_VISITED
     argv = ["sweep", "--max-n", "7", "--m", "2", "3"]
     ref = reference["sweep-n7"]
     assert ref["argv"] == argv
@@ -237,13 +237,14 @@ def test_invalid_triangulation_or_flip_is_a_one_line_error(capsys, args, err):
         ["gamma", "--n", "3", "--m", "2"],
     ],
 )
-def test_non_integer_env_budget_is_a_one_line_error(monkeypatch, capsys, argv):
-    monkeypatch.setenv(ENV_BUDGET_VISITED, "abc")
-    code, out = run_cli(argv)
-    assert code == 1 and out == ""
-    assert capsys.readouterr().err == (
-        f"error: {ENV_BUDGET_VISITED} must be an integer, got 'abc'\n"
-    )
+def test_non_integer_env_budget_is_ignored(monkeypatch, capsys, argv):
+    # the budget is --budget-visited or its default, whatever the
+    # environment holds: DIMERLAB_BUDGET_VISITED changes no byte
+    expected = run_cli(argv)
+    for raw in ("abc", ""):
+        monkeypatch.setenv("DIMERLAB_BUDGET_VISITED", raw)
+        assert run_cli(argv) == expected
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
@@ -256,14 +257,38 @@ def test_non_integer_env_budget_is_a_one_line_error(monkeypatch, capsys, argv):
         ["gamma", "--n", "3", "--m", "2"],
     ],
 )
-def test_non_positive_env_budget_is_a_one_line_error(monkeypatch, capsys, argv):
+def test_non_positive_env_budget_is_ignored(monkeypatch, capsys, argv):
+    expected = run_cli(argv)
     for raw in ("0", "-5"):
-        monkeypatch.setenv(ENV_BUDGET_VISITED, raw)
-        code, out = run_cli(argv)
-        assert code == 1 and out == ""
-        assert capsys.readouterr().err == (
-            f"error: {ENV_BUDGET_VISITED} must be positive, got {raw!r}\n"
+        monkeypatch.setenv("DIMERLAB_BUDGET_VISITED", raw)
+        assert run_cli(argv) == expected
+    assert capsys.readouterr().err == ""
+
+
+def test_the_environment_does_not_change_a_run():
+    # in fresh processes, as a shell runs the CLI
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {k: v for k, v in os.environ.items() if k != "DIMERLAB_BUDGET_VISITED"}
+    env["PYTHONPATH"] = src
+
+    def run(argv, **extra):
+        return subprocess.run(
+            [sys.executable, "-m", "dimerlab.cli", *argv],
+            env=dict(env, **extra),
+            capture_output=True,
+            timeout=120,
         )
+
+    verify = ["verify", "--n", "5", "--m", "2", "--fan"]
+    unset = run(verify)
+    assert unset.returncode == 0 and unset.stderr == b""
+    assert json.loads(unset.stdout)["budget"]["max_visited"] == DEFAULT_MAX_VISITED
+    for raw in ("1", "abc"):
+        proc = run(verify, DIMERLAB_BUDGET_VISITED=raw)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, unset.stdout, b"")
+    for argv in (["--version"], ["gamma", "--n", "3", "--m", "2"]):
+        proc = run(argv, DIMERLAB_BUDGET_VISITED="abc")
+        assert proc.returncode == 0 and proc.stdout and proc.stderr == b""
 
 
 @pytest.mark.parametrize(
@@ -297,15 +322,6 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
-
-
-def test_env_budget_override(monkeypatch):
-    monkeypatch.setenv("DIMERLAB_BUDGET_VISITED", "1")
-    code, _ = run_cli(["verify", "--n", "4", "--m", "2", "--fan"])
-    assert code == 2
-    monkeypatch.setenv("DIMERLAB_BUDGET_VISITED", "1000000")
-    code, _ = run_cli(["verify", "--n", "4", "--m", "2", "--fan"])
-    assert code == 0
 
 
 @pytest.mark.parametrize(

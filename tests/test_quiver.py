@@ -260,6 +260,34 @@ def test_dual_quiver_names_the_nodes_of_an_asymmetric_rotation():
     )
 
 
+def test_dual_quiver_names_a_boundary_black_without_its_white():
+    # empty a boundary black's rotation: its white still lists it
+    _, D, _, _ = fan_pipeline(4, 2)
+    black = D.boundary[0]
+    broken = corrupted_fan_4_2(rotation={**D.rotation, black: ()})
+    with pytest.raises(DimerError) as exc:
+        dl.dual_quiver(broken)
+    assert str(exc.value) == "boundary black ('b', (1, 2), 0) has rotation (), not one white"
+    failures = dict(dl.validate_dimer(broken).failures())
+    assert failures["boundary-sequence"] == "bad boundary entries: [('b', (1, 2), 0)]"
+    assert "rotation-symmetric" in failures
+
+
+def test_dual_quiver_names_a_white_without_a_rotation():
+    # delete a white's rotation: its blacks still list it
+    _, D, _, _ = fan_pipeline(4, 2)
+    white = D.rotation[FAN_4_2_DOWN][0]
+    broken = corrupted_fan_4_2(
+        rotation={v: r for v, r in D.rotation.items() if v != white}
+    )
+    with pytest.raises(AsymmetricRotationError) as exc:
+        dl.dual_quiver(broken)
+    assert (exc.value.v, exc.value.w) == (FAN_4_2_DOWN, white)
+    failures = dict(dl.validate_dimer(broken).failures())
+    assert repr(FAN_4_2_DOWN) in failures["rotation-symmetric"]
+    assert failures["connected"] == "reached 12 of 14 nodes"
+
+
 def test_construction_output_is_pinned():
     # the reduced dimer, the quiver and the relation sides with their face
     # pairs of every triangulation for m = 2 with n <= 8, m = 3 with n <= 7

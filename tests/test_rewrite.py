@@ -283,7 +283,7 @@ def test_class_contains_reports_how_far_it_got():
     Q, R = loops(3, [((0,), (1,)), ((1,), (2,))])
     a = Path(Q, (0,))
 
-    def run(hit, budget=None):
+    def run(hit, budget=SearchBudget()):
         found, visited, states = class_contains(a, R, hit, budget)
         return found, visited, list(states)
 
