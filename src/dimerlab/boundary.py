@@ -275,7 +275,7 @@ def boundary_generators(
             verdict, visited, states = factors_through_boundary(p, R, budget)
             if verdict == "truncated":
                 raise InconclusivePresentationError(
-                    f"cannot decide within {_budget_text(budget, R.length_bound(len(p)))} "
+                    f"cannot decide within budget (max_visited={budget.max_visited}) "
                     f"whether the class of {p.arrows} ({p.source}->{p.target}) "
                     f"is a generator (visited {visited})"
                 )
@@ -291,10 +291,6 @@ def boundary_generators(
         walk([], s, set())
     classes.sort(key=lambda c: (c.target, c.source, c.rep.arrows))
     return BoundaryPresentation(quiver=Q, classes=tuple(classes))
-
-
-def _budget_text(budget: SearchBudget, max_len: int) -> str:
-    return f"budget (max_path_length={max_len}, max_visited={budget.max_visited})"
 
 
 def factors_through_boundary(

@@ -16,7 +16,6 @@ import sys
 from . import __version__
 from .boundary import (
     BoundaryError,
-    InconclusivePresentationError,
     build_gamma,
     verify_boundary_algebra,
     verify_flip_transport,
@@ -93,10 +92,9 @@ def _emit(data: dict) -> None:
     sys.stdout.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
-def _add_common(sub, need_m=True):
+def _add_common(sub):
     sub.add_argument("--n", type=int, required=True, help="polygon vertex count")
-    if need_m:
-        sub.add_argument("--m", type=int, required=True, help="dimer order (m >= 2)")
+    sub.add_argument("--m", type=int, required=True, help="dimer order (m >= 2)")
     sub.add_argument("--diagonals", help="comma-separated a-b diagonal pairs")
     sub.add_argument(
         "--fan",
@@ -124,8 +122,7 @@ def _add_budget(sub):
         type=_positive_int,
         default=DEFAULT_MAX_VISITED,
         help=f"max paths one search may visit, an equality query or an extraction "
-        f"closure (default {DEFAULT_MAX_VISITED}); "
-        "path lengths have a fixed per-search bound",
+        f"closure (default {DEFAULT_MAX_VISITED})",
     )
 
 
@@ -165,7 +162,7 @@ def cmd_verify(args) -> int:
 
 
 def _budget_json(budget: SearchBudget) -> dict:
-    # the length bound is RelationSet.length_bound, fixed per query
+    # no length bound is applied; the key keeps the report's bytes as they were
     return {"max_visited": budget.max_visited, "max_path_length": "per-query"}
 
 
@@ -214,7 +211,6 @@ def cmd_sweep(args) -> int:
             rows = list(pool.map(_sweep_row, tasks))
     else:
         rows = [_sweep_row(t) for t in tasks]
-    rows.sort(key=lambda r: (r["m"], r["n"], r["index"]))
     report = {
         "version": __version__,
         "budget": _budget_json(budget),
@@ -303,9 +299,6 @@ def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
         return args.func(args)
-    except InconclusivePresentationError as exc:
-        sys.stderr.write(f"inconclusive: {exc}\n")
-        return EXIT_INCONCLUSIVE
     except (
         CliError,
         PolygonError,

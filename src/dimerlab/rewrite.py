@@ -30,15 +30,14 @@ state ranks first expands, so a side that is still descending keeps the
 turn and is not met halfway by the other side descending along another
 order of the same steps.  The order is all that h changes: every
 state reached is kept, an Equal certificate is replayed, and Distinct by
-search still needs a closure exhausted without dropping a word, which is
-then the whole class.  A RelationSet without faces has no residue: its
-queries go straight to the search, which has h = 0, breadth-first order.
+search needs a closure that runs out of open states, which is then the
+whole class.  A RelationSet without faces has no residue: its queries go
+straight to the search, which has h = 0, breadth-first order.
 
-The budget is one number, the states a query may visit (SearchBudget).
-The length of the words a search visits is bounded by one fixed rule per
-query, RelationSet.length_bound: room for two relation substitutions
-beyond the longest word the search starts from.  A closure that drops a
-longer word is no longer known to be complete.
+The budget is one number, the states a query may visit (SearchBudget),
+and it is the only bound on a search: no word is dropped for its length.
+A class that is infinite (possible for a hand-made RelationSet) is
+searched until the budget runs out.
 
 Positive answers carry a replayable certificate; negative answers name a
 separating invariant (the abelian residue, or exhaustion of a complete
@@ -172,9 +171,6 @@ class RelationSet:
                 raise RewriteError(f"relation endpoints differ: {lhs} vs {rhs}")
         if self.faces is not None:
             _check_face_pairs(quiver, self.relations, self.faces)
-        self.max_side_length = max(
-            (max(len(l), len(r)) for l, r in self.relations), default=1
-        )
         # pattern index: first arrow id -> [(side, replacement, relation, direction)]
         self._patterns: dict[int, list] = {}
         for ridx, (lhs, rhs) in enumerate(self.relations):
@@ -188,11 +184,6 @@ class RelationSet:
 
     def __len__(self):
         return len(self.relations)
-
-    def length_bound(self, length: int) -> int:
-        """The longest word a search from words of at most length arrows
-        visits: room for two relation substitutions beyond them."""
-        return 2 * self.max_side_length + length
 
     def sites(self, arrows: tuple) -> list[tuple]:
         """All rewrite sites of a raw arrow tuple, in (position, relation,
@@ -402,18 +393,16 @@ class _Closure:
     An entry holds its parent's chain and the move (F+, F-, unit) that it
     makes, applied when the entry is popped, so chains live only in the
     open set.  The start's chain is given when the closure is built; it is
-    None exactly when the closure has no goal, and then h = 0.  pruned
-    records whether a rewrite was dropped for being longer than max_len
-    (the closure is then no longer known to be complete).
+    None exactly when the closure has no goal, and then h = 0.  Every
+    rewrite is kept, so a closure with no open state left is the whole
+    class of its start.
     """
 
-    __slots__ = ("parents", "open", "max_len", "pruned")
+    __slots__ = ("parents", "open")
 
-    def __init__(self, arrows: tuple, max_len: int, chain: list[int] | None = None):
+    def __init__(self, arrows: tuple, chain: list[int] | None = None):
         self.parents: dict[tuple, tuple | None] = {arrows: None}
         self.open = [((0, 0), 0, arrows, chain, None)]
-        self.max_len = max_len
-        self.pruned = False
 
     def expand(self, R: RelationSet, hit, room: int):
         """Pop the open state of least (2g + h, -g), the first reached
@@ -428,7 +417,7 @@ class _Closure:
         hit(state) true, _OVERFLOW when a new state finds no room, and None
         otherwise.
         """
-        heap, parents, max_len = self.open, self.parents, self.max_len
+        heap, parents = self.open, self.parents
         tie = heap[0][0]
         f, minus_g = tie
         depth = 1 - minus_g  # the steps to the states they reach
@@ -442,9 +431,6 @@ class _Closure:
                 chain[face_plus] -= unit
                 chain[face_minus] += unit
             for pos, ridx, direction, res in R.sites(key):
-                if len(res) > max_len:
-                    self.pruned = True
-                    continue
                 if res in parents:
                     continue
                 step = (pos, ridx, direction)
@@ -478,17 +464,17 @@ def _steps(parents: dict, state: tuple) -> tuple:
 
 def _search(closures: tuple, hits: tuple, R: RelationSet, max_visited: int) -> tuple:
     """Expand one or two closures best-first, until a closure reaches a new
-    state that its hit accepts, a closure is exhausted without pruning,
-    every closure is exhausted, or the budget runs out.  Each time, the
-    closure whose least open entry has the least key (2g + h, -g) goes
-    next; on a tie, the one with the fewer open states, then the first.
+    state that its hit accepts, a closure is exhausted, or the budget runs
+    out.  Each time, the closure whose least open entry has the least key
+    (2g + h, -g) goes next; on a tie, the one with the fewer open states,
+    then the first.
     Where h guides, the side that is still descending keeps the turn and
     reaches the other side's start on its own, instead of both sides
     descending along different orders of the same commuting steps; on a
     plateau of h the keys tie level by level, and the sides alternate.
 
     Returns (outcome, found, visited): the outcome is EQUAL on a hit,
-    DISTINCT on exhaustion without pruning and UNKNOWN otherwise; found is
+    DISTINCT on exhaustion and UNKNOWN when the budget runs out; found is
     (closure index, state, previous state, step) for EQUAL and None
     otherwise; visited, the states of every closure, never exceeds
     max_visited.
@@ -497,14 +483,10 @@ def _search(closures: tuple, hits: tuple, R: RelationSet, max_visited: int) -> t
     while True:
         side = None
         for i, closure in enumerate(closures):
-            heap = closure.open
-            if not heap:
-                continue
+            heap = closure.open  # never empty: an exhausted closure ends the search
             key = heap[0][0]
             if side is None or key < best or (key == best and len(heap) < size):
                 side, best, size = i, key, len(heap)
-        if side is None:
-            return UNKNOWN, None, visited
         closure = closures[side]
         before = len(closure.parents)
         found = closure.expand(R, hits[side], max_visited - visited)
@@ -513,7 +495,7 @@ def _search(closures: tuple, hits: tuple, R: RelationSet, max_visited: int) -> t
             return UNKNOWN, None, visited
         if found is not None:
             return EQUAL, (side, *found), visited
-        if not closure.open and not closure.pruned:
+        if not closure.open:
             return DISTINCT, None, visited
 
 
@@ -528,17 +510,16 @@ def paths_equal(
     the residues.  A RelationSet without faces has no residue test, and
     its queries go straight to the search.  Otherwise one bidirectional
     best-first closure search runs between the full paths under the
-    relation rewrites, both closures under the length bound of the longer
-    path.  Each side pops the state of least 2g + h, deeper first on
-    ties, where h sums the face chain between the state and the other
-    side's start: p's side starts from c, q's from -c (h = 0 without
-    faces).  The side whose next state ranks first expands, and on a tie
+    relation rewrites, bounded only by the budget.  Each side pops the
+    state of least 2g + h, deeper first on ties, where h sums the face
+    chain between the state and the other side's start: p's side starts
+    from c, q's from -c (h = 0 without faces).  The side whose next state ranks first expands, and on a tie
     the side with the fewer open states (see _search).  h changes only
     the order: a meeting point yields Equal with a certificate that is
-    replayed before being returned, and exhaustion of a complete (never
-    length-pruned) closure yields Distinct, since that closure is the
-    whole class and would have reached the other start.  Everything else
-    is Unknown.
+    replayed before being returned, and a closure that runs out of open
+    states yields Distinct, since that closure is the whole class and
+    would have reached the other start.  A budget that runs out first
+    yields Unknown.
     """
     if p.source != q.source or p.target != q.target:
         raise IncomparablePathsError(
@@ -551,9 +532,8 @@ def paths_equal(
     chain = R.face_chain(p.arrows, q.arrows)
     if chain is not None and sum(chain) != 0:
         return EqualityVerdict(DISTINCT, separating="abelian_invariant", visited=2)
-    max_len = R.length_bound(max(len(p), len(q)))
-    side_p = _Closure(p.arrows, max_len, chain)
-    side_q = _Closure(q.arrows, max_len, None if chain is None else [-x for x in chain])
+    side_p = _Closure(p.arrows, chain)
+    side_q = _Closure(q.arrows, None if chain is None else [-x for x in chain])
     outcome, found, visited = _search(
         (side_p, side_q),
         (side_q.parents.__contains__, side_p.parents.__contains__),
@@ -585,8 +565,11 @@ def class_contains(
     class was enumerated without one (the states are then that class),
     None when the budget ran out first.  The word found with hit true is
     not among the states, unless it is p itself.  The closure has no goal
-    word, so h = 0 and the search is breadth-first."""
-    closure = _Closure(p.arrows, R.length_bound(len(p)))
+    word, so h = 0 and the search is breadth-first.  Only the budget
+    bounds it: the verdict on an infinite class (possible for a hand-made
+    RelationSet) is None once the whole budget is spent, so give such a
+    set a small budget."""
+    closure = _Closure(p.arrows)
     states = closure.parents.keys()
     if hit(p.arrows):
         return True, 1, states

@@ -234,35 +234,29 @@ def same_residue(R, a, b):
 def bfs_paths_equal(p, q, R, max_visited):
     """Reference for paths_equal: the plain bidirectional breadth-first
     search, one whole level at a time on the side with the smaller level,
-    under the lattice oracle's residue check (same_residue) and the same
-    length bound.  Returns the outcome: Equal when the closures meet,
-    Distinct on differing residues or a closure exhausted without dropping
-    a longer word, Unknown when more than max_visited states would be
-    needed."""
+    under the lattice oracle's residue check (same_residue).  Returns the
+    outcome: Equal when the closures meet, Distinct on differing residues
+    or a closure exhausted, Unknown when more than max_visited states would
+    be needed."""
     if p.arrows == q.arrows:
         return rewrite.EQUAL
     if not same_residue(R, p.arrows, q.arrows):
         return rewrite.DISTINCT
-    max_len = R.length_bound(max(len(p), len(q)))
     seen = [{p.arrows}, {q.arrows}]
     levels = [[p.arrows], [q.arrows]]
-    pruned = [False, False]
-    while levels[0] or levels[1]:
-        i = 0 if levels[0] and (not levels[1] or len(levels[0]) <= len(levels[1])) else 1
+    while True:
+        i = 0 if len(levels[0]) <= len(levels[1]) else 1
         level = []
         for word in levels[i]:
             for site in R.sites(word):
                 word_next = site[3]
-                if len(word_next) > max_len:
-                    pruned[i] = True
-                elif word_next in seen[1 - i]:
+                if word_next in seen[1 - i]:
                     return rewrite.EQUAL
-                elif word_next not in seen[i]:
+                if word_next not in seen[i]:
                     if len(seen[0]) + len(seen[1]) >= max_visited:
                         return rewrite.UNKNOWN
                     seen[i].add(word_next)
                     level.append(word_next)
         levels[i] = level
-        if not level and not pruned[i]:
+        if not level:
             return rewrite.DISTINCT
-    return rewrite.UNKNOWN

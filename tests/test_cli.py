@@ -75,6 +75,17 @@ def test_verify_starved_budget_exit_two():
     assert json.loads(out)["outcome"]["inconclusive"]
 
 
+def test_verify_starved_extraction_has_no_presentation():
+    # a closure of the extraction runs out: no presentation, and the one
+    # inconclusive entry names the budget
+    code, out = run_cli(["verify", "--n", "6", "--m", "3", "--fan", "--budget-visited", "2"])
+    assert code == 2
+    outcome = json.loads(out)["outcome"]
+    assert outcome["presentation"] is None and outcome["passed"] is False
+    (entry,) = outcome["inconclusive"]
+    assert entry.startswith("presentation: cannot decide within budget (max_visited=2) ")
+
+
 def test_budget_dimension_not_given_keeps_per_query_default():
     argv = ["verify", "--n", "5", "--m", "2", "--fan"]
     code, out = run_cli(argv + ["--budget-visited", "1000000"])
@@ -123,6 +134,26 @@ def test_sweep_deterministic_and_parallel_agrees():
     assert serial == serial2
     _, parallel = run_cli(["sweep", "--max-n", "5", "--m", "2", "--workers", "2"])
     assert parallel == serial
+
+
+def test_sweep_starved_budget_exit_two():
+    code, out = run_cli(["sweep", "--max-n", "4", "--m", "3", "--budget-visited", "2"])
+    assert code == 2
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 1 + 2 and all(row["inconclusive"] for row in rows)
+
+
+def test_sweep_timings_only_add_runtimes():
+    # --timings adds runtime_ms to each row and changes nothing else
+    _, canonical = run_cli(["sweep", "--max-n", "5", "--m", "2"])
+    code, timed = run_cli(["sweep", "--max-n", "5", "--m", "2", "--timings"])
+    canonical, timed = json.loads(canonical), json.loads(timed)
+    assert code == 0 and len(timed["rows"]) == 1 + 2 + 5
+    for row, timed_row in zip(canonical["rows"], timed["rows"]):
+        runtime = timed_row.pop("runtime_ms")
+        assert isinstance(runtime, float) and runtime >= 0
+        assert timed_row == row
+    assert timed == canonical
 
 
 def test_sweep_runs_a_repeated_m_once():

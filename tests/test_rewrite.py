@@ -667,6 +667,20 @@ def test_faceless_queries_go_straight_to_the_search():
     assert (v.outcome, v.separating) == (DISTINCT, "exhausted_closure")
 
 
+def test_the_budget_ends_an_infinite_class():
+    # loops a, b with a = b a: the class of a is b^k a for every k, so only
+    # the visited budget ends its closure.  No word is dropped for its
+    # length: the k-th state has k arrows, and the run takes about 0.3 s
+    Q, R = loops(2, [((0,), (1, 0))])
+    found, visited, states = class_contains(
+        Path(Q, (0,)), R, lambda arrows: False, SearchBudget(1_000)
+    )
+    assert (found, visited) == (None, 1_000)
+    assert sorted(map(len, states)) == list(range(1, 1_001))
+    v = paths_equal(Path(Q, (0,)), Path(Q, (1, 1, 0, 0)), R, SearchBudget(1_000))
+    assert (v.outcome, v.visited) == (UNKNOWN, 1_000)
+
+
 def test_unsound_face_pairs_are_refused():
     # a pair that does not cut its relation, a missing pair, and pairs that
     # leave faces apart would each make the residue split or merge classes
