@@ -42,10 +42,8 @@ from .rewrite import (
     Path,
     RelationSet,
     SearchBudget,
-    abelian_invariant,
     paths_equal,
     replay_certificate,
-    rewrite_sites,
 )
 from .boundary import (
     BoundaryPresentation,

@@ -191,8 +191,16 @@ class GeneratorClass:
 
 @dataclass
 class BoundaryPresentation:
-    quiver: QuiverWithFaces
+    """The generator classes of one quiver's boundary algebra, with the
+    relation set they were extracted under; the quiver is that set's, so
+    every check of the presentation reads one (Q, R) pair."""
+
+    relation_set: RelationSet
     classes: tuple[GeneratorClass, ...]
+
+    @property
+    def quiver(self) -> QuiverWithFaces:
+        return self.relation_set.quiver
 
     @property
     def m(self) -> int:
@@ -225,9 +233,10 @@ class BoundaryPresentation:
 
 
 def boundary_generators(
-    Q: QuiverWithFaces, R: RelationSet, budget: SearchBudget = SearchBudget()
+    R: RelationSet, budget: SearchBudget = SearchBudget()
 ) -> BoundaryPresentation:
-    """Extract the generator classes of the boundary algebra in one walk.
+    """Extract the generator classes of the boundary algebra of R.quiver,
+    under the relations of R, in one walk; the presentation keeps R.
 
     The walk follows the primitive paths from each boundary vertex: through
     internal vertices only, each visited at most once.  A prefix extended
@@ -246,6 +255,7 @@ def boundary_generators(
     arrow with its endpoints (Gamma has at most one per pair).  A
     truncated closure of a path raises InconclusivePresentationError.
     """
+    Q = R.quiver
     names = _gamma_tables(Q.m, Q.n)[1]
     internal = {v for v, kind in Q.vertices.items() if kind == "internal"}
     classes: list[GeneratorClass] = []
@@ -290,7 +300,7 @@ def boundary_generators(
     for s in Q.boundary_vertices:
         walk([], s, set())
     classes.sort(key=lambda c: (c.target, c.source, c.rep.arrows))
-    return BoundaryPresentation(quiver=Q, classes=tuple(classes))
+    return BoundaryPresentation(relation_set=R, classes=tuple(classes))
 
 
 def factors_through_boundary(
@@ -333,20 +343,23 @@ class GammaMatch:
         return self.assignment[name].rep
 
 
-def match_gamma(BP: BoundaryPresentation, G: GammaQuiver) -> GammaMatch:
-    """Carry the presentation's generators onto the arrows of G = Gamma(m, n),
-    each class to the arrow with its (source, target): Gamma has at most one
-    per pair, so the ends fix the name, and the class's tag is its family.
+def match_gamma(BP: BoundaryPresentation) -> GammaMatch:
+    """Carry the presentation's generators onto the arrows of Gamma(m, n),
+    (m, n) those of its quiver, each class to the arrow with its (source,
+    target): Gamma has at most one per pair, so the ends fix the name, and
+    the class's tag is its family.  Raises IncompatibleGammaError when the
+    quiver does not have m*n boundary vertices (a hand-made quiver can
+    claim any m and n).
 
     The boundary labels are the polygon's own (dual_quiver fixes them), so
     no relabelling is searched.
     """
-    mn = G.vertex_count
-    if BP.boundary_count != mn:
+    G, names, _ = _gamma_tables(BP.m, BP.n)
+    if BP.boundary_count != G.vertex_count:
         raise IncompatibleGammaError(
-            f"presentation has {BP.boundary_count} boundary vertices, Gamma has {mn}"
+            f"presentation has {BP.boundary_count} boundary vertices, "
+            f"Gamma({G.m},{G.n}) has {G.vertex_count}"
         )
-    names = _gamma_tables(G.m, G.n)[1]
     if Counter((c.source, c.target) for c in BP.classes) != Counter(names.keys()):
         missing = [c.describe() for c in BP.classes if c.tag is None]
         return GammaMatch(
@@ -405,11 +418,7 @@ class RelationReport:
 
 
 def verify_theorem_relations(
-    BP: BoundaryPresentation,
-    R: RelationSet,
-    budget: SearchBudget = SearchBudget(),
-    *,
-    match: GammaMatch,
+    BP: BoundaryPresentation, budget: SearchBudget = SearchBudget(), *, match: GammaMatch
 ) -> RelationReport:
     """Check every instance of the main theorem's relation families.
 
@@ -431,7 +440,7 @@ def verify_theorem_relations(
             Path(BP.quiver, [a for name in side for a in match.rep_of(name).arrows])
             for side in sides
         )
-        verdict = paths_equal(lhs, rhs, R, budget)
+        verdict = paths_equal(lhs, rhs, BP.relation_set, budget)
         report.instances.append(RelationInstance(family, k, text, verdict))
     return report
 
@@ -459,14 +468,14 @@ class CentralElementReport:
 
 
 def verify_central_element(
-    BP: BoundaryPresentation, R: RelationSet, budget: SearchBudget = SearchBudget()
+    BP: BoundaryPresentation, budget: SearchBudget = SearchBudget()
 ) -> CentralElementReport:
     """Check u_{s(a)} a = a u_{t(a)} for every boundary generator a.
 
     This is the generator-wise restatement of the centrality of the sum of
     one chordless cycle per boundary vertex.
     """
-    Q = BP.quiver
+    Q, R = BP.quiver, BP.relation_set
     u = chordless_cycles(Q, Q.boundary_vertices)
     report = CentralElementReport()
     for c in BP.classes:
@@ -572,8 +581,8 @@ def _move_class(tag: tuple) -> str:
     return {0: "A", 1: "C", 2: "B"}[tag[2]]
 
 
-def fan_generator_paths(m: int, n: int, Q: QuiverWithFaces) -> dict:
-    """The named generator paths of the fan quiver, built structurally.
+def fan_generator_paths(Q: QuiverWithFaces) -> dict:
+    """The named generator paths of the fan quiver Q, built structurally.
 
     Yields a table name -> Path covering all of Gamma(m, n), each path
     starting at its Gamma arrow's source: x arrows, the z paths (one
@@ -582,11 +591,10 @@ def fan_generator_paths(m: int, n: int, Q: QuiverWithFaces) -> dict:
     FormulaMismatchError where the expected arrow does not exist or is
     ambiguous.
     """
-    if Q.m != m or Q.n != n:
-        raise FormulaMismatchError(f"quiver is for (m,n)=({Q.m},{Q.n}), not ({m},{n})")
     tris = {a.dual[0] for a in Q.arrows}
     if any(tri[0] != 1 for tri in tris):
         raise FormulaMismatchError("quiver is not the fan with apex 1")
+    m, n = Q.m, Q.n
     mn = m * n
 
     def out_arrow_of_class(v, cls: str) -> int:
@@ -651,21 +659,17 @@ def fan_generator_paths(m: int, n: int, Q: QuiverWithFaces) -> dict:
 
 
 def check_fan_formulas(
-    BP: BoundaryPresentation,
-    R: RelationSet,
-    budget: SearchBudget = SearchBudget(),
-    *,
-    match: GammaMatch,
+    BP: BoundaryPresentation, budget: SearchBudget = SearchBudget(), *, match: GammaMatch
 ) -> RelationReport:
     """Check that each formula path equals the extracted class with its name;
     one instance per Gamma arrow, named like the arrow."""
     if not match.ok:
         raise BoundaryError(f"Gamma match required first: {match.obstruction}")
     report = RelationReport()
-    for (fam, k), path in sorted(fan_generator_paths(BP.m, BP.n, BP.quiver).items()):
+    for (fam, k), path in sorted(fan_generator_paths(BP.quiver).items()):
         if (fam, k) not in match.assignment:
             raise BoundaryError(f"no extracted class named {fam}_{k}")
-        verdict = paths_equal(path, match.rep_of((fam, k)), R, budget)
+        verdict = paths_equal(path, match.rep_of((fam, k)), BP.relation_set, budget)
         report.instances.append(RelationInstance(fam, k, f"{fam}_{k}", verdict))
     return report
 
@@ -719,16 +723,15 @@ class VerificationOutcome:
 @lru_cache(maxsize=1)
 def _extract(
     T: Triangulation, m: int, budget: SearchBudget
-) -> tuple[RelationSet, BoundaryPresentation, GammaMatch]:
+) -> tuple[BoundaryPresentation, GammaMatch]:
     """Build, reduce, dualize, extract the presentation and match it against
     Gamma(m, n); raises InconclusivePresentationError from the extraction.
     The last result is kept: along a flip walk each move's before-side is
     the previous move's after-side.  A raised
     InconclusivePresentationError is never kept."""
     Q = dual_quiver(reduce_dimer(build_dimer(T, m)))
-    R = potential_relations(Q)
-    BP = boundary_generators(Q, R, budget)
-    return R, BP, match_gamma(BP, _gamma_tables(m, T.n)[0])
+    BP = boundary_generators(potential_relations(Q), budget)
+    return BP, match_gamma(BP)
 
 
 def verify_boundary_algebra(
@@ -738,7 +741,7 @@ def verify_boundary_algebra(
     extract, match against Gamma(m, n), verify relations and centrality."""
     outcome = VerificationOutcome(n=T.n, m=m, triangulation=T)
     try:
-        R, BP, match = _extract(T, m, budget)
+        BP, match = _extract(T, m, budget)
     except InconclusivePresentationError as exc:
         outcome.inconclusive.append(f"presentation: {exc}")
         return outcome
@@ -748,8 +751,8 @@ def verify_boundary_algebra(
     outcome.obstruction = match.obstruction
     if not match.ok:
         return outcome
-    outcome.relations = verify_theorem_relations(BP, R, budget, match=match)
-    outcome.central = verify_central_element(BP, R, budget)
+    outcome.relations = verify_theorem_relations(BP, budget, match=match)
+    outcome.central = verify_central_element(BP, budget)
     outcome.inconclusive.extend(
         f"relation {i.family}@{i.k}" for i in outcome.relations.unknowns()
     )
@@ -819,8 +822,8 @@ def verify_flip_transport(
     quad_new = {tri for tri in T2.triangles if set(move.inserted) <= set(tri)}
     cert = FlipTransportCertificate(move=move, matched_before=False, matched_after=False)
     try:
-        _, _, match1 = _extract(T, m, budget)
-        R2, BP2, match2 = _extract(T2, m, budget)
+        _, match1 = _extract(T, m, budget)
+        BP2, match2 = _extract(T2, m, budget)
     except InconclusivePresentationError as exc:
         cert.inconclusive.append(f"presentation: {exc}")
         return cert
@@ -849,7 +852,7 @@ def verify_flip_transport(
             }
         elif old_tags != new_tags:
             cert.unaffected_identical = False
-    cert.relations_after = verify_theorem_relations(BP2, R2, budget, match=match2)
+    cert.relations_after = verify_theorem_relations(BP2, budget, match=match2)
     cert.inconclusive.extend(
         f"relation {i.family}@{i.k}" for i in cert.relations_after.unknowns()
     )

@@ -204,10 +204,12 @@ def cmd_sweep(args) -> int:
         for n in range(3, args.max_n + 1)
         for index, T in enumerate(enumerate_triangulations(n))
     ]
-    if args.workers > 1 and tasks:
+    # a pool starts all its workers at once, so it never gets more than tasks
+    workers = min(args.workers, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:
         rows = [_sweep_row(t) for t in tasks]

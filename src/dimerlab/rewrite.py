@@ -314,28 +314,13 @@ def _cut_arrow(cycle: tuple, side: tuple):
     return cycle[k - 1] if (cycle[k:] + cycle[:k])[:-1] == side else None
 
 
-@dataclass(frozen=True)
-class RewriteSite:
-    position: int
-    relation: int
-    direction: str  # 'lr' replaces the + side by the - side, 'rl' the reverse
-    result: Path
-
-
-def rewrite_sites(p: Path, R: RelationSet) -> list[RewriteSite]:
-    """Every occurrence of either side of every relation inside p."""
-    return [
-        RewriteSite(pos, ridx, direction, Path(p.quiver, res))
-        for pos, ridx, direction, res in R.sites(p.arrows)
-    ]
-
-
-def abelian_invariant(p: Path, R: RelationSet) -> tuple[int, ...]:
-    """The abelian residue of p (RelationSet.residue), its arrow counts
-    modulo the relation lattice.  Equal paths share it, so differing
-    residues certify Distinct; paths_equal reads the same test off
-    RelationSet.face_chain.  Raises RewriteError without faces."""
-    return R.residue(p.arrows)
+def _check_quiver(R: RelationSet, *paths: Path) -> None:
+    """Raise RewriteError unless every path is a word of R's own quiver
+    (the same object, as Path equality asks): R's relations say nothing
+    about the words of another quiver, even one with the same arrow ids."""
+    for p in paths:
+        if p.quiver is not R.quiver:
+            raise RewriteError(f"{p} is not a word of the relation set's quiver")
 
 
 @dataclass(frozen=True)
@@ -364,7 +349,9 @@ def apply_step(arrows: tuple, step: tuple, R: RelationSet) -> tuple:
 
 
 def replay_certificate(p: Path, certificate, R: RelationSet) -> Path:
-    """Apply a certificate's steps to p; raises if any step fails to match."""
+    """Apply a certificate's steps to p; raises if any step fails to match,
+    or if p is not a word of R's quiver."""
+    _check_quiver(R, p)
     arrows = p.arrows
     for step in certificate:
         arrows = apply_step(arrows, step, R)
@@ -519,8 +506,10 @@ def paths_equal(
     replayed before being returned, and a closure that runs out of open
     states yields Distinct, since that closure is the whole class and
     would have reached the other start.  A budget that runs out first
-    yields Unknown.
+    yields Unknown.  Raises RewriteError unless p and q are words of
+    R's quiver.
     """
+    _check_quiver(R, p, q)
     if p.source != q.source or p.target != q.target:
         raise IncomparablePathsError(
             f"endpoints differ: {p.source!r}->{p.target!r} vs {q.source!r}->{q.target!r}"
@@ -568,7 +557,9 @@ def class_contains(
     word, so h = 0 and the search is breadth-first.  Only the budget
     bounds it: the verdict on an infinite class (possible for a hand-made
     RelationSet) is None once the whole budget is spent, so give such a
-    set a small budget."""
+    set a small budget.  Raises RewriteError unless p is a word of R's
+    quiver."""
+    _check_quiver(R, p)
     closure = _Closure(p.arrows)
     states = closure.parents.keys()
     if hit(p.arrows):

@@ -29,9 +29,8 @@ def fan_pipeline(n, m):
 
 @functools.lru_cache(maxsize=None)
 def presentation(n, m, diagonals):
-    _, _, Q, R = pipeline(n, m, diagonals)
-    BP = dl.boundary_generators(Q, R)
-    match = dl.match_gamma(BP, dl.build_gamma(m, n))
+    BP = dl.boundary_generators(pipeline(n, m, diagonals)[3])
+    match = dl.match_gamma(BP)
     return BP, match
 
 

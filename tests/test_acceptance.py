@@ -9,7 +9,7 @@ import random
 import time
 
 import dimerlab as dl
-from dimerlab.boundary import build_gamma, match_gamma
+from dimerlab.boundary import match_gamma
 from dimerlab.quiver import chordless_cycle_at
 from dimerlab.rewrite import EQUAL, paths_equal, replay_certificate
 
@@ -37,8 +37,8 @@ def fan_quiver(m, n):
 def fan_stack(m, n):
     Q = fan_quiver(m, n)
     R = dl.potential_relations(Q)
-    BP = dl.boundary_generators(Q, R)
-    match = match_gamma(BP, build_gamma(m, n))
+    BP = dl.boundary_generators(R)
+    match = match_gamma(BP)
     return Q, R, BP, match
 
 
@@ -49,8 +49,8 @@ def flip_grid_stacks():
         for idx, T in enumerate(dl.enumerate_triangulations(n)):
             Q = dl.dual_quiver(dl.reduce_dimer(dl.build_dimer(T, m)))
             R = dl.potential_relations(Q)
-            BP = dl.boundary_generators(Q, R)
-            match = match_gamma(BP, build_gamma(m, n))
+            BP = dl.boundary_generators(R)
+            match = match_gamma(BP)
             out[(m, n, idx)] = (T, Q, R, BP, match)
     return out
 
@@ -113,8 +113,8 @@ def test_criterion_4_relation_suite():
     t0 = time.monotonic()
     bad, total = [], 0
     for m, n in FAN_GRID:
-        _, R, BP, match = fan_stack(m, n)
-        rep = dl.verify_theorem_relations(BP, R, match=match)
+        _, _, BP, match = fan_stack(m, n)
+        rep = dl.verify_theorem_relations(BP, match=match)
         total += len(rep.instances)
         if not rep.passed or rep.unknowns():
             bad.append((m, n, [i.description for i in rep.unknowns() + rep.failures()]))
@@ -150,8 +150,8 @@ def test_criterion_6_central_element():
     t0 = time.monotonic()
     bad = []
     for m, n in FAN_GRID:
-        _, R, BP, _ = fan_stack(m, n)
-        rep = dl.verify_central_element(BP, R)
+        _, _, BP, _ = fan_stack(m, n)
+        rep = dl.verify_central_element(BP)
         if not rep.passed:
             bad.append((m, n, rep.unknowns()))
     dt = time.monotonic() - t0
@@ -251,7 +251,7 @@ def test_criterion_10_oracle_soundness():
                 continue
             if replay_certificate(lhs, v.certificate, R) != rhs:
                 bad.append((m, n, "replay mismatch"))
-            if dl.abelian_invariant(lhs, R) != dl.abelian_invariant(rhs, R):
+            if R.residue(lhs.arrows) != R.residue(rhs.arrows):
                 bad.append((m, n, "abelian separated an equal pair"))
             replayed += 1
         Q = fan_quiver(m, n)
@@ -266,7 +266,7 @@ def test_criterion_10_oracle_soundness():
                     replayed += 1
                     if replay_certificate(u, verdict.certificate, R) != other:
                         bad.append((m, n, "cycle replay mismatch"))
-                    if dl.abelian_invariant(u, R) != dl.abelian_invariant(other, R):
+                    if R.residue(u.arrows) != R.residue(other.arrows):
                         bad.append((m, n, "abelian separated equal cycles"))
     dt = time.monotonic() - t0
     report(

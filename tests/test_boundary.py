@@ -102,9 +102,15 @@ def test_q46_has_54_generators():
 
 
 def test_match_requires_equal_vertex_count():
+    # Gamma is the one of the quiver's own (m, n): a quiver with the 10
+    # boundary vertices of fan (2, 5) that claims n = 6 meets Gamma(2, 6)
     BP, _ = fan_presentation(5, 2)
-    with pytest.raises(IncompatibleGammaError):
-        dl.match_gamma(BP, dl.build_gamma(2, 6))
+    Q = BP.quiver
+    claims_6 = QuiverWithFaces(Q.m, 6, Q.vertices, Q.arrows, Q.faces)
+    claimed = BoundaryPresentation(relation_set=RelationSet(claims_6, []), classes=BP.classes)
+    message = r"10 boundary vertices, Gamma\(2,6\) has 12"
+    with pytest.raises(IncompatibleGammaError, match=message):
+        dl.match_gamma(claimed)
 
 
 def test_match_uses_the_boundary_labels_as_they_are():
@@ -115,7 +121,7 @@ def test_match_uses_the_boundary_labels_as_they_are():
     mn = 10
     shift = 3
     shifted = BoundaryPresentation(
-        quiver=BP.quiver,
+        relation_set=BP.relation_set,
         classes=tuple(
             GeneratorClass(
                 source=modl(c.source + shift, mn),
@@ -127,7 +133,7 @@ def test_match_uses_the_boundary_labels_as_they_are():
             for c in BP.classes
         ),
     )
-    match2 = dl.match_gamma(shifted, dl.build_gamma(2, 5))
+    match2 = dl.match_gamma(shifted)
     assert not match2.ok and match2.assignment is None
     assert "Gamma(2,5)" in match2.obstruction
 
@@ -146,7 +152,7 @@ def test_presentation_budget_exhaustion_is_inconclusive(monkeypatch):
     monkeypatch.setattr(dl.boundary, "factors_through_boundary", recorded)
     _, _, Q, R = fan_pipeline(5, 4)
     with pytest.raises(InconclusivePresentationError) as info:
-        dl.boundary_generators(Q, R, SearchBudget(max_visited=3))
+        dl.boundary_generators(R, SearchBudget(max_visited=3))
     p, (verdict, visited, _) = closures[-1]
     assert verdict == "truncated" and visited == 3
     assert str(info.value) == (
@@ -164,7 +170,7 @@ def test_grouping_matches_the_pairwise_reference(data):
     m = data.draw(st.integers(2, 4))
     T = data.draw(triangulations(max_n=6 if m == 4 else 7))
     _, _, Q, R = pipeline(T.n, m, T.sorted_diagonals)
-    assert dl.boundary_generators(Q, R).classes == pairwise_generators(Q, R)
+    assert dl.boundary_generators(R).classes == pairwise_generators(Q, R)
 
 
 def test_a_starved_prefix_closure_never_prunes(monkeypatch):
@@ -185,7 +191,7 @@ def test_a_starved_prefix_closure_never_prunes(monkeypatch):
             return factors_through_boundary(p, R, budget)
 
         monkeypatch.setattr(dl.boundary, "factors_through_boundary", closure)
-        return dl.boundary_generators(Q, R).classes, len(path_closures)
+        return dl.boundary_generators(R).classes, len(path_closures)
 
     default, default_count = extract(False)
     starved, starved_count = extract(True)
@@ -206,7 +212,7 @@ def test_classification_joins_a_class_through_a_longer_word():
     Q = QuiverWithFaces(2, 3, vertices, arrows, [])
     a, b, cd = Path(Q, (0,)), Path(Q, (1,)), Path(Q, (2, 3))
     R = RelationSet(Q, [(a, cd), (b, cd)])
-    (c,) = dl.boundary_generators(Q, R).classes
+    (c,) = dl.boundary_generators(R).classes
     assert (c.source, c.target, c.rep, c.size) == (1, 2, a, 3)
 
 
@@ -225,7 +231,7 @@ def test_class_size_counts_only_primitive_paths():
     a, cdef = Path(Q, (0,)), Path(Q, (1, 2, 3, 4))
     R = RelationSet(Q, [(a, cdef)])
     assert factors_through_boundary(a, R)[2] == {a.arrows, cdef.arrows}
-    sizes = {c.rep.arrows: c.size for c in dl.boundary_generators(Q, R).classes}
+    sizes = {c.rep.arrows: c.size for c in dl.boundary_generators(R).classes}
     assert sizes == {a.arrows: 1, (1, 4): 1}
 
 
@@ -250,9 +256,8 @@ def test_generator_minimality_m2():
 
 @pytest.mark.parametrize("m,n", [(2, 5), (2, 3), (3, 4)])
 def test_theorem_relations(m, n):
-    _, _, Q, R = fan_pipeline(n, m)
     BP, match = fan_presentation(n, m)
-    report = dl.verify_theorem_relations(BP, R, match=match)
+    report = dl.verify_theorem_relations(BP, match=match)
     assert report.passed
     assert not report.unknowns()
     if m == 2:
@@ -264,9 +269,8 @@ def test_theorem_relations(m, n):
 
 
 def test_relation_v_x_side_length_general():
-    _, _, Q, R = fan_pipeline(4, 3)
     BP, match = fan_presentation(4, 3)
-    report = dl.verify_theorem_relations(BP, R, match=match)
+    report = dl.verify_theorem_relations(BP, match=match)
     mn, m = 12, 3
     for inst in report.instances:
         if inst.family == "V":
@@ -274,9 +278,8 @@ def test_relation_v_x_side_length_general():
 
 
 def test_relation_texts_fan_3_3(monkeypatch):
-    _, _, Q, R = fan_pipeline(3, 3)
     BP, match = fan_presentation(3, 3)
-    report = dl.verify_theorem_relations(BP, R, match=match)
+    report = dl.verify_theorem_relations(BP, match=match)
     assert [(i.family, i.k, i.description) for i in report.instances] == [
         ("I", 2, "x_6 y_2 = y_3 z_2"),
         ("III", 2, "x_3 z_2 = y_9 x_1 x_2"),
@@ -296,13 +299,12 @@ def test_relation_texts_fan_3_3(monkeypatch):
     ]
     # fan (2, 11): V's long side has m(n - 2) = 18 arrows, and Gamma(2, 11)
     # with its relation table is built once, however many reports use it
-    _, _, _, R = fan_pipeline(11, 2)
     BP, match = fan_presentation(11, 2)
     builds = []
     build_gamma = dl.boundary.build_gamma
     monkeypatch.setattr(dl.boundary, "build_gamma", lambda m, n: builds.append((m, n)) or build_gamma(m, n))
     dl.boundary._gamma_tables.cache_clear()
-    reports = [dl.verify_theorem_relations(BP, R, match=match) for _ in range(2)]
+    reports = [dl.verify_theorem_relations(BP, match=match) for _ in range(2)]
     assert builds == [(2, 11)]
     assert reports[0].to_json() == reports[1].to_json()
     assert [(i.k, i.description) for i in reports[0].instances if i.family == "V"] == [
@@ -333,9 +335,8 @@ def m_and_triangulation(draw):
 def test_theorem_relations_random_triangulations(case):
     m, T = case
     n = T.n
-    _, _, Q, R = pipeline(n, m, T.sorted_diagonals)
     BP, match = presentation(n, m, T.sorted_diagonals)
-    report = dl.verify_theorem_relations(BP, R, match=match)
+    report = dl.verify_theorem_relations(BP, match=match)
     assert report.passed
     assert Counter(i.family for i in report.instances) == Counter(
         I=n * (m - 2),
@@ -383,9 +384,8 @@ def test_fans_up_to_m_9_verify(m, n):
 
 
 def test_central_element_triangle():
-    _, _, Q, R = fan_pipeline(3, 2)
     BP, _ = fan_presentation(3, 2)
-    report = dl.verify_central_element(BP, R)
+    report = dl.verify_central_element(BP)
     assert report.passed
     assert len(report.entries) == 9
 
@@ -406,7 +406,7 @@ def test_central_element_x_generators_share_a_face():
 def test_fan_generator_paths_m2():
     for n in (3, 5, 6):
         _, _, Q, _ = fan_pipeline(n, 2)
-        table = dl.fan_generator_paths(2, n, Q)
+        table = dl.fan_generator_paths(Q)
         mn = 2 * n
         # z_4 := y_4 and z_2n := y_2n are single arrows
         assert len(table[("y", 2)]) == 1
@@ -421,7 +421,7 @@ def test_fan_generator_paths_m2():
 
 def test_fan_generator_paths_general_degenerates():
     _, _, Q, _ = fan_pipeline(4, 5)
-    table = dl.fan_generator_paths(5, 4, Q)
+    table = dl.fan_generator_paths(Q)
     m, n = 5, 4
     # y at m(n-2)+m = m(n-1) is a single arrow
     assert len(table[("y", m * (n - 1))]) == 1
@@ -438,36 +438,33 @@ def test_fan_generator_paths_rejects_non_fan():
     T = dl.Triangulation(4, [(2, 4)])
     _, _, Q, _ = pipeline(4, 2, T.sorted_diagonals)
     with pytest.raises(FormulaMismatchError):
-        dl.fan_generator_paths(2, 4, Q)
+        dl.fan_generator_paths(Q)
 
 
 @pytest.mark.parametrize("m,n", [(2, 6), (3, 4), (5, 4)])
 def test_fan_formulas_equal_extracted_classes(m, n):
-    _, _, Q, R = fan_pipeline(n, m)
     BP, match = fan_presentation(n, m)
-    rep = dl.check_fan_formulas(BP, R, match=match)
+    rep = dl.check_fan_formulas(BP, match=match)
     assert rep.passed, rep.failures()
 
 
 def test_fan_formulas_report_unknown_as_inconclusive(monkeypatch):
-    _, _, Q, R = fan_pipeline(4, 3)
     BP, match = fan_presentation(4, 3)
     monkeypatch.setattr(
         "dimerlab.boundary.paths_equal", lambda *args: EqualityVerdict(UNKNOWN)
     )
-    rep = dl.check_fan_formulas(BP, R, match=match)
+    rep = dl.check_fan_formulas(BP, match=match)
     assert rep.unknowns()
     assert not rep.failures()
     assert not rep.passed
 
 
 def test_fan_formulas_need_every_gamma_arrow_matched():
-    _, _, Q, R = fan_pipeline(4, 3)
     BP, match = fan_presentation(4, 3)
     partial = dict(match.assignment)
     del partial[("y", 2)]
     with pytest.raises(BoundaryError):
-        dl.check_fan_formulas(BP, R, match=GammaMatch(ok=True, assignment=partial))
+        dl.check_fan_formulas(BP, match=GammaMatch(ok=True, assignment=partial))
 
 
 def test_flip_transport_m2_pentagon():

@@ -136,6 +136,35 @@ def test_sweep_deterministic_and_parallel_agrees():
     assert parallel == serial
 
 
+def test_sweep_never_starts_more_workers_than_tasks(monkeypatch):
+    # a process pool starts all of its workers at once, so --workers is
+    # capped at the number of rows, and one row runs without a pool; the
+    # pool here records its size and maps in-process, so nothing forks
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for max_n, pools in (("3", []), ("4", [3])):
+        _, serial = run_cli(["sweep", "--max-n", max_n, "--m", "2"])
+        sizes.clear()
+        code, pooled = run_cli(["sweep", "--max-n", max_n, "--m", "2", "--workers", "100000"])
+        assert code == 0 and pooled == serial and sizes == pools
+
+
 def test_sweep_starved_budget_exit_two():
     code, out = run_cli(["sweep", "--max-n", "4", "--m", "3", "--budget-visited", "2"])
     assert code == 2

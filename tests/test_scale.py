@@ -37,7 +37,7 @@ import pytest
 
 import dimerlab as dl
 
-from helpers import fan_pipeline, fan_presentation
+from helpers import fan_presentation
 
 
 def outcome_digest(out):
@@ -141,11 +141,10 @@ def test_equality_search_work_is_pinned(m, n, theorem, central):
     # the states the searches visit, the same on every machine: a change
     # to the search order shows here.  Breadth-first, family V alone
     # visits 215,210 states at (6, 6)
-    _, _, _, R = fan_pipeline(n, m)
     BP, match = fan_presentation(n, m)
-    report = dl.verify_theorem_relations(BP, R, match=match)
+    report = dl.verify_theorem_relations(BP, match=match)
     assert report.passed
     assert sum(instance.verdict.visited for instance in report.instances) == theorem
-    report = dl.verify_central_element(BP, R)
+    report = dl.verify_central_element(BP)
     assert report.passed
     assert sum(verdict.visited for _, verdict in report.entries) == central
