@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import KeysView
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 
 from .dimer import build_dimer, reduce_dimer
 from .polygon import Triangulation, flip
@@ -198,6 +198,24 @@ class BoundaryPresentation:
     relation_set: RelationSet
     classes: tuple[GeneratorClass, ...]
 
+    @cached_property
+    def obstruction(self) -> str | None:
+        """match_gamma(self), computed once: None when the match holds."""
+        return match_gamma(self)
+
+    @property
+    def matched(self) -> bool:
+        return self.obstruction is None
+
+    @cached_property
+    def named(self) -> dict[tuple, GeneratorClass]:
+        """Gamma arrow name (family, k) -> the class with its ends; raises
+        BoundaryError for an unmatched presentation."""
+        if self.obstruction is not None:
+            raise BoundaryError(f"Gamma match required first: {self.obstruction}")
+        names = _gamma_tables(self.m, self.n)[1]
+        return {names[c.source, c.target]: c for c in self.classes}
+
     @property
     def quiver(self) -> QuiverWithFaces:
         return self.relation_set.quiver
@@ -333,23 +351,14 @@ def factors_through_boundary(
 # Gamma matching
 
 
-@dataclass
-class GammaMatch:
-    ok: bool
-    assignment: dict | None = None  # Gamma arrow name -> GeneratorClass
-    obstruction: str | None = None
-
-    def rep_of(self, name: tuple) -> Path:
-        return self.assignment[name].rep
-
-
-def match_gamma(BP: BoundaryPresentation) -> GammaMatch:
-    """Carry the presentation's generators onto the arrows of Gamma(m, n),
-    (m, n) those of its quiver, each class to the arrow with its (source,
-    target): Gamma has at most one per pair, so the ends fix the name, and
-    the class's tag is its family.  Raises IncompatibleGammaError when the
-    quiver does not have m*n boundary vertices (a hand-made quiver can
-    claim any m and n).
+def match_gamma(BP: BoundaryPresentation) -> str | None:
+    """None when the presentation's classes are the arrows of Gamma(m, n)
+    one for one, (m, n) those of its quiver, each class the arrow with its
+    (source, target): Gamma has at most one per pair, so the ends fix the
+    name.  Else the obstruction, naming up to four each of the classes off
+    Gamma, the arrows without a class and the ends held by several
+    classes.  Raises IncompatibleGammaError when the quiver does not have
+    m*n boundary vertices (a hand-made quiver can claim any m and n).
 
     The boundary labels are the polygon's own (dual_quiver fixes them), so
     no relabelling is searched.
@@ -360,17 +369,16 @@ def match_gamma(BP: BoundaryPresentation) -> GammaMatch:
             f"presentation has {BP.boundary_count} boundary vertices, "
             f"Gamma({G.m},{G.n}) has {G.vertex_count}"
         )
-    if Counter((c.source, c.target) for c in BP.classes) != Counter(names.keys()):
-        missing = [c.describe() for c in BP.classes if c.tag is None]
-        return GammaMatch(
-            ok=False,
-            obstruction=(
-                f"the {len(BP.classes)} generators do not match the {len(G.arrows)} "
-                f"arrows of Gamma({G.m},{G.n}); untaggable classes: {missing[:4]}"
-            ),
-        )
-    return GammaMatch(
-        ok=True, assignment={names[(c.source, c.target)]: c for c in BP.classes}
+    held = Counter((c.source, c.target) for c in BP.classes)
+    if held == Counter(names.keys()):
+        return None
+    untaggable = [f"{s}->{t}" for s, t in held if (s, t) not in names]
+    missing = [f"{fam}_{k}" for fam, k in sorted(G.arrows) if G.arrows[fam, k] not in held]
+    shared = [f"{s}->{t}" for (s, t), count in held.items() if count > 1]
+    return (
+        f"the {len(BP.classes)} generators do not match the {len(G.arrows)} "
+        f"arrows of Gamma({G.m},{G.n}); untaggable classes: {untaggable[:4]}; "
+        f"arrows without a class: {missing[:4]}; ends held by several classes: {shared[:4]}"
     )
 
 
@@ -418,7 +426,7 @@ class RelationReport:
 
 
 def verify_theorem_relations(
-    BP: BoundaryPresentation, budget: SearchBudget = SearchBudget(), *, match: GammaMatch
+    BP: BoundaryPresentation, budget: SearchBudget = SearchBudget()
 ) -> RelationReport:
     """Check every instance of the main theorem's relation families.
 
@@ -431,13 +439,11 @@ def verify_theorem_relations(
     For m = 2 families I-III are empty and IV degenerates to
     x_{k+1} x_{k+2} y_k = y_{k-2} x_{k-1} x_k.
     """
-    if not match.ok:
-        raise BoundaryError(f"Gamma match required first: {match.obstruction}")
     report = RelationReport()
     for family, k, *sides, text in _gamma_tables(BP.m, BP.n)[2]:
         # one path per side, from its representatives' arrows in one tuple
         lhs, rhs = (
-            Path(BP.quiver, [a for name in side for a in match.rep_of(name).arrows])
+            Path(BP.quiver, [a for name in side for a in BP.named[name].rep.arrows])
             for side in sides
         )
         verdict = paths_equal(lhs, rhs, BP.relation_set, budget)
@@ -659,17 +665,14 @@ def fan_generator_paths(Q: QuiverWithFaces) -> dict:
 
 
 def check_fan_formulas(
-    BP: BoundaryPresentation, budget: SearchBudget = SearchBudget(), *, match: GammaMatch
+    BP: BoundaryPresentation, budget: SearchBudget = SearchBudget()
 ) -> RelationReport:
-    """Check that each formula path equals the extracted class with its name;
-    one instance per Gamma arrow, named like the arrow."""
-    if not match.ok:
-        raise BoundaryError(f"Gamma match required first: {match.obstruction}")
+    """Check that each formula path equals the extracted class with its name
+    (BP.named); one instance per Gamma arrow, named like the arrow."""
+    named = BP.named
     report = RelationReport()
     for (fam, k), path in sorted(fan_generator_paths(BP.quiver).items()):
-        if (fam, k) not in match.assignment:
-            raise BoundaryError(f"no extracted class named {fam}_{k}")
-        verdict = paths_equal(path, match.rep_of((fam, k)), BP.relation_set, budget)
+        verdict = paths_equal(path, named[fam, k].rep, BP.relation_set, budget)
         report.instances.append(RelationInstance(fam, k, f"{fam}_{k}", verdict))
     return report
 
@@ -721,17 +724,13 @@ class VerificationOutcome:
 
 
 @lru_cache(maxsize=1)
-def _extract(
-    T: Triangulation, m: int, budget: SearchBudget
-) -> tuple[BoundaryPresentation, GammaMatch]:
-    """Build, reduce, dualize, extract the presentation and match it against
-    Gamma(m, n); raises InconclusivePresentationError from the extraction.
-    The last result is kept: along a flip walk each move's before-side is
-    the previous move's after-side.  A raised
-    InconclusivePresentationError is never kept."""
+def _extract(T: Triangulation, m: int, budget: SearchBudget) -> BoundaryPresentation:
+    """Build, reduce, dualize and extract the presentation; raises
+    InconclusivePresentationError, which is never kept.  The last result is
+    kept, with its Gamma match once read: along a flip walk each move's
+    before-side is the previous move's after-side."""
     Q = dual_quiver(reduce_dimer(build_dimer(T, m)))
-    BP = boundary_generators(potential_relations(Q), budget)
-    return BP, match_gamma(BP)
+    return boundary_generators(potential_relations(Q), budget)
 
 
 def verify_boundary_algebra(
@@ -741,17 +740,17 @@ def verify_boundary_algebra(
     extract, match against Gamma(m, n), verify relations and centrality."""
     outcome = VerificationOutcome(n=T.n, m=m, triangulation=T)
     try:
-        BP, match = _extract(T, m, budget)
+        BP = _extract(T, m, budget)
     except InconclusivePresentationError as exc:
         outcome.inconclusive.append(f"presentation: {exc}")
         return outcome
     outcome.generator_count = len(BP.classes)
     outcome.presentation = BP
-    outcome.matched = match.ok
-    outcome.obstruction = match.obstruction
-    if not match.ok:
+    outcome.matched = BP.matched
+    outcome.obstruction = BP.obstruction
+    if not BP.matched:
         return outcome
-    outcome.relations = verify_theorem_relations(BP, budget, match=match)
+    outcome.relations = verify_theorem_relations(BP, budget)
     outcome.central = verify_central_element(BP, budget)
     outcome.inconclusive.extend(
         f"relation {i.family}@{i.k}" for i in outcome.relations.unknowns()
@@ -822,19 +821,19 @@ def verify_flip_transport(
     quad_new = {tri for tri in T2.triangles if set(move.inserted) <= set(tri)}
     cert = FlipTransportCertificate(move=move, matched_before=False, matched_after=False)
     try:
-        _, match1 = _extract(T, m, budget)
-        BP2, match2 = _extract(T2, m, budget)
+        BP1 = _extract(T, m, budget)
+        BP2 = _extract(T2, m, budget)
     except InconclusivePresentationError as exc:
         cert.inconclusive.append(f"presentation: {exc}")
         return cert
-    cert.matched_before, cert.matched_after = match1.ok, match2.ok
-    if not (match1.ok and match2.ok):
+    cert.matched_before, cert.matched_after = BP1.matched, BP2.matched
+    if not (BP1.matched and BP2.matched):
         return cert
 
-    # both matches name every Gamma arrow exactly once
+    # both presentations name every Gamma arrow exactly once
     cert.unaffected_identical = True
-    for name, old in match1.assignment.items():
-        new = match2.assignment[name]
+    for name, old in BP1.named.items():
+        new = BP2.named[name]
         key = (old.source, old.target, old.tag)
         old_tags, new_tags = _tag_sequence(old.rep), _tag_sequence(new.rep)
         touches_old = any(t[0] in quad_old for t in old_tags)
@@ -852,7 +851,7 @@ def verify_flip_transport(
             }
         elif old_tags != new_tags:
             cert.unaffected_identical = False
-    cert.relations_after = verify_theorem_relations(BP2, budget, match=match2)
+    cert.relations_after = verify_theorem_relations(BP2, budget)
     cert.inconclusive.extend(
         f"relation {i.family}@{i.k}" for i in cert.relations_after.unknowns()
     )

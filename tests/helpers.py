@@ -29,9 +29,7 @@ def fan_pipeline(n, m):
 
 @functools.lru_cache(maxsize=None)
 def presentation(n, m, diagonals):
-    BP = dl.boundary_generators(pipeline(n, m, diagonals)[3])
-    match = dl.match_gamma(BP)
-    return BP, match
+    return dl.boundary_generators(pipeline(n, m, diagonals)[3])
 
 
 def fan_presentation(n, m):

@@ -50,3 +50,17 @@ def test_higher_is_better_turns_the_rule_round():
     assert ab.verdict(PARENT, [a + 0.1 for a in PARENT], "higher", 0.01) == "claim met"
     assert ab.verdict(PARENT, [a - 0.1 for a in PARENT], "higher", 0.01) == "over bound"
     assert ab.verdict(PARENT, [a - 0.1 for a in PARENT], "lower", 0.01) == "claim met"
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # q3 - q1 = 0.045 against a bound of 0.01 of the median 1.0: a shift
+    # this small cannot be told from the noise, unless the change beats
+    # every parent run
+    assert ab.verdict(PARENT, [a + 0.005 for a in PARENT], "lower", 0.01) == "unresolved"
+    assert ab.verdict(PARENT, [a - 0.005 for a in PARENT], "lower", 0.01) == "unresolved"
+    assert ab.verdict(PARENT, [a + 0.005 for a in PARENT], "lower", 0.05) == "within bound"
+    # a skewed parent, q3 - q1 = 0.21: a change below its every run wins
+    # by less than the spread, and is within bound
+    skewed = [0.99, 0.99, 0.99, 1.0, 1.0, 1.0, 1.2, 1.2, 1.2, 1.2]
+    assert ab.verdict(skewed, [0.985] * 10, "lower", 0.01) == "within bound"
+    assert ab.verdict(skewed, [0.985] * 9 + [0.995], "lower", 0.01) == "unresolved"

@@ -9,7 +9,6 @@ import random
 import time
 
 import dimerlab as dl
-from dimerlab.boundary import match_gamma
 from dimerlab.quiver import chordless_cycle_at
 from dimerlab.rewrite import EQUAL, paths_equal, replay_certificate
 
@@ -38,8 +37,7 @@ def fan_stack(m, n):
     Q = fan_quiver(m, n)
     R = dl.potential_relations(Q)
     BP = dl.boundary_generators(R)
-    match = match_gamma(BP)
-    return Q, R, BP, match
+    return Q, R, BP
 
 
 @functools.lru_cache(maxsize=None)
@@ -50,8 +48,7 @@ def flip_grid_stacks():
             Q = dl.dual_quiver(dl.reduce_dimer(dl.build_dimer(T, m)))
             R = dl.potential_relations(Q)
             BP = dl.boundary_generators(R)
-            match = match_gamma(BP)
-            out[(m, n, idx)] = (T, Q, R, BP, match)
+            out[(m, n, idx)] = (T, Q, R, BP)
     return out
 
 
@@ -97,9 +94,9 @@ def test_criterion_3_gamma_matching_fans():
     t0 = time.monotonic()
     bad = []
     for m, n in FAN_GRID:
-        _, _, BP, match = fan_stack(m, n)
-        if not match.ok or len(BP.classes) != 3 * n * (m - 1):
-            bad.append((m, n, len(BP.classes), match.obstruction))
+        _, _, BP = fan_stack(m, n)
+        if not BP.matched or len(BP.classes) != 3 * n * (m - 1):
+            bad.append((m, n, len(BP.classes), BP.obstruction))
     dt = time.monotonic() - t0
     report(
         "3 gamma-matching-fans",
@@ -113,8 +110,8 @@ def test_criterion_4_relation_suite():
     t0 = time.monotonic()
     bad, total = [], 0
     for m, n in FAN_GRID:
-        _, _, BP, match = fan_stack(m, n)
-        rep = dl.verify_theorem_relations(BP, match=match)
+        _, _, BP = fan_stack(m, n)
+        rep = dl.verify_theorem_relations(BP)
         total += len(rep.instances)
         if not rep.passed or rep.unknowns():
             bad.append((m, n, [i.description for i in rep.unknowns() + rep.failures()]))
@@ -134,8 +131,8 @@ def test_criterion_5_flip_invariance():
     count_m3 = sum(1 for (m, _, _) in stacks if m == 3)
     bad = [
         (m, n, idx)
-        for (m, n, idx), (_, _, _, BP, match) in stacks.items()
-        if not match.ok or len(BP.classes) != 3 * n * (m - 1)
+        for (m, n, idx), (_, _, _, BP) in stacks.items()
+        if not BP.matched or len(BP.classes) != 3 * n * (m - 1)
     ]
     dt = time.monotonic() - t0
     report(
@@ -150,7 +147,7 @@ def test_criterion_6_central_element():
     t0 = time.monotonic()
     bad = []
     for m, n in FAN_GRID:
-        _, _, BP, _ = fan_stack(m, n)
+        _, _, BP = fan_stack(m, n)
         rep = dl.verify_central_element(BP)
         if not rep.passed:
             bad.append((m, n, rep.unknowns()))
@@ -166,7 +163,7 @@ def test_criterion_6_central_element():
 def test_criterion_7_chordless_cycles():
     t0 = time.monotonic()
     bad, pairs = [], 0
-    for (m, n, idx), (_, Q, R, _, _) in flip_grid_stacks().items():
+    for (m, n, idx), (_, Q, R, _) in flip_grid_stacks().items():
         for v in Q.vertices:
             fis = Q.faces_at(v)
             if len(fis) < 2:
@@ -200,7 +197,7 @@ def test_criterion_8_dimer_model_axioms():
         rep = dl.validate_dimer_model(Q)
         if not rep.passed:
             bad.append((m, n, rep.failures()))
-    for (m, n, idx), (_, Q, _, _, _) in flip_grid_stacks().items():
+    for (m, n, idx), (_, Q, _, _) in flip_grid_stacks().items():
         rep = dl.validate_dimer_model(Q)
         if not rep.passed:
             bad.append((m, n, idx, rep.failures()))
@@ -240,7 +237,7 @@ def test_criterion_10_oracle_soundness():
     t0 = time.monotonic()
     bad, replayed = [], 0
     for m, n in [(2, 3), (2, 6), (3, 4), (4, 4), (5, 3)]:
-        _, R, BP, match = fan_stack(m, n)
+        _, R, _ = fan_stack(m, n)
         # paths_equal replays every certificate internally and cross-checks
         # the abelian invariant before answering Equal; here the suite also
         # replays a corpus externally

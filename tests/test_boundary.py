@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -9,11 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dimerlab as dl
+from dimerlab import cli
 from dimerlab.boundary import (
     BoundaryError,
     BoundaryPresentation,
     FormulaMismatchError,
-    GammaMatch,
     GeneratorClass,
     IncompatibleGammaError,
     InconclusivePresentationError,
@@ -79,32 +80,32 @@ def test_gamma_4_6():
 
 
 def test_triangle_m2_generators():
-    BP, match = fan_presentation(3, 2)
+    BP = fan_presentation(3, 2)
     assert len(BP.classes) == 9
     sigs = {(c.source, c.target, c.tag) for c in BP.classes}
     xs = {(modl(k - 1, 6), k, "x") for k in range(1, 7)}
     assert xs <= sigs
     assert {(4, 2, "y"), (6, 4, "y"), (2, 6, "y")} <= sigs
-    assert match.ok
+    assert BP.matched
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_m2_generator_count_is_3n(n):
-    BP, match = fan_presentation(n, 2)
+    BP = fan_presentation(n, 2)
     assert len(BP.classes) == 3 * n
-    assert match.ok
+    assert BP.matched
 
 
 def test_q46_has_54_generators():
-    BP, match = fan_presentation(6, 4)
+    BP = fan_presentation(6, 4)
     assert len(BP.classes) == 3 * 6 * 3
-    assert match.ok
+    assert BP.matched
 
 
 def test_match_requires_equal_vertex_count():
     # Gamma is the one of the quiver's own (m, n): a quiver with the 10
     # boundary vertices of fan (2, 5) that claims n = 6 meets Gamma(2, 6)
-    BP, _ = fan_presentation(5, 2)
+    BP = fan_presentation(5, 2)
     Q = BP.quiver
     claims_6 = QuiverWithFaces(Q.m, 6, Q.vertices, Q.arrows, Q.faces)
     claimed = BoundaryPresentation(relation_set=RelationSet(claims_6, []), classes=BP.classes)
@@ -116,8 +117,8 @@ def test_match_requires_equal_vertex_count():
 def test_match_uses_the_boundary_labels_as_they_are():
     # shifting every label by 3 (not a symmetry of Gamma(2, 5), which only
     # has the even rotations) must not match
-    BP, match = fan_presentation(5, 2)
-    assert match.ok
+    BP = fan_presentation(5, 2)
+    assert BP.matched
     mn = 10
     shift = 3
     shifted = BoundaryPresentation(
@@ -133,9 +134,45 @@ def test_match_uses_the_boundary_labels_as_they_are():
             for c in BP.classes
         ),
     )
-    match2 = dl.match_gamma(shifted)
-    assert not match2.ok and match2.assignment is None
-    assert "Gamma(2,5)" in match2.obstruction
+    assert not shifted.matched
+    assert shifted.obstruction == (
+        "the 15 generators do not match the 15 arrows of Gamma(2,5); "
+        "untaggable classes: ['7->5', '9->7', '1->9', '3->1']; "
+        "arrows without a class: ['y_2', 'y_4', 'y_6', 'y_8']; "
+        "ends held by several classes: []"
+    )
+
+
+def without_class(BP, name):
+    """BP less the class matched to the Gamma arrow name."""
+    dropped = BP.named[name]
+    return BoundaryPresentation(
+        relation_set=BP.relation_set, classes=tuple(c for c in BP.classes if c is not dropped)
+    )
+
+
+def test_the_obstruction_names_what_failed_to_match():
+    BP = fan_presentation(6, 4)
+    assert dl.match_gamma(BP) is None and BP.matched and len(BP.named) == 54
+    # the ends name a class, as they matched it, whatever its tag says
+    retagged = BoundaryPresentation(
+        relation_set=BP.relation_set, classes=tuple(replace(c, tag="z") for c in BP.classes)
+    )
+    assert [(k, c.rep) for k, c in retagged.named.items()] == [
+        (k, c.rep) for k, c in BP.named.items()
+    ]
+    assert dl.match_gamma(without_class(BP, ("y", 2))) == (
+        "the 53 generators do not match the 54 arrows of Gamma(4,6); "
+        "untaggable classes: []; arrows without a class: ['y_2']; "
+        "ends held by several classes: []"
+    )
+    y_2 = BP.named["y", 2]
+    repeated = BoundaryPresentation(relation_set=BP.relation_set, classes=BP.classes + (y_2,))
+    assert dl.match_gamma(repeated) == (
+        "the 55 generators do not match the 54 arrows of Gamma(4,6); "
+        "untaggable classes: []; arrows without a class: []; "
+        f"ends held by several classes: ['{y_2.source}->2']"
+    )
 
 
 def test_presentation_budget_exhaustion_is_inconclusive(monkeypatch):
@@ -240,8 +277,8 @@ def test_generator_minimality_m2():
     # and no path equal to a generator ever crosses a boundary vertex
     for n in (3, 4, 5):
         _, _, Q, R = fan_pipeline(n, 2)
-        BP, match = fan_presentation(n, 2)
-        assert match.ok
+        BP = fan_presentation(n, 2)
+        assert BP.matched
         for c in BP.classes:
             assert factors_through_boundary(c.rep, R)[0] == "generator"
             for c1 in BP.classes:
@@ -256,8 +293,8 @@ def test_generator_minimality_m2():
 
 @pytest.mark.parametrize("m,n", [(2, 5), (2, 3), (3, 4)])
 def test_theorem_relations(m, n):
-    BP, match = fan_presentation(n, m)
-    report = dl.verify_theorem_relations(BP, match=match)
+    BP = fan_presentation(n, m)
+    report = dl.verify_theorem_relations(BP)
     assert report.passed
     assert not report.unknowns()
     if m == 2:
@@ -269,8 +306,8 @@ def test_theorem_relations(m, n):
 
 
 def test_relation_v_x_side_length_general():
-    BP, match = fan_presentation(4, 3)
-    report = dl.verify_theorem_relations(BP, match=match)
+    BP = fan_presentation(4, 3)
+    report = dl.verify_theorem_relations(BP)
     mn, m = 12, 3
     for inst in report.instances:
         if inst.family == "V":
@@ -278,8 +315,8 @@ def test_relation_v_x_side_length_general():
 
 
 def test_relation_texts_fan_3_3(monkeypatch):
-    BP, match = fan_presentation(3, 3)
-    report = dl.verify_theorem_relations(BP, match=match)
+    BP = fan_presentation(3, 3)
+    report = dl.verify_theorem_relations(BP)
     assert [(i.family, i.k, i.description) for i in report.instances] == [
         ("I", 2, "x_6 y_2 = y_3 z_2"),
         ("III", 2, "x_3 z_2 = y_9 x_1 x_2"),
@@ -299,12 +336,12 @@ def test_relation_texts_fan_3_3(monkeypatch):
     ]
     # fan (2, 11): V's long side has m(n - 2) = 18 arrows, and Gamma(2, 11)
     # with its relation table is built once, however many reports use it
-    BP, match = fan_presentation(11, 2)
+    BP = fan_presentation(11, 2)
     builds = []
     build_gamma = dl.boundary.build_gamma
     monkeypatch.setattr(dl.boundary, "build_gamma", lambda m, n: builds.append((m, n)) or build_gamma(m, n))
     dl.boundary._gamma_tables.cache_clear()
-    reports = [dl.verify_theorem_relations(BP, match=match) for _ in range(2)]
+    reports = [dl.verify_theorem_relations(BP) for _ in range(2)]
     assert builds == [(2, 11)]
     assert reports[0].to_json() == reports[1].to_json()
     assert [(i.k, i.description) for i in reports[0].instances if i.family == "V"] == [
@@ -335,8 +372,8 @@ def m_and_triangulation(draw):
 def test_theorem_relations_random_triangulations(case):
     m, T = case
     n = T.n
-    BP, match = presentation(n, m, T.sorted_diagonals)
-    report = dl.verify_theorem_relations(BP, match=match)
+    BP = presentation(n, m, T.sorted_diagonals)
+    report = dl.verify_theorem_relations(BP)
     assert report.passed
     assert Counter(i.family for i in report.instances) == Counter(
         I=n * (m - 2),
@@ -384,7 +421,7 @@ def test_fans_up_to_m_9_verify(m, n):
 
 
 def test_central_element_triangle():
-    BP, _ = fan_presentation(3, 2)
+    BP = fan_presentation(3, 2)
     report = dl.verify_central_element(BP)
     assert report.passed
     assert len(report.entries) == 9
@@ -392,11 +429,11 @@ def test_central_element_triangle():
 
 def test_central_element_x_generators_share_a_face():
     _, _, Q, R = fan_pipeline(5, 2)
-    BP, match = fan_presentation(5, 2)
+    BP = fan_presentation(5, 2)
     from dimerlab.quiver import chordless_cycle_at
 
     for k in range(1, 11):
-        x = match.rep_of(("x", k))
+        x = BP.named["x", k].rep
         u_s = chordless_cycle_at(Q, x.source)
         u_t = chordless_cycle_at(Q, x.target)
         v = paths_equal(u_s * x, x * u_t, R)
@@ -443,28 +480,27 @@ def test_fan_generator_paths_rejects_non_fan():
 
 @pytest.mark.parametrize("m,n", [(2, 6), (3, 4), (5, 4)])
 def test_fan_formulas_equal_extracted_classes(m, n):
-    BP, match = fan_presentation(n, m)
-    rep = dl.check_fan_formulas(BP, match=match)
+    BP = fan_presentation(n, m)
+    rep = dl.check_fan_formulas(BP)
     assert rep.passed, rep.failures()
 
 
 def test_fan_formulas_report_unknown_as_inconclusive(monkeypatch):
-    BP, match = fan_presentation(4, 3)
+    BP = fan_presentation(4, 3)
     monkeypatch.setattr(
         "dimerlab.boundary.paths_equal", lambda *args: EqualityVerdict(UNKNOWN)
     )
-    rep = dl.check_fan_formulas(BP, match=match)
+    rep = dl.check_fan_formulas(BP)
     assert rep.unknowns()
     assert not rep.failures()
     assert not rep.passed
 
 
 def test_fan_formulas_need_every_gamma_arrow_matched():
-    BP, match = fan_presentation(4, 3)
-    partial = dict(match.assignment)
-    del partial[("y", 2)]
-    with pytest.raises(BoundaryError):
-        dl.check_fan_formulas(BP, match=GammaMatch(ok=True, assignment=partial))
+    partial = without_class(fan_presentation(4, 3), ("y", 2))
+    for check in (dl.check_fan_formulas, dl.verify_theorem_relations):
+        with pytest.raises(BoundaryError, match=r"Gamma match required first: .*\['y_2'\]"):
+            check(partial)
 
 
 def test_flip_transport_m2_pentagon():
@@ -530,13 +566,60 @@ def test_the_pipeline_never_builds_the_relation_lattice(monkeypatch):
     assert calls == []
 
 
+def test_an_unmatched_presentation_fails_every_report(monkeypatch, capsys):
+    # every triangulation's presentation matches Gamma, so each extraction
+    # here loses y_2's class: verify, flip transport and the CLI report the
+    # mismatch and check no relation
+    extract = dl.boundary.boundary_generators
+
+    def lossy(R, budget=SearchBudget()):
+        return without_class(extract(R, budget), ("y", 2))
+
+    monkeypatch.setattr(dl.boundary, "boundary_generators", lossy)
+    _extract.cache_clear()
+    try:
+        T = dl.fan_triangulation(4, 1)
+        out = dl.verify_boundary_algebra(T, 3).to_json()
+        assert out["matched"] is False and out["passed"] is False
+        assert "arrows without a class: ['y_2']" in out["obstruction"]
+        assert out["relations"] is None and out["central_element"] is None
+        cert = dl.verify_flip_transport(T, T.sorted_diagonals[0], 3).to_json()
+        assert cert["ok"] is False and cert["unaffected_identical"] is None
+        assert cli.main(["verify", "--n", "4", "--m", "3", "--fan"]) == cli.EXIT_FAILED == 3
+        assert json.loads(capsys.readouterr().out)["outcome"] == out
+    finally:
+        _extract.cache_clear()
+
+
+def test_each_extracted_presentation_is_matched_once(monkeypatch):
+    # the match is kept on the presentation, and a flip walk's before-side
+    # is the previous move's after-side: n moves match n + 1 presentations
+    calls = []
+    match_gamma = dl.boundary.match_gamma
+    monkeypatch.setattr(dl.boundary, "match_gamma", lambda BP: calls.append(BP) or match_gamma(BP))
+    _extract.cache_clear()
+    try:
+        assert dl.verify_boundary_algebra(dl.fan_triangulation(5, 1), 3).passed
+        assert len(calls) == 1
+        calls.clear()
+        cur = dl.fan_triangulation(6, 1)
+        moves = dl.flip_sequence(cur, dl.fan_triangulation(6, 3))
+        for move in moves:
+            assert dl.verify_flip_transport(cur, move.removed, 2).ok
+            cur, _ = dl.flip(cur, move.removed)
+        assert len(moves) >= 2 and len(calls) == len(moves) + 1
+        assert len({id(BP) for BP in calls}) == len(calls)
+    finally:
+        _extract.cache_clear()
+
+
 def test_double_flip_restores_presentation():
     T = dl.fan_triangulation(5, 1)
     T2, mv = dl.flip(T, (1, 3))
     T3, _ = dl.flip(T2, mv.inserted)
     assert T3.key() == T.key()
-    BP1, _ = presentation(5, 2, T.sorted_diagonals)
-    BP3, _ = presentation(5, 2, T3.sorted_diagonals)
+    BP1 = presentation(5, 2, T.sorted_diagonals)
+    BP3 = presentation(5, 2, T3.sorted_diagonals)
     assert [
         (c.source, c.target, c.tag, c.rep.arrows) for c in BP1.classes
     ] == [(c.source, c.target, c.tag, c.rep.arrows) for c in BP3.classes]

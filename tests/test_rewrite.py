@@ -90,7 +90,7 @@ def test_queries_refuse_words_of_another_quiver():
     # relations of the fan at apex 2: the arrow ids fit both quivers, and
     # without the check the search answers Distinct on 26 of the 36
     # generators, the first three among them
-    BP, _ = fan_presentation(6, 3)
+    BP = fan_presentation(6, 3)
     _, _, _, foreign = pipeline(6, 3, dl.fan_triangulation(6, 2).sorted_diagonals)
     Q = BP.quiver
     u = chordless_cycles(Q, Q.boundary_vertices)

@@ -13,8 +13,8 @@ Prints every run's end-to-end metrics as it ends, then one row per metric:
 the median of each side, the parent's quartiles, and the pairs in which
 the change was better, worse or tied (the direction comes from
 BENCHMARK.json).  Then one verdict per metric (see verdict): ``claim met``,
-``over bound`` or ``within bound``.  Exits 1 if a run fails or reports
-``correct: false``.
+``over bound``, ``unresolved`` or ``within bound``.  Exits 1 if a run fails
+or reports ``correct: false``.
 """
 
 from __future__ import annotations
@@ -56,18 +56,23 @@ def verdict(old: list, new: list, better: str, bound: float) -> str:
     'claim met' when the change is better in at least 9 of 10 pairs and its
     median is better than the parent's by more than the parent's q3 - q1;
     'over bound' when its median is worse than the parent's by more than
-    bound, a fraction of the parent's median; 'within bound' otherwise.
+    bound, a fraction of the parent's median; 'unresolved' when the
+    parent's q3 - q1 is wider than that bound, so the runs cannot show a
+    loss within it, unless every run of the change is better than every
+    run of the parent; 'within bound' otherwise.
     """
     wins, _ = pairs_won(old, new, better)
     q1, _, q3 = statistics.quantiles(old, n=4)
     parent = statistics.median(old)
-    gain = statistics.median(new) - parent
-    if better == "lower":
-        gain = -gain
+    sign = 1 if better == "higher" else -1
+    gain = sign * (statistics.median(new) - parent)
     if 10 * wins >= 9 * len(old) and gain > q3 - q1:
         return "claim met"
     if -gain > bound * abs(parent):
         return "over bound"
+    always_better = min(sign * b for b in new) > max(sign * a for a in old)
+    if q3 - q1 > bound * abs(parent) and not always_better:
+        return "unresolved"
     return "within bound"
 
 
