@@ -12,8 +12,7 @@ import dimerlab as dl
 
 cert = dl.verify_flip_transport(dl.fan_triangulation(5, 1), (1, 3), 2)
 print(f"flip (1,3) of fan(5,1), m=2: ok={cert.ok}")
-print(f"  affected classes: "
-      f"{sorted(f'{k[2]}:{k[0]}->{k[1]}' for k in cert.affected)}")
+print(f"  affected classes: {sorted(cert.affected)}")
 print(f"  unaffected representatives identical: {cert.unaffected_identical}")
 print(f"  relations re-verified on the flipped side: {cert.relations_after.passed}")
 

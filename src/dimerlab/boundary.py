@@ -179,11 +179,26 @@ def _gamma_tables(m: int, n: int) -> tuple[GammaQuiver, dict, tuple]:
 
 @dataclass(frozen=True)
 class GeneratorClass:
-    source: int
-    target: int
-    tag: str | None  # family of Gamma's arrow with these endpoints, if it has one
+    """A class of boundary paths, given by one member: its ends and its
+    Gamma family are the representative's."""
+
     rep: Path
     size: int  # number of primitive paths merged into the class
+
+    @property
+    def source(self) -> int:
+        return self.rep.source
+
+    @property
+    def target(self) -> int:
+        return self.rep.target
+
+    @property
+    def tag(self) -> str | None:
+        """Family of Gamma's arrow with these ends, if it has one."""
+        Q = self.rep.quiver
+        name = _gamma_tables(Q.m, Q.n)[1].get((self.source, self.target))
+        return name and name[0]
 
     def describe(self) -> str:
         return f"{self.tag or '?'}:{self.source}->{self.target}"
@@ -269,12 +284,9 @@ def boundary_generators(
     class, and its least in (length, arrows) order is the representative,
     whichever member the walk met first.  Every primitive member of a
     generator class is walked, as a composite prefix has only composite
-    extensions.  Each class is tagged with the family of the Gamma(m, n)
-    arrow with its endpoints (Gamma has at most one per pair).  A
-    truncated closure of a path raises InconclusivePresentationError.
+    extensions.  A truncated closure of a path raises InconclusivePresentationError.
     """
     Q = R.quiver
-    names = _gamma_tables(Q.m, Q.n)[1]
     internal = {v for v, kind in Q.vertices.items() if kind == "internal"}
     classes: list[GeneratorClass] = []
     placed: set[tuple] = set()
@@ -311,9 +323,7 @@ def boundary_generators(
             if verdict == "generator":
                 members = [a for a in states if primitive(a)]
                 rep = Path(Q, min(members, key=lambda a: (len(a), a)))
-                name = names.get((p.source, tgt))
-                tag = name[0] if name else None
-                classes.append(GeneratorClass(p.source, tgt, tag, rep, size=len(members)))
+                classes.append(GeneratorClass(rep, size=len(members)))
 
     for s in Q.boundary_vertices:
         walk([], s, set())
@@ -406,6 +416,9 @@ class RelationReport:
 
     def unknowns(self) -> list[RelationInstance]:
         return [i for i in self.instances if i.verdict.outcome == UNKNOWN]
+
+    def inconclusive(self) -> list[str]:
+        return [f"relation {i.family}@{i.k}" for i in self.unknowns()]
 
     def failures(self) -> list[RelationInstance]:
         return [i for i in self.instances if i.verdict.outcome == DISTINCT]
@@ -683,16 +696,20 @@ def check_fan_formulas(
 
 @dataclass
 class VerificationOutcome:
-    n: int
     m: int
     triangulation: Triangulation
-    matched: bool = False
-    generator_count: int = 0
-    obstruction: str | None = None
     presentation: BoundaryPresentation | None = None
     relations: RelationReport | None = None
     central: CentralElementReport | None = None
     inconclusive: list[str] = field(default_factory=list)
+
+    @property
+    def matched(self) -> bool:
+        return self.presentation is not None and self.presentation.matched
+
+    @property
+    def generator_count(self) -> int:
+        return len(self.presentation.classes) if self.presentation else 0
 
     @property
     def passed(self) -> bool:
@@ -706,16 +723,17 @@ class VerificationOutcome:
         )
 
     def to_json(self) -> dict:
+        BP = self.presentation
         return {
-            "n": self.n,
+            "n": self.triangulation.n,
             "m": self.m,
             "triangulation": self.triangulation.to_json(),
             "matched": self.matched,
             # kept so the report keeps its shape: labels are matched unrotated
             "rotation": 0 if self.matched else None,
             "generators": self.generator_count,
-            "obstruction": self.obstruction,
-            "presentation": self.presentation.to_json() if self.presentation else None,
+            "obstruction": BP.obstruction if BP else None,
+            "presentation": BP.to_json() if BP else None,
             "relations": self.relations.to_json() if self.relations else None,
             "central_element": self.central.to_json() if self.central else None,
             "inconclusive": self.inconclusive,
@@ -738,26 +756,19 @@ def verify_boundary_algebra(
 ) -> VerificationOutcome:
     """Run the full pipeline on one triangulation: build, reduce, dualize,
     extract, match against Gamma(m, n), verify relations and centrality."""
-    outcome = VerificationOutcome(n=T.n, m=m, triangulation=T)
+    outcome = VerificationOutcome(m=m, triangulation=T)
     try:
         BP = _extract(T, m, budget)
     except InconclusivePresentationError as exc:
         outcome.inconclusive.append(f"presentation: {exc}")
         return outcome
-    outcome.generator_count = len(BP.classes)
     outcome.presentation = BP
-    outcome.matched = BP.matched
-    outcome.obstruction = BP.obstruction
     if not BP.matched:
         return outcome
     outcome.relations = verify_theorem_relations(BP, budget)
     outcome.central = verify_central_element(BP, budget)
-    outcome.inconclusive.extend(
-        f"relation {i.family}@{i.k}" for i in outcome.relations.unknowns()
-    )
-    outcome.inconclusive.extend(
-        f"central {d}" for d in outcome.central.unknowns()
-    )
+    outcome.inconclusive.extend(outcome.relations.inconclusive())
+    outcome.inconclusive.extend(f"central {d}" for d in outcome.central.unknowns())
     return outcome
 
 
@@ -766,7 +777,7 @@ class FlipTransportCertificate:
     move: object
     matched_before: bool
     matched_after: bool
-    affected: dict = field(default_factory=dict)
+    affected: dict = field(default_factory=dict)  # old class's describe() -> paths
     unaffected_identical: bool | None = None  # None until the classes are compared
     relations_after: RelationReport | None = None
     inconclusive: list[str] = field(default_factory=list)
@@ -787,9 +798,7 @@ class FlipTransportCertificate:
             "move": self.move.to_json(),
             "matched_before": self.matched_before,
             "matched_after": self.matched_after,
-            "affected": {
-                f"{k[2]}:{k[0]}->{k[1]}": v for k, v in sorted(self.affected.items(), key=str)
-            },
+            "affected": self.affected,
             "unaffected_identical": self.unaffected_identical,
             "relations_after": self.relations_after.to_json()
             if self.relations_after
@@ -834,7 +843,6 @@ def verify_flip_transport(
     cert.unaffected_identical = True
     for name, old in BP1.named.items():
         new = BP2.named[name]
-        key = (old.source, old.target, old.tag)
         old_tags, new_tags = _tag_sequence(old.rep), _tag_sequence(new.rep)
         touches_old = any(t[0] in quad_old for t in old_tags)
         touches_new = any(t[0] in quad_new for t in new_tags)
@@ -842,7 +850,7 @@ def verify_flip_transport(
             core_idx = [i for i, t in enumerate(new_tags) if t[0] in quad_new]
             lo = core_idx[0] if core_idx else len(new_tags)
             hi = core_idx[-1] + 1 if core_idx else len(new_tags)
-            cert.affected[key] = {
+            cert.affected[old.describe()] = {
                 "old": list(old.rep.arrows),
                 "new": list(new.rep.arrows),
                 "delta_prefix": list(new.rep.arrows[:lo]),
@@ -852,7 +860,5 @@ def verify_flip_transport(
         elif old_tags != new_tags:
             cert.unaffected_identical = False
     cert.relations_after = verify_theorem_relations(BP2, budget)
-    cert.inconclusive.extend(
-        f"relation {i.family}@{i.k}" for i in cert.relations_after.unknowns()
-    )
+    cert.inconclusive.extend(cert.relations_after.inconclusive())
     return cert

@@ -53,7 +53,6 @@ NodeId = tuple
 
 @dataclass(frozen=True)
 class DimerNode:
-    id: NodeId
     color: str
     location: str
     # whites: tuple of (triangle, barycentric) constituents (more than one
@@ -154,7 +153,7 @@ class GLmDimer:
         nodes = {}
         for rec in data["nodes"]:
             vid = _decode(rec["id"])
-            nodes[vid] = DimerNode(vid, rec["color"], rec["location"], _decode(rec["host"]))
+            nodes[vid] = DimerNode(rec["color"], rec["location"], _decode(rec["host"]))
         rotation = {
             _decode(r["id"]): tuple(_decode(w) for w in r["neighbors"])
             for r in data["rotation"]
@@ -252,7 +251,7 @@ def build_dimer(T: Triangulation, m: int) -> GLmDimer:
     for tri in T.triangles:
         for p, sides in up:
             w = ("w", tri, p)
-            nodes[w] = DimerNode(w, WHITE, LOC_INTERIOR, ((tri, p),))
+            nodes[w] = DimerNode(WHITE, LOC_INTERIOR, ((tri, p),))
             nbrs = tuple(_black_id(tri, side) for side in sides)
             for j, nb in enumerate(nbrs):
                 if nb[0] == "b":
@@ -261,13 +260,13 @@ def build_dimer(T: Triangulation, m: int) -> GLmDimer:
             rotation[w] = nbrs
         for q, whites in down:
             d = ("d", tri, q)
-            nodes[d] = DimerNode(d, BLACK, LOC_INTERIOR, ((tri, q),))
+            nodes[d] = DimerNode(BLACK, LOC_INTERIOR, ((tri, q),))
             rotation[d] = tuple(("w", tri, p) for p in whites)
 
     for b, ws in seg_whites.items():
         _, edge, s = b
         loc = LOC_BOUNDARY if is_polygon_edge(n, edge) else LOC_DIAGONAL
-        nodes[b] = DimerNode(b, BLACK, loc, ((edge, s),))
+        nodes[b] = DimerNode(BLACK, loc, ((edge, s),))
         rotation[b] = tuple(sorted(ws))
 
     boundary = []
@@ -316,7 +315,7 @@ def reduce_dimer(D: GLmDimer, order: list[NodeId] | None = None) -> GLmDimer:
         del rotation[beta]
         del edge_tags[frozenset((w1, beta))]
         del edge_tags[frozenset((w2, beta))]
-        nodes[new] = DimerNode(new, WHITE, LOC_INTERIOR, host)
+        nodes[new] = DimerNode(WHITE, LOC_INTERIOR, host)
         rotation[new] = spliced
         # the rotation indexes a node's edges: only the merged-away white's
         # edges are re-keyed

@@ -140,10 +140,9 @@ def pairwise_generators(Q, R, budget=dl.SearchBudget()):
     keeping the classes whose least path factors_through_boundary calls a
     generator, over every primitive path (all_primitive_paths).  Returns the GeneratorClass tuple in the presentation's
     order."""
-    family = {ends: name[0] for name, ends in dl.build_gamma(Q.m, Q.n).arrows.items()}
     survivors = [
-        boundary.GeneratorClass(src, tgt, family.get((src, tgt)), g[0], len(g))
-        for (src, tgt), paths in all_primitive_paths(Q).items()
+        boundary.GeneratorClass(g[0], len(g))
+        for paths in all_primitive_paths(Q).values()
         for g in pairwise_classes(paths, R, budget)
         if boundary.factors_through_boundary(g[0], R, budget)[0] == "generator"
     ]

@@ -115,24 +115,26 @@ def test_match_requires_equal_vertex_count():
 
 
 def test_match_uses_the_boundary_labels_as_they_are():
-    # shifting every label by 3 (not a symmetry of Gamma(2, 5), which only
-    # has the even rotations) must not match
+    # the fan (2, 5) quiver with every boundary label shifted by 3 (not a
+    # symmetry of Gamma(2, 5), which only has the even rotations), its
+    # arrows and faces kept, must not match
     BP = fan_presentation(5, 2)
     assert BP.matched
-    mn = 10
-    shift = 3
+    Q = BP.quiver
+
+    def shift(v):
+        return modl(v + 3, 10) if Q.vertices[v] == "boundary" else v
+
+    relabelled = QuiverWithFaces(
+        Q.m,
+        Q.n,
+        {shift(v): kind for v, kind in Q.vertices.items()},
+        [replace(a, source=shift(a.source), target=shift(a.target)) for a in Q.arrows],
+        Q.faces,
+    )
     shifted = BoundaryPresentation(
-        relation_set=BP.relation_set,
-        classes=tuple(
-            GeneratorClass(
-                source=modl(c.source + shift, mn),
-                target=modl(c.target + shift, mn),
-                tag=c.tag,
-                rep=c.rep,
-                size=c.size,
-            )
-            for c in BP.classes
-        ),
+        relation_set=dl.potential_relations(relabelled),
+        classes=tuple(GeneratorClass(relabelled.path(c.rep.arrows), c.size) for c in BP.classes),
     )
     assert not shifted.matched
     assert shifted.obstruction == (
@@ -141,6 +143,26 @@ def test_match_uses_the_boundary_labels_as_they_are():
         "arrows without a class: ['y_2', 'y_4', 'y_6', 'y_8']; "
         "ends held by several classes: []"
     )
+    # a class reads its ends and family off its representative: off Gamma
+    # it has no family
+    gamma_ends = set(dl.build_gamma(2, 5).arrows.values())
+    off_gamma = [(c.source, c.target) not in gamma_ends for c in shifted.classes]
+    assert any(off_gamma)
+    assert [c.tag is None for c in shifted.classes] == off_gamma
+    assert [c.describe().startswith("?:") for c in shifted.classes] == off_gamma
+
+
+@settings(max_examples=20)
+@given(st.data())
+def test_a_class_reads_its_ends_and_family_off_its_representative(data):
+    m = data.draw(st.integers(2, 4))
+    T = data.draw(triangulations(max_n=7, min_n=4))
+    BP = presentation(T.n, m, T.sorted_diagonals)
+    G = dl.build_gamma(m, T.n)
+    for name, c in BP.named.items():
+        assert G.arrows[name] == (c.source, c.target)
+        assert c.tag == name[0]
+        assert c.describe() == f"{name[0]}:{c.source}->{c.target}"
 
 
 def without_class(BP, name):
@@ -154,13 +176,6 @@ def without_class(BP, name):
 def test_the_obstruction_names_what_failed_to_match():
     BP = fan_presentation(6, 4)
     assert dl.match_gamma(BP) is None and BP.matched and len(BP.named) == 54
-    # the ends name a class, as they matched it, whatever its tag says
-    retagged = BoundaryPresentation(
-        relation_set=BP.relation_set, classes=tuple(replace(c, tag="z") for c in BP.classes)
-    )
-    assert [(k, c.rep) for k, c in retagged.named.items()] == [
-        (k, c.rep) for k, c in BP.named.items()
-    ]
     assert dl.match_gamma(without_class(BP, ("y", 2))) == (
         "the 53 generators do not match the 54 arrows of Gamma(4,6); "
         "untaggable classes: []; arrows without a class: ['y_2']; "
@@ -507,10 +522,10 @@ def test_flip_transport_m2_pentagon():
     cert = dl.verify_flip_transport(dl.fan_triangulation(5, 1), (1, 3), 2)
     assert cert.ok
     assert cert.matched_before and cert.matched_after
-    affected_y = {k for k in cert.affected if k[2] == "y"}
+    affected_y = {k for k in cert.affected if k.startswith("y:")}
     # flipping (1, j) with j=3 touches exactly the four z-type generators at
     # positions {1, j-1, j, j+1}; the fifth keeps its representative
-    assert affected_y == {(2, 10, "y"), (4, 2, "y"), (6, 4, "y"), (8, 6, "y")}
+    assert affected_y == {"y:2->10", "y:4->2", "y:6->4", "y:8->6"}
     assert cert.unaffected_identical
     assert cert.relations_after.passed
 
@@ -518,7 +533,7 @@ def test_flip_transport_m2_pentagon():
 def test_flip_transport_affected_reps_are_valid_paths():
     cert = dl.verify_flip_transport(dl.fan_triangulation(5, 1), (1, 4), 2)
     assert cert.ok
-    for (src, tgt, _), entry in cert.affected.items():
+    for entry in cert.affected.values():
         assert entry["new"] == entry["delta_prefix"] + entry["core"] + entry["delta_suffix"]
 
 
