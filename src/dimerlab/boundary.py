@@ -30,7 +30,7 @@ from collections.abc import KeysView
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 
-from .dimer import build_dimer, reduce_dimer
+from .dimer import ValidationReport, build_dimer, reduce_dimer
 from .polygon import Triangulation, flip
 from .quiver import QuiverWithFaces, chordless_cycles, dual_quiver, potential_relations, rim_pos
 from .rewrite import (
@@ -516,8 +516,6 @@ def fan_m2_structure_report(Q: QuiverWithFaces):
     i_k -> 2k+2 and 2k+4 -> i_k; and 2n-2 faces.  For n = 3 the chain
     collapses to the single arrow 2 -> 6.
     """
-    from .dimer import ValidationReport
-
     rep = ValidationReport()
     n = Q.n
     mn = 2 * n
@@ -831,11 +829,12 @@ def verify_flip_transport(
     cert = FlipTransportCertificate(move=move, matched_before=False, matched_after=False)
     try:
         BP1 = _extract(T, m, budget)
+        cert.matched_before = BP1.matched
         BP2 = _extract(T2, m, budget)
     except InconclusivePresentationError as exc:
         cert.inconclusive.append(f"presentation: {exc}")
         return cert
-    cert.matched_before, cert.matched_after = BP1.matched, BP2.matched
+    cert.matched_after = BP2.matched
     if not (BP1.matched and BP2.matched):
         return cert
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import __version__
 from .boundary import (
@@ -167,8 +168,6 @@ def _budget_json(budget: SearchBudget) -> dict:
 
 
 def _sweep_row(task) -> dict:
-    import time
-
     T, m, index, budget, timings = task
     t0 = time.monotonic()
     outcome = verify_boundary_algebra(T, m, budget=budget)

@@ -3,8 +3,13 @@
 Each triangle of a triangulation is barycentrically subdivided into m^2
 small triangles.  White nodes sit in upward small triangles, black nodes in
 downward ones and on the midpoints of the m segments of each side.  Node
-ids are stable tuples derived from (triangle, barycentric position), so
-builds are reproducible and survive serialization.
+ids are stable tuples of where a node sits, so builds are reproducible,
+survive serialization, and fix every other fact of the node: ('w', tri, p)
+is a white in an upward small triangle, ('d', tri, q) an interior black in
+a downward one, and ('b', edge, s) the black on segment s of a side, on the
+polygon boundary when `edge` is a polygon side and on a diagonal otherwise.
+A node's host is (id[1:],), except a white merged by reduction, whose host
+is the sorted union of its constituents'.
 
 The planar embedding is carried by a rotation system: for every node, the
 counterclockwise cyclic order of its neighbours.  Within a triangle with
@@ -16,7 +21,7 @@ facts fix the rotations below.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -51,63 +56,70 @@ class AsymmetricRotationError(DimerError):
 NodeId = tuple
 
 
-@dataclass(frozen=True)
-class DimerNode:
-    color: str
-    location: str
-    # whites: tuple of (triangle, barycentric) constituents (more than one
-    # after reduction); interior blacks: ((triangle, barycentric),);
-    # segment blacks: ((edge, segment-index),)
-    host: tuple
-
-
 @dataclass
 class GLmDimer:
     """An embedded bipartite GL_m-dimer graph.
 
     Treated as immutable after construction; `reduce_dimer` returns a new
     instance.  `rotation` maps each node id to the counterclockwise tuple of
-    its neighbours; `edge_tags` maps each edge (frozenset of endpoints) to
-    its construction tag (triangle, upward-point, side-index).
+    its neighbours, and its keys are the node set; `edge_tags` maps each
+    edge (frozenset of endpoints) to its construction tag (triangle,
+    upward-point, side-index); `hosts` holds the host of each white that
+    `reduce_dimer` merged.  `color`, `location` and `host` read the rest off
+    the id, and `boundary` is a function of (n, m).
     """
 
     m: int
     triangulation: Triangulation
-    nodes: dict[NodeId, DimerNode]
     rotation: dict[NodeId, tuple[NodeId, ...]]
     edge_tags: dict[frozenset, tuple]
-    boundary: tuple[NodeId, ...] = field(default_factory=tuple)
+    hosts: dict[NodeId, tuple]
 
     @property
     def n(self) -> int:
         return self.triangulation.n
 
+    @property
+    def boundary(self) -> tuple[NodeId, ...]:
+        return boundary_blacks(self.n, self.m)
+
+    def color(self, v: NodeId) -> str:
+        return WHITE if v[0] == "w" else BLACK
+
+    def location(self, v: NodeId) -> str:
+        if v[0] != "b":
+            return LOC_INTERIOR
+        return LOC_BOUNDARY if is_polygon_edge(self.n, v[1]) else LOC_DIAGONAL
+
+    def host(self, v: NodeId) -> tuple:
+        return self.hosts.get(v, (v[1:],))
+
     def degree(self, v: NodeId) -> int:
         return len(self.rotation[v])
 
     def whites(self) -> list[NodeId]:
-        return sorted(v for v, rec in self.nodes.items() if rec.color == WHITE)
+        return sorted(v for v in self.rotation if self.color(v) == WHITE)
 
     def blacks(self, location: str | None = None) -> list[NodeId]:
         return sorted(
             v
-            for v, rec in self.nodes.items()
-            if rec.color == BLACK and (location is None or rec.location == location)
+            for v in self.rotation
+            if self.color(v) == BLACK and (location is None or self.location(v) == location)
         )
 
     def internal_blacks(self) -> list[NodeId]:
         """Black nodes not on the polygon boundary."""
-        return sorted(
-            v
-            for v, rec in self.nodes.items()
-            if rec.color == BLACK and rec.location != LOC_BOUNDARY
-        )
+        return [b for b in self.blacks() if self.location(b) != LOC_BOUNDARY]
 
     def contractible_blacks(self) -> list[NodeId]:
         return [b for b in self.internal_blacks() if self.degree(b) == 2]
 
     def is_reduced(self) -> bool:
         return not self.contractible_blacks()
+
+    def _node_records(self):
+        for v in sorted(self.rotation):
+            yield v, self.color(v), self.location(v), self.host(v)
 
     def canonical_form(self) -> tuple:
         """Order-independent snapshot used for isomorphism-as-equality checks."""
@@ -118,9 +130,7 @@ class GLmDimer:
             rots = [tuple(seq[i:] + seq[:i]) for i in range(len(seq))]
             return min(rots)
 
-        nodes = tuple(
-            (v, rec.color, rec.location, rec.host) for v, rec in sorted(self.nodes.items())
-        )
+        nodes = tuple(self._node_records())
         rots = tuple((v, norm_cycle(list(self.rotation[v]))) for v in sorted(self.rotation))
         return (self.m, self.triangulation.key(), nodes, rots, self.boundary)
 
@@ -129,13 +139,8 @@ class GLmDimer:
             "m": self.m,
             "triangulation": self.triangulation.to_json(),
             "nodes": [
-                {
-                    "id": _encode(v),
-                    "color": rec.color,
-                    "location": rec.location,
-                    "host": _encode(rec.host),
-                }
-                for v, rec in sorted(self.nodes.items())
+                {"id": _encode(v), "color": color, "location": loc, "host": _encode(host)}
+                for v, color, loc, host in self._node_records()
             ],
             "rotation": [
                 {"id": _encode(v), "neighbors": [_encode(w) for w in self.rotation[v]]}
@@ -150,10 +155,9 @@ class GLmDimer:
 
     @classmethod
     def from_json(cls, data: dict) -> "GLmDimer":
-        nodes = {}
-        for rec in data["nodes"]:
-            vid = _decode(rec["id"])
-            nodes[vid] = DimerNode(rec["color"], rec["location"], _decode(rec["host"]))
+        """Read a dimer back; the node records and the boundary sequence
+        are checked against what the ids and (n, m) give, and only a
+        white's host is taken as given."""
         rotation = {
             _decode(r["id"]): tuple(_decode(w) for w in r["neighbors"])
             for r in data["rotation"]
@@ -162,14 +166,29 @@ class GLmDimer:
             frozenset(_decode(v) for v in e["nodes"]): _decode(e["tag"])
             for e in data["edges"]
         }
-        return cls(
+        D = cls(
             m=data["m"],
             triangulation=Triangulation.from_json(data["triangulation"]),
-            nodes=nodes,
             rotation=rotation,
             edge_tags=tags,
-            boundary=tuple(_decode(v) for v in data["boundary"]),
+            hosts={},
         )
+        records = [_decode([r["id"], r["color"], r["location"], r["host"]]) for r in data["nodes"]]
+        if sorted(v for v, *_ in records) != sorted(rotation):
+            raise DimerError("the listed nodes are not the rotation's nodes")
+        for v, color, loc, host in records:
+            if (color, loc) != (D.color(v), D.location(v)):
+                raise DimerError(
+                    f"node {v!r} is listed as {color} {loc}, its id gives "
+                    f"{D.color(v)} {D.location(v)}"
+                )
+            if host != D.host(v):
+                if color == BLACK:
+                    raise DimerError(f"black {v!r} has host {host!r}, its id gives {D.host(v)!r}")
+                D.hosts[v] = host
+        if _decode(data["boundary"]) != D.boundary:
+            raise DimerError(f"the boundary sequence is not that of (n, m) = ({D.n}, {D.m})")
+        return D
 
 
 def _encode(x):
@@ -241,9 +260,7 @@ def build_dimer(T: Triangulation, m: int) -> GLmDimer:
     """
     if m < 2:
         raise UnsupportedOrderError(f"GL_m-dimers need m >= 2, got {m}")
-    n = T.n
     up, down = _triangle_tables(m)
-    nodes: dict[NodeId, DimerNode] = {}
     rotation: dict[NodeId, tuple[NodeId, ...]] = {}
     edge_tags: dict[frozenset, tuple] = {}
     seg_whites: dict[NodeId, list[NodeId]] = defaultdict(list)
@@ -251,7 +268,6 @@ def build_dimer(T: Triangulation, m: int) -> GLmDimer:
     for tri in T.triangles:
         for p, sides in up:
             w = ("w", tri, p)
-            nodes[w] = DimerNode(WHITE, LOC_INTERIOR, ((tri, p),))
             nbrs = tuple(_black_id(tri, side) for side in sides)
             for j, nb in enumerate(nbrs):
                 if nb[0] == "b":
@@ -260,15 +276,18 @@ def build_dimer(T: Triangulation, m: int) -> GLmDimer:
             rotation[w] = nbrs
         for q, whites in down:
             d = ("d", tri, q)
-            nodes[d] = DimerNode(BLACK, LOC_INTERIOR, ((tri, q),))
             rotation[d] = tuple(("w", tri, p) for p in whites)
 
     for b, ws in seg_whites.items():
-        _, edge, s = b
-        loc = LOC_BOUNDARY if is_polygon_edge(n, edge) else LOC_DIAGONAL
-        nodes[b] = DimerNode(BLACK, loc, ((edge, s),))
         rotation[b] = tuple(sorted(ws))
 
+    return GLmDimer(m=m, triangulation=T, rotation=rotation, edge_tags=edge_tags, hosts={})
+
+
+@cache
+def boundary_blacks(n: int, m: int) -> tuple[NodeId, ...]:
+    """The m*n boundary blacks counterclockwise from polygon vertex 1: the
+    segments of each side (k, k+1) from k, then those of (1, n) from n."""
     boundary = []
     for k in range(1, n + 1):
         if k < n:
@@ -276,15 +295,7 @@ def build_dimer(T: Triangulation, m: int) -> GLmDimer:
         else:
             key, srange = (1, n), range(m - 1, -1, -1)
         boundary.extend(("b", key, s) for s in srange)
-
-    return GLmDimer(
-        m=m,
-        triangulation=T,
-        nodes=nodes,
-        rotation=rotation,
-        edge_tags=edge_tags,
-        boundary=tuple(boundary),
-    )
+    return tuple(boundary)
 
 
 def reduce_dimer(D: GLmDimer, order: list[NodeId] | None = None) -> GLmDimer:
@@ -295,9 +306,10 @@ def reduce_dimer(D: GLmDimer, order: list[NodeId] | None = None) -> GLmDimer:
     by default contractions run in sorted id order.  Idempotent on reduced
     inputs.  Boundary blacks are never touched.
     """
-    nodes = dict(D.nodes)
     rotation = {v: list(r) for v, r in D.rotation.items()}
     edge_tags = dict(D.edge_tags)
+    # built first so that R.host reads the hosts merged so far
+    R = GLmDimer(D.m, D.triangulation, rotation, edge_tags, dict(D.hosts))
 
     def contract(beta: NodeId) -> None:
         w1, w2 = rotation[beta]
@@ -307,19 +319,16 @@ def reduce_dimer(D: GLmDimer, order: list[NodeId] | None = None) -> GLmDimer:
         r1, r2 = rotation[w1], rotation[w2]
         i1, i2 = r1.index(beta), r2.index(beta)
         spliced = r1[:i1] + r2[i2 + 1 :] + r2[:i2] + r1[i1 + 1 :]
-        host = tuple(sorted(nodes[w1].host + nodes[w2].host))
-        for w in (w1, w2):
-            del nodes[w]
+        old, old_nbrs = (w2, r2) if new == w1 else (w1, r1)
+        R.hosts[new] = tuple(sorted(R.host(w1) + R.host(w2)))
+        R.hosts.pop(old, None)
+        for w in (w1, w2, beta):
             del rotation[w]
-        del nodes[beta]
-        del rotation[beta]
         del edge_tags[frozenset((w1, beta))]
         del edge_tags[frozenset((w2, beta))]
-        nodes[new] = DimerNode(WHITE, LOC_INTERIOR, host)
         rotation[new] = spliced
         # the rotation indexes a node's edges: only the merged-away white's
         # edges are re-keyed
-        old, old_nbrs = (w2, r2) if new == w1 else (w1, r1)
         for other in old_nbrs:
             if other == beta:
                 continue
@@ -341,14 +350,9 @@ def reduce_dimer(D: GLmDimer, order: list[NodeId] | None = None) -> GLmDimer:
     for beta in todo:
         contract(beta)
 
-    return GLmDimer(
-        m=D.m,
-        triangulation=D.triangulation,
-        nodes=nodes,
-        rotation={v: tuple(r) for v, r in rotation.items()},
-        edge_tags=edge_tags,
-        boundary=D.boundary,
-    )
+    for v, r in rotation.items():
+        rotation[v] = tuple(r)
+    return R
 
 
 def trace_faces(rotation: dict[NodeId, tuple[NodeId, ...]]) -> list[list[tuple]]:
@@ -414,15 +418,12 @@ def validate_dimer(D: GLmDimer) -> ValidationReport:
     bad = [
         sorted(e)
         for e in D.edge_tags
-        if len(e) != 2 or {D.nodes[v].color for v in e} != {WHITE, BLACK}
+        if len(e) != 2 or {D.color(v) for v in e} != {WHITE, BLACK}
     ]
     rep.add("bipartite", not bad, f"non-bichromatic edges: {bad[:3]}" if bad else "")
 
     m, n = D.m, D.n
-    counts: dict[tuple, int] = defaultdict(int)
-    for v, rec in D.nodes.items():
-        if rec.color == BLACK and rec.location != LOC_INTERIOR:
-            counts[v[1]] += 1
+    counts = Counter(v[1] for v in D.rotation if D.location(v) != LOC_INTERIOR)
     bad_edges = []
     for edge in D.triangulation.edges():
         c = counts.get(edge, 0)
@@ -470,28 +471,21 @@ def validate_dimer(D: GLmDimer) -> ValidationReport:
                     queue.append(w)
     rep.add(
         "connected",
-        len(seen) == len(D.nodes),
-        f"reached {len(seen)} of {len(D.nodes)} nodes",
+        len(seen) == len(D.rotation),
+        f"reached {len(seen)} of {len(D.rotation)} nodes",
     )
 
     if rep.passed:
         faces = trace_faces(D.rotation)
-        euler = len(D.nodes) - len(D.edge_tags) + len(faces)
+        euler = len(D.rotation) - len(D.edge_tags) + len(faces)
         rep.add("euler", euler == 2, f"V - E + F = {euler}, expected 2")
     else:
         rep.add("euler", False, "skipped: earlier structural failures")
 
-    bdry_bad = [
-        b
-        for b in D.boundary
-        if D.nodes.get(b) is None
-        or D.nodes[b].location != LOC_BOUNDARY
-        or len(D.rotation.get(b, ())) != 1
-    ]
-    expected = sorted(b for b, r in D.nodes.items() if r.location == LOC_BOUNDARY)
+    bdry_bad = [b for b in D.boundary if len(D.rotation.get(b, ())) != 1]
     rep.add(
         "boundary-sequence",
-        not bdry_bad and sorted(D.boundary) == expected,
+        not bdry_bad and sorted(D.boundary) == D.blacks(LOC_BOUNDARY),
         f"bad boundary entries: {bdry_bad[:3]}" if bdry_bad else "",
     )
     return rep

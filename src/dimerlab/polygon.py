@@ -155,21 +155,20 @@ class Triangulation:
 @dataclass(frozen=True)
 class FlipMove:
     """One diagonal flip: `removed` and `inserted` are the two diagonals of
-    the quadrilateral (given in cyclic = ascending vertex order)."""
+    the quadrilateral, whose four corners (in cyclic = ascending vertex
+    order) are their ends."""
 
     removed: tuple[int, int]
     inserted: tuple[int, int]
-    quadrilateral: tuple[int, int, int, int]
 
     def __post_init__(self):
         q = self.quadrilateral
-        if sorted(q) != list(q) or len(set(q)) != 4:
-            raise PolygonError(f"quadrilateral {q} not in ascending order")
-        diags = {(q[0], q[2]), (q[1], q[3])}
-        if {self.removed, self.inserted} != diags:
-            raise PolygonError(
-                f"{self.removed}/{self.inserted} are not the diagonals of {q}"
-            )
+        if len(set(q)) != 4 or {self.removed, self.inserted} != {(q[0], q[2]), (q[1], q[3])}:
+            raise PolygonError(f"{self.removed}/{self.inserted} are not the diagonals of {q}")
+
+    @property
+    def quadrilateral(self) -> tuple[int, int, int, int]:
+        return tuple(sorted(self.removed + self.inserted))
 
     def to_json(self) -> dict:
         return {
@@ -228,7 +227,7 @@ def flip(T: Triangulation, d) -> tuple[Triangulation, FlipMove]:
     if d not in T.diagonals:
         raise UnknownDiagonalError(f"{d} is not a diagonal of {T!r}")
     inserted = T.opposite[d]
-    move = FlipMove(removed=d, inserted=inserted, quadrilateral=tuple(sorted(d + inserted)))
+    move = FlipMove(removed=d, inserted=inserted)
     a, b = d
     kept = [tri for tri in T.triangles if not (a in tri and b in tri)]
     triangles = tuple(sorted(kept + [tuple(sorted(inserted + (v,))) for v in d]))

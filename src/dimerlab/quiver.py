@@ -28,6 +28,9 @@ from .dimer import (
     GLmDimer,
     LOC_BOUNDARY,
     WHITE,
+    ValidationReport,
+    _decode,
+    _encode,
     _plus_e,
     trace_faces,
 )
@@ -148,8 +151,6 @@ class QuiverWithFaces:
         )
 
     def to_json(self) -> dict:
-        from .dimer import _encode
-
         return {
             "m": self.m,
             "n": self.n,
@@ -175,8 +176,6 @@ class QuiverWithFaces:
 
     @classmethod
     def from_json(cls, data: dict) -> "QuiverWithFaces":
-        from .dimer import _decode
-
         vertices = {_decode(r["id"]): r["kind"] for r in data["vertices"]}
         arrows = [None] * len(data["arrows"])
         for r in data["arrows"]:
@@ -301,8 +300,8 @@ def dual_quiver(D: GLmDimer) -> QuiverWithFaces:
     edges = []  # (white index, black index, black id, tag), in tag order
     for e, tag in sorted(D.edge_tags.items(), key=lambda kv: kv[1]):
         u, v = e
-        w, b = (u, v) if D.nodes[u].color == WHITE else (v, u)
-        assert D.nodes[w].color == WHITE and D.nodes[b].color == BLACK
+        w, b = (u, v) if D.color(u) == WHITE else (v, u)
+        assert D.color(w) == WHITE and D.color(b) == BLACK
         tri, p, j = tag
         at_w, at_b = _edge_points(p, j)
         iw, ib = index[w], index[b]
@@ -334,17 +333,16 @@ def dual_quiver(D: GLmDimer) -> QuiverWithFaces:
     for iw, ib, b, tag in edges:
         src = vertex_of_face[face_of_dart[ib, iw]]
         tgt = vertex_of_face[face_of_dart[iw, ib]]
-        kind = "boundary" if D.nodes[b].location == LOC_BOUNDARY else "internal"
+        kind = "boundary" if D.location(b) == LOC_BOUNDARY else "internal"
         aid_of_dart[iw, ib] = len(arrows)
         arrows.append(Arrow(src, tgt, kind, tag))
 
     white_faces, black_faces = [], []
     for i, v in enumerate(ids):
-        rec = D.nodes[v]
-        if rec.color == WHITE:
+        if D.color(v) == WHITE:
             cyc = [aid_of_dart[i, nb] for nb in own[i]]
             white_faces.append(Face("+", _normalize_cycle(cyc), v))
-        elif rec.location != LOC_BOUNDARY:
+        elif D.location(v) != LOC_BOUNDARY:
             cyc = [aid_of_dart[nb, i] for nb in reversed(own[i])]
             black_faces.append(Face("-", _normalize_cycle(cyc), v))
 
@@ -366,8 +364,6 @@ def _normalize_cycle(cyc: list[int]) -> tuple[int, ...]:
 
 def validate_dimer_model(Q: QuiverWithFaces):
     """Check the dimer-model-with-boundary axioms plus the faces-per-vertex counts."""
-    from .dimer import ValidationReport
-
     rep = ValidationReport()
     loops = [aid for aid, a in enumerate(Q.arrows) if a.source == a.target]
     rep.add("no-loops", not loops, f"loop arrows: {loops[:3]}" if loops else "")

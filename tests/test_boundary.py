@@ -551,6 +551,16 @@ def test_flip_transport_reuse_is_never_stale():
     assert dl.verify_flip_transport(T2, move.inserted, m, starved).to_json() == expected
 
 
+def test_a_matched_before_side_stays_reported_when_the_after_side_runs_out():
+    # under this budget the before side extracts and matches, the after
+    # side does not finish
+    T = dl.Triangulation(7, [(1, 3), (1, 4), (1, 5), (5, 7)])
+    cert = dl.verify_flip_transport(T, (1, 4), 4, SearchBudget(5))
+    assert (cert.matched_before, cert.matched_after, cert.ok) == (True, False, False)
+    (reason,) = cert.inconclusive
+    assert reason.startswith("presentation: cannot decide within budget (max_visited=5)")
+
+
 def test_flip_transport_certificates_match_without_reuse():
     src = dl.fan_triangulation(7, 1)
     cur = src

@@ -145,9 +145,16 @@ def test_flip_equals_validated_construction(T):
         assert T2.opposite[move.inserted] == move.removed
 
 
+def test_a_flip_move_is_the_two_diagonals_of_four_corners():
+    assert FlipMove(removed=(1, 3), inserted=(2, 4)).quadrilateral == (1, 2, 3, 4)
+    for removed, inserted in [((1, 3), (1, 3)), ((1, 2), (3, 4)), ((3, 1), (2, 4))]:
+        with pytest.raises(PolygonError):
+            FlipMove(removed=removed, inserted=inserted)
+
+
 def test_apply_moves_names_the_triangulation_it_failed_on():
     T = dl.fan_triangulation(6, 1)
-    bad = FlipMove(removed=(1, 4), inserted=(2, 5), quadrilateral=(1, 2, 4, 5))
+    bad = FlipMove(removed=(1, 4), inserted=(2, 5))
     with pytest.raises(PolygonError) as info:
         apply_moves(T, [bad])
     assert str(info.value).endswith("on Triangulation(n=6, diagonals=[(1, 3), (1, 4), (1, 5)])")

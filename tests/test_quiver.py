@@ -140,10 +140,10 @@ def test_face_count_m2():
 def test_face_duals():
     _, D, Q, _ = fan_pipeline(5, 2)
     for f in Q.faces:
-        color = D.nodes[f.dual].color
+        color = D.color(f.dual)
         assert (f.orientation == "+") == (color == "white")
     boundary_black_edges = {
-        e for e in D.edge_tags if any(D.nodes[v].location == "boundary-edge-segment" for v in e)
+        e for e in D.edge_tags if any(D.location(v) == "boundary-edge-segment" for v in e)
     }
     boundary_arrows = [a for a in Q.arrows if a.kind == "boundary"]
     assert len(boundary_arrows) == len(boundary_black_edges)
@@ -217,10 +217,20 @@ def test_lattice_point_error_text_does_not_follow_the_hash_seed():
     assert texts == [SWAPPED_TAGS_TEXT + "\n"] * 2
 
 
+class RotatedBoundary(dl.GLmDimer):
+    """A dimer whose boundary sequence starts one black late."""
+
+    @property
+    def boundary(self):
+        blacks = super().boundary
+        return blacks[1:] + blacks[:1]
+
+
 def test_dual_quiver_rejects_a_boundary_face_at_the_wrong_point():
     _, D, _, _ = fan_pipeline(4, 2)
+    rotated = RotatedBoundary(D.m, D.triangulation, D.rotation, D.edge_tags, D.hosts)
     with pytest.raises(QuiverError) as exc:
-        dl.dual_quiver(corrupted_fan_4_2(boundary=D.boundary[1:] + D.boundary[:1]))
+        dl.dual_quiver(rotated)
     assert str(exc.value) == "boundary face 1 sits at unexpected point ('L', (1, 2), 1)"
 
 
@@ -285,7 +295,8 @@ def test_dual_quiver_names_a_white_without_a_rotation():
     assert (exc.value.v, exc.value.w) == (FAN_4_2_DOWN, white)
     failures = dict(dl.validate_dimer(broken).failures())
     assert repr(FAN_4_2_DOWN) in failures["rotation-symmetric"]
-    assert failures["connected"] == "reached 12 of 14 nodes"
+    # the white is no longer a node: only the rotation's keys are
+    assert failures["connected"] == "reached 12 of 13 nodes"
 
 
 def test_construction_output_is_pinned():
