@@ -51,16 +51,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_triangulation_spec(n: int, spec: str) -> Triangulation:
-    """Grammar: 'fan', 'fan:APEX', or comma-separated 'a-b' diagonal pairs."""
+    """Grammar: comma-separated 'a-b' diagonal pairs."""
     spec = spec.strip()
-    if spec == "fan":
-        return fan_triangulation(n)
-    if spec.startswith("fan:"):
-        try:
-            apex = int(spec[4:])
-        except ValueError:
-            raise CliError(f"bad fan apex in {spec!r}")
-        return fan_triangulation(n, apex)
     parts = spec.split(",") if spec else []
     return Triangulation(
         n, [parse_diagonal(n, part, f" at position {pos}") for pos, part in enumerate(parts)]
@@ -81,12 +73,10 @@ def _triangulation_from_args(args) -> Triangulation:
     if args.fan is not None and args.diagonals is not None:
         raise CliError("give either --fan or --diagonals, not both")
     if args.fan is not None:
-        spec = "fan" if args.fan == "" else f"fan:{args.fan}"
-    elif args.diagonals is not None:
-        spec = args.diagonals
-    else:
+        return fan_triangulation(args.n, args.fan)
+    if args.diagonals is None:
         raise CliError("a triangulation is required (--fan or --diagonals)")
-    return parse_triangulation_spec(args.n, spec)
+    return parse_triangulation_spec(args.n, args.diagonals)
 
 
 def _emit(data: dict) -> None:
@@ -100,7 +90,8 @@ def _add_common(sub):
     sub.add_argument(
         "--fan",
         nargs="?",
-        const="",
+        type=int,
+        const=1,
         default=None,
         metavar="APEX",
         help="fan triangulation (optionally with apex)",

@@ -56,6 +56,11 @@ class AsymmetricRotationError(DimerError):
 NodeId = tuple
 
 
+def color(v: NodeId) -> str:
+    """White for an id ('w', tri, p), in an upward small triangle; else black."""
+    return WHITE if v[0] == "w" else BLACK
+
+
 @dataclass
 class GLmDimer:
     """An embedded bipartite GL_m-dimer graph.
@@ -84,7 +89,7 @@ class GLmDimer:
         return boundary_blacks(self.n, self.m)
 
     def color(self, v: NodeId) -> str:
-        return WHITE if v[0] == "w" else BLACK
+        return color(v)
 
     def location(self, v: NodeId) -> str:
         if v[0] != "b":
@@ -465,8 +470,8 @@ def validate_dimer(D: GLmDimer) -> ValidationReport:
         seen.add(start)
         while queue:
             v = queue.popleft()
-            for w in D.rotation.get(v, ()):
-                if w not in seen:
+            for w in D.rotation[v]:
+                if w not in seen and w in D.rotation:
                     seen.add(w)
                     queue.append(w)
     rep.add(

@@ -127,17 +127,6 @@ class Triangulation:
         assert len(out) == self.n - 2
         return out
 
-    @cached_property
-    def opposite(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """Each diagonal's opposite: the other diagonal of the quadrilateral
-        formed by the two triangles on it."""
-        apexes = {d: [] for d in self.diagonals}
-        for a, b, c in self.triangles:
-            for side, v in (((a, b), c), ((a, c), b), ((b, c), a)):
-                if side in apexes:
-                    apexes[side].append(v)
-        return {d: tuple(sorted(vs)) for d, vs in apexes.items()}
-
     def key(self) -> tuple:
         return (self.n, self.sorted_diagonals)
 
@@ -226,10 +215,11 @@ def flip(T: Triangulation, d) -> tuple[Triangulation, FlipMove]:
     d = normalize_diagonal(T.n, d)
     if d not in T.diagonals:
         raise UnknownDiagonalError(f"{d} is not a diagonal of {T!r}")
-    inserted = T.opposite[d]
-    move = FlipMove(removed=d, inserted=inserted)
     a, b = d
-    kept = [tri for tri in T.triangles if not (a in tri and b in tri)]
+    on_d = [tri for tri in T.triangles if a in tri and b in tri]
+    kept = [tri for tri in T.triangles if a not in tri or b not in tri]
+    inserted = tuple(sorted(v for tri in on_d for v in tri if v not in d))
+    move = FlipMove(removed=d, inserted=inserted)
     triangles = tuple(sorted(kept + [tuple(sorted(inserted + (v,))) for v in d]))
     return Triangulation._flipped(T.n, (T.diagonals - {d}) | {inserted}, triangles), move
 

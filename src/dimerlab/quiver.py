@@ -6,7 +6,10 @@ the dimer augmented with the polygon boundary circle (arcs between
 consecutive boundary blacks); the outer region then splits into the m*n
 boundary components.  One arrow per dimer edge, oriented so the white
 endpoint lies on the arrow's left; one counterclockwise face per white
-node, one clockwise face per internal black node.
+node, one clockwise face per internal black node.  A quiver stores only
+each arrow's ends and tag and each face's cycle and dual node: an arrow's
+kind is its face count (boundary on exactly one face, internal otherwise),
+and a face's orientation is its dual's colour (+ for white, - for black).
 
 Boundary vertices are labelled 1..m*n counterclockwise; label 1 is the
 component containing polygon vertex 1.  Internal vertices get stable ids
@@ -32,6 +35,7 @@ from .dimer import (
     _decode,
     _encode,
     _plus_e,
+    color,
     trace_faces,
 )
 from .rewrite import Path, RelationSet
@@ -46,7 +50,7 @@ class MustReduceFirstError(QuiverError):
 
 
 class MalformedQuiverError(QuiverError):
-    """An internal arrow is missing one of its two faces."""
+    """An arrow that is not on exactly one face lacks a +/- face pair."""
 
 
 class NoCycleError(QuiverError):
@@ -66,15 +70,18 @@ def p2(s: int, k: int) -> int:
 class Arrow:
     source: object
     target: object
-    kind: str  # 'boundary' (face multiplicity 1) or 'internal' (multiplicity 2)
     dual: tuple  # construction tag (triangle, upward point, side index)
 
 
 @dataclass(frozen=True)
 class Face:
-    orientation: str  # '+' or '-'
     cycle: tuple[int, ...]  # arrow ids, chained head-to-tail
     dual: tuple  # dimer node id
+
+    @property
+    def orientation(self) -> str:
+        """'+' (counterclockwise) when the dual node is white, '-' otherwise."""
+        return "+" if color(self.dual) == WHITE else "-"
 
 
 class QuiverWithFaces:
@@ -112,6 +119,10 @@ class QuiverWithFaces:
         return sorted(
             (v for v, kind in self.vertices.items() if kind == "internal"), key=str
         )
+
+    def arrow_kind(self, aid: int) -> str:
+        """'boundary' when the arrow lies on exactly one face, else 'internal'."""
+        return "boundary" if len(self.faces_by_arrow[aid]) == 1 else "internal"
 
     def faces_at(self, v) -> list[int]:
         out = []
@@ -163,7 +174,7 @@ class QuiverWithFaces:
                     "id": aid,
                     "source": _encode(a.source),
                     "target": _encode(a.target),
-                    "kind": a.kind,
+                    "kind": self.arrow_kind(aid),
                     "dual": _encode(a.dual),
                 }
                 for aid, a in enumerate(self.arrows)
@@ -176,17 +187,31 @@ class QuiverWithFaces:
 
     @classmethod
     def from_json(cls, data: dict) -> "QuiverWithFaces":
+        """Read a quiver back; each arrow's listed kind and each face's listed
+        orientation are checked against what its faces and its dual give."""
         vertices = {_decode(r["id"]): r["kind"] for r in data["vertices"]}
-        arrows = [None] * len(data["arrows"])
-        for r in data["arrows"]:
-            arrows[r["id"]] = Arrow(
-                _decode(r["source"]), _decode(r["target"]), r["kind"], _decode(r["dual"])
-            )
-        faces = [
-            Face(r["orientation"], tuple(r["cycle"]), _decode(r["dual"]))
-            for r in data["faces"]
-        ]
-        return cls(data["m"], data["n"], vertices, arrows, faces)
+        rows = {r["id"]: r for r in data["arrows"]}
+        aids = range(len(data["arrows"]))
+        ids = f"0..{len(aids) - 1}"
+        if rows.keys() != set(aids):
+            raise QuiverError(f"the arrow ids are not {ids}")
+        arrows = [Arrow(*_decode([rows[a][k] for k in ("source", "target", "dual")])) for a in aids]
+        faces = [Face(*_decode([r["cycle"], r["dual"]])) for r in data["faces"]]
+        for fi, f in enumerate(faces):
+            if not rows.keys() >= set(f.cycle):
+                raise QuiverError(f"face {fi}'s cycle {f.cycle} leaves the arrow ids {ids}")
+        Q = cls(data["m"], data["n"], vertices, arrows, faces)
+        for aid in aids:
+            listed, kind = rows[aid]["kind"], Q.arrow_kind(aid)
+            if listed != kind:
+                raise QuiverError(f"arrow {aid} is listed as {listed}, its faces give {kind}")
+        for fi, (f, r) in enumerate(zip(faces, data["faces"])):
+            if r["orientation"] != f.orientation:
+                raise QuiverError(
+                    f"face {fi} is listed as {r['orientation']}, "
+                    f"its dual {f.dual!r} gives {f.orientation}"
+                )
+        return Q
 
     def to_dot(self) -> str:
         """DOT export with boundary vertices pinned on the outer rim."""
@@ -199,8 +224,8 @@ class QuiverWithFaces:
         for i, v in enumerate(self.internal_vertices):
             names[v] = f"i{i + 1}"
             lines.append(f'  {names[v]} [label="{names[v]}", style=dashed];')
-        for a in self.arrows:
-            style = "" if a.kind == "boundary" else " [style=bold]"
+        for aid, a in enumerate(self.arrows):
+            style = "" if self.arrow_kind(aid) == "boundary" else " [style=bold]"
             lines.append(f"  {names[a.source]} -> {names[a.target]}{style};")
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -297,7 +322,7 @@ def dual_quiver(D: GLmDimer) -> QuiverWithFaces:
     # internal faces: identify each with its lattice point via the edge tags;
     # every dart of a face must agree, which pins down the embedding
     points = [set() for _ in dart_faces]
-    edges = []  # (white index, black index, black id, tag), in tag order
+    edges = []  # (white index, black index, tag), in tag order
     for e, tag in sorted(D.edge_tags.items(), key=lambda kv: kv[1]):
         u, v = e
         w, b = (u, v) if D.color(u) == WHITE else (v, u)
@@ -307,7 +332,7 @@ def dual_quiver(D: GLmDimer) -> QuiverWithFaces:
         iw, ib = index[w], index[b]
         points[face_of_dart[iw, ib]].add(lattice_id(tri, at_w))
         points[face_of_dart[ib, iw]].add(lattice_id(tri, at_b))
-        edges.append((iw, ib, b, tag))
+        edges.append((iw, ib, tag))
 
     vertex_of_face = {}
     for fi, pts in enumerate(points):
@@ -330,21 +355,20 @@ def dual_quiver(D: GLmDimer) -> QuiverWithFaces:
 
     arrows = []
     aid_of_dart = {}  # (white index, black index) -> arrow id
-    for iw, ib, b, tag in edges:
+    for iw, ib, tag in edges:
         src = vertex_of_face[face_of_dart[ib, iw]]
         tgt = vertex_of_face[face_of_dart[iw, ib]]
-        kind = "boundary" if D.location(b) == LOC_BOUNDARY else "internal"
         aid_of_dart[iw, ib] = len(arrows)
-        arrows.append(Arrow(src, tgt, kind, tag))
+        arrows.append(Arrow(src, tgt, tag))
 
     white_faces, black_faces = [], []
     for i, v in enumerate(ids):
         if D.color(v) == WHITE:
             cyc = [aid_of_dart[i, nb] for nb in own[i]]
-            white_faces.append(Face("+", _normalize_cycle(cyc), v))
+            white_faces.append(Face(_normalize_cycle(cyc), v))
         elif D.location(v) != LOC_BOUNDARY:
             cyc = [aid_of_dart[nb, i] for nb in reversed(own[i])]
-            black_faces.append(Face("-", _normalize_cycle(cyc), v))
+            black_faces.append(Face(_normalize_cycle(cyc), v))
 
     Q = QuiverWithFaces(m, n, vertices, arrows, white_faces + black_faces)
     for f in Q.faces:
@@ -368,17 +392,11 @@ def validate_dimer_model(Q: QuiverWithFaces):
     loops = [aid for aid, a in enumerate(Q.arrows) if a.source == a.target]
     rep.add("no-loops", not loops, f"loop arrows: {loops[:3]}" if loops else "")
 
-    mult_bad, kind_bad = [], []
-    signs_bad = []
-    for aid, a in enumerate(Q.arrows):
-        fis = Q.faces_by_arrow.get(aid, ())
+    mult_bad, signs_bad = [], []
+    for aid, fis in Q.faces_by_arrow.items():
         if len(fis) not in (1, 2):
             mult_bad.append((aid, len(fis)))
-            continue
-        want = "boundary" if len(fis) == 1 else "internal"
-        if a.kind != want:
-            kind_bad.append(aid)
-        if len(fis) == 2:
+        elif Q.arrow_kind(aid) == "internal":
             signs = sorted(Q.faces[fi].orientation for fi in fis)
             if signs != ["+", "-"]:
                 signs_bad.append((aid, signs))
@@ -386,11 +404,6 @@ def validate_dimer_model(Q: QuiverWithFaces):
         "face-multiplicity",
         not mult_bad,
         f"arrows with multiplicity not in {{1,2}}: {mult_bad[:3]}" if mult_bad else "",
-    )
-    rep.add(
-        "kind-matches-multiplicity",
-        not kind_bad,
-        f"mislabelled arrows: {kind_bad[:3]}" if kind_bad else "",
     )
     rep.add(
         "internal-arrow-signs",
@@ -452,10 +465,9 @@ def potential_relations(Q: QuiverWithFaces) -> RelationSet:
     RelationSet keeps each pair's two faces, which guide its equality search.
     """
     relations, faces = [], []
-    for aid, a in enumerate(Q.arrows):
-        if a.kind != "internal":
+    for aid, fis in Q.faces_by_arrow.items():
+        if Q.arrow_kind(aid) == "boundary":
             continue
-        fis = Q.faces_by_arrow.get(aid, ())
         plus = [fi for fi in fis if Q.faces[fi].orientation == "+"]
         minus = [fi for fi in fis if Q.faces[fi].orientation == "-"]
         if len(plus) != 1 or len(minus) != 1:

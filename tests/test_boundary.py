@@ -256,10 +256,10 @@ def test_classification_joins_a_class_through_a_longer_word():
     # b = c d: a and b are equal only through the word c d of length 2
     vertices = {1: "boundary", 2: "boundary", 3: "internal"}
     arrows = [
-        Arrow(1, 2, "internal", ("t", (0, 0, 0), 0)),  # a
-        Arrow(1, 2, "internal", ("t", (0, 0, 0), 1)),  # b
-        Arrow(1, 3, "internal", ("t", (0, 0, 0), 2)),  # c
-        Arrow(3, 2, "internal", ("t", (0, 0, 0), 3)),  # d
+        Arrow(1, 2, ("t", (0, 0, 0), 0)),  # a
+        Arrow(1, 2, ("t", (0, 0, 0), 1)),  # b
+        Arrow(1, 3, ("t", (0, 0, 0), 2)),  # c
+        Arrow(3, 2, ("t", (0, 0, 0), 3)),  # d
     ]
     Q = QuiverWithFaces(2, 3, vertices, arrows, [])
     a, b, cd = Path(Q, (0,)), Path(Q, (1,)), Path(Q, (2, 3))
@@ -273,11 +273,11 @@ def test_class_size_counts_only_primitive_paths():
     # class {a, c d e f} holds one primitive path
     vertices = {1: "boundary", 2: "boundary", 3: "internal", 4: "internal"}
     arrows = [
-        Arrow(1, 2, "internal", ("t", (0, 0, 0), 0)),  # a
-        Arrow(1, 3, "internal", ("t", (0, 0, 0), 1)),  # c
-        Arrow(3, 4, "internal", ("t", (0, 0, 0), 2)),  # d
-        Arrow(4, 3, "internal", ("t", (0, 0, 0), 3)),  # e
-        Arrow(3, 2, "internal", ("t", (0, 0, 0), 4)),  # f
+        Arrow(1, 2, ("t", (0, 0, 0), 0)),  # a
+        Arrow(1, 3, ("t", (0, 0, 0), 1)),  # c
+        Arrow(3, 4, ("t", (0, 0, 0), 2)),  # d
+        Arrow(4, 3, ("t", (0, 0, 0), 3)),  # e
+        Arrow(3, 2, ("t", (0, 0, 0), 4)),  # f
     ]
     Q = QuiverWithFaces(2, 3, vertices, arrows, [])
     a, cdef = Path(Q, (0,)), Path(Q, (1, 2, 3, 4))

@@ -27,10 +27,22 @@ def run_cli(argv):
 
 
 def test_spec_grammar():
-    assert parse_triangulation_spec(5, "fan").diagonals == {(1, 3), (1, 4)}
-    assert parse_triangulation_spec(5, "fan:2").diagonals == {(2, 4), (2, 5)}
     assert parse_triangulation_spec(5, "1-3,1-4").diagonals == {(1, 3), (1, 4)}
     assert parse_triangulation_spec(3, "").diagonals == frozenset()
+
+
+def test_build_fan_at_an_apex():
+    code, out = run_cli(["build", "--n", "5", "--m", "2", "--fan", "2"])
+    assert code == 0
+    assert json.loads(out)["triangulation"]["diagonals"] == [[2, 4], [2, 5]]
+
+
+def test_a_fan_apex_that_is_not_an_int_is_a_usage_error(capsys):
+    code, out = run_cli(["build", "--n", "5", "--m", "2", "--fan", "x"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == (
+        "error: dimerlab build: argument --fan: invalid int value: 'x'\n"
+    )
 
 
 def test_build_dot_triangle():
@@ -279,6 +291,7 @@ def test_flip_check_bad_diagonal_exit_one():
         (["flip-check", "--fan", "--flip", "1-3-4"], "bad diagonal '1-3-4'"),
         (["flip-check", "--fan", "--flip", "x"], "bad diagonal 'x'"),
         (["flip-check", "--fan", "--flip", "1-x"], "bad diagonal '1-x'"),
+        (["verify", "--fan", "9"], "apex 9 out of range for the 5-gon"),
     ],
 )
 def test_invalid_triangulation_or_flip_is_a_one_line_error(capsys, args, err):

@@ -92,6 +92,16 @@ def test_validate_names_segment_count_failure():
     assert any(name == "segment-counts" for name, _ in rep.failures())
 
 
+def test_connected_counts_only_nodes():
+    # delete a white's rotation entry: its neighbours still list it, but it
+    # is no node, and the boundary black it alone reached is cut off
+    D = dl.build_dimer(dl.fan_triangulation(4), 2)
+    white = ("w", (1, 2, 3), (0, 0, 1))
+    D.rotation = {v: r for v, r in D.rotation.items() if v != white}
+    failures = dict(dl.validate_dimer(D).failures())
+    assert failures["connected"] == "reached 16 of 17 nodes"
+
+
 def test_reduce_idempotent():
     for n, m in [(5, 2), (4, 3)]:
         D = dl.build_dimer(dl.fan_triangulation(n, 1), m)

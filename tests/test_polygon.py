@@ -141,8 +141,6 @@ def test_flip_equals_validated_construction(T):
         fresh = dl.Triangulation(T.n, T2.diagonals)
         assert T2.key() == fresh.key()
         assert T2.triangles == fresh.triangles
-        assert T2.opposite == fresh.opposite
-        assert T2.opposite[move.inserted] == move.removed
 
 
 def test_a_flip_move_is_the_two_diagonals_of_four_corners():

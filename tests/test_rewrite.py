@@ -46,7 +46,7 @@ def arrow_by_endpoints(Q, src, tgt):
 def loops(count, relations):
     """A quiver of count loops 0, 1, ... at one vertex, with relations given
     as pairs of arrow tuples."""
-    arrows = [Arrow(1, 1, "internal", ("t", (0, 0, 0), k)) for k in range(count)]
+    arrows = [Arrow(1, 1, ("t", (0, 0, 0), k)) for k in range(count)]
     Q = QuiverWithFaces(1, 1, {1: "boundary"}, arrows, [])
     return Q, RelationSet(Q, [(Path(Q, l), Path(Q, r)) for l, r in relations])
 
@@ -289,9 +289,9 @@ def test_distinct_by_exhausted_closure():
     # f = g, and both closures are finite
     vertices = {1: "boundary", 2: "boundary", 3: "boundary"}
     arrows = [
-        Arrow(1, 2, "internal", ("t", (0, 0, 0), 0)),  # f
-        Arrow(1, 2, "internal", ("t", (0, 0, 0), 1)),  # g
-        Arrow(2, 3, "boundary", ("t", (0, 0, 0), 2)),  # a
+        Arrow(1, 2, ("t", (0, 0, 0), 0)),  # f
+        Arrow(1, 2, ("t", (0, 0, 0), 1)),  # g
+        Arrow(2, 3, ("t", (0, 0, 0), 2)),  # a
     ]
     Q = QuiverWithFaces(1, 3, vertices, arrows, [])
     R = RelationSet(Q, ((Path(Q, (0, 2)), Path(Q, (1, 2))),))
@@ -726,15 +726,15 @@ def test_faces_out_of_reach_of_the_boundary_are_refused():
         1,
         1,
         {1: "internal"},
-        [Arrow(1, 1, "internal", ("t", (0, 0, 0), 0))],
-        [Face("+", (0,), "w"), Face("-", (0,), "b")],
+        [Arrow(1, 1, ("t", (0, 0, 0), 0))],
+        [Face((0,), "w"), Face((0,), "b")],
     )
     with pytest.raises(RewriteError, match="2 faces are not reached from the boundary"):
         RelationSet(Q, [], faces=[])
     # loops b, x with x on three faces: the count of x does not fix one
     # face from another, so only b's face is reached
-    arrows = [Arrow(1, 1, "internal", ("t", (0, 0, 0), k)) for k in range(2)]
-    faces = [Face("+", (0, 1), "w"), Face("-", (1,), "b"), Face("-", (1,), "b")]
+    arrows = [Arrow(1, 1, ("t", (0, 0, 0), k)) for k in range(2)]
+    faces = [Face((0, 1), "w"), Face((1,), "b"), Face((1,), "b")]
     Q = QuiverWithFaces(1, 1, {1: "internal"}, arrows, faces)
     with pytest.raises(RewriteError, match="2 faces are not reached from the boundary"):
         RelationSet(Q, [], faces=[])
