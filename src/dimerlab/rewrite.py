@@ -14,7 +14,7 @@ internal arrow, so rewriting moves the arrow-count vector by cnt(F+) -
 cnt(F-).  The quiver tiles a disk, so any two words p and q with the
 same ends differ by a unique integer face chain, cnt(p) - cnt(q) =
 sum_F c_F cnt(F), found in one linear pass (RelationSet.face_chain).
-The faces are connected through their shared internal arrows, so the
+A RelationSet checks that its cuts connect the faces, so the
 relation lattice holds exactly the sum_F c_F cnt(F) with sum_F c_F = 0:
 p and q share their abelian residue exactly when c sums to 0, and
 otherwise they are Distinct.  The residue itself (RelationSet.residue)
@@ -154,23 +154,30 @@ class Path:
 class RelationSet:
     """The relation pairs of a potential, with the indexes rewriting needs."""
 
-    def __init__(self, quiver, relations, faces=None):
-        """faces, when given, holds each relation's (F+, F-) pair: the
-        indexes in quiver.faces of the + and the - face it is cut from, lhs
-        from F+ and rhs from F-.  They give the residue and its test in the
-        equality search, and guide the search's order (see the module
-        docstring); without them there is no residue and the order is
-        breadth-first.  The residue is sound only for pairs that
-        _check_face_pairs accepts."""
+    def __init__(self, quiver, relations=None, *, cuts=None):
+        """Either relations, hand-made (lhs, rhs) pairs, or cuts, one
+        (arrow, F+, F-) triple per relation of a potential: arrow lies on
+        exactly the faces F+ and F- (indexes in quiver.faces), the
+        relation's lhs is the rest of F+ after arrow and its rhs the rest
+        of F- after it, and faces holds the (F+, F-) pairs.  The faces give
+        the residue and its test in the equality search, and guide the
+        search's order (see the module docstring); a set of relations has
+        no faces, no residue and breadth-first order.  Raises RewriteError
+        for both inputs at once, a cut that _cut refuses, or cuts that do
+        not connect every face to one with a boundary arrow, under which
+        the residue would split or merge classes."""
         self.quiver = quiver
-        self.relations = tuple(relations)
-        self.faces = None if faces is None else tuple(faces)
-        self._propagation = None if faces is None else _propagation_order(quiver)
+        self.faces = self._propagation = None
+        if cuts is not None:
+            if relations is not None:
+                raise RewriteError("give relations or cuts, not both")
+            relations = [_cut(quiver, *cut) for cut in cuts]
+            self.faces = tuple((plus, minus) for _, plus, minus in cuts)
+            self._propagation = _propagation_order(quiver, cuts)
+        self.relations = tuple(relations or ())
         for lhs, rhs in self.relations:
             if lhs.source != rhs.source or lhs.target != rhs.target:
                 raise RewriteError(f"relation endpoints differ: {lhs} vs {rhs}")
-        if self.faces is not None:
-            _check_face_pairs(quiver, self.relations, self.faces)
         # pattern index: first arrow id -> [(side, replacement, relation, direction)]
         self._patterns: dict[int, list] = {}
         for ridx, (lhs, rhs) in enumerate(self.relations):
@@ -210,7 +217,7 @@ class RelationSet:
         For a and b with the same ends the chain exists and is unique (the
         quiver tiles a disk), and it sums to 0 exactly when a and b share
         their residue: the relation lattice is spanned by the cnt(F+) -
-        cnt(F-), over faces that the face pairs connect.  paths_equal
+        cnt(F-), over faces that the cuts connect.  paths_equal
         decides the residue test by this sum.
         """
         if self._propagation is None:
@@ -234,9 +241,10 @@ class RelationSet:
         lattice: (sum_F c_F, cnt(arrows) - sum_F c_F cnt(F)), with c the
         face chain of arrows against the empty word.  The map is linear,
         and its kernel is the relation lattice: the face_chain pass
-        recovers c from any sum_F c_F cnt(F), and the checked face pairs
-        make the lattice the sums with sum_F c_F = 0.  Raises RewriteError
-        for a RelationSet without faces.  paths_equal does not call this.
+        recovers c from any sum_F c_F cnt(F), and the cuts, which connect
+        all faces, make the lattice the sums with sum_F c_F = 0.  Raises
+        RewriteError for a RelationSet without faces.  paths_equal does not
+        call this.
         """
         c = self.face_chain(arrows, ())
         if c is None:
@@ -251,67 +259,48 @@ class RelationSet:
         return (sum(c), *d)
 
 
-def _propagation_order(Q) -> tuple[tuple, tuple]:
+def _cut(Q, arrow, plus: int, minus: int) -> tuple[Path, Path]:
+    """The relation cut from faces plus and minus along arrow: the rest of
+    each face's cycle after arrow.  Raises RewriteError unless arrow lies
+    on exactly those two faces, once on each (so a boundary arrow or an id
+    that is no arrow of Q is refused)."""
+    if plus == minus or Q.faces_by_arrow.get(arrow) not in ((plus, minus), (minus, plus)):
+        raise RewriteError(f"arrow {arrow!r} does not lie on exactly faces {plus!r} and {minus!r}")
+    sides = []
+    for face in (plus, minus):
+        cycle = Q.faces[face].cycle
+        k = cycle.index(arrow)
+        sides.append(Path(Q, cycle[k + 1 :] + cycle[:k]))
+    return tuple(sides)
+
+
+def _propagation_order(Q, cuts) -> tuple[tuple, tuple]:
     """The order in which face_chain fixes the faces' coefficients, in two
-    parts.  A boundary arrow lies on one face F, so c_F is the arrow's
-    count: (arrow, face) pairs.  An internal arrow lies on two faces, so
-    once c_F is known, c_G of the other is the arrow's count less c_F:
-    (arrow, face G, known face F) triples, outward from the boundary.
-    Each face is fixed once, and only by an arrow on it and on at most one
-    other face."""
-    fixed, derived, seen = [], [], set()
-    for arrow, faces in Q.faces_by_arrow.items():
-        if len(faces) == 1 and faces[0] not in seen:
-            seen.add(faces[0])
-            fixed.append((arrow, faces[0]))
+    parts.  The root: the first boundary arrow lies on one face F, so c_F
+    is the arrow's count, an (arrow, face) pair (none when Q has no face).
+    Then a walk outward from F across the cuts: a cut's arrow lies on its
+    two faces only, so once c_F is known, c_G of the other is the arrow's
+    count less c_F, an (arrow, face G, known face F) triple.  Each face is
+    fixed once.  Raises RewriteError unless the walk reaches every face,
+    that is unless the cuts connect all faces and one has a boundary
+    arrow: then the relation lattice is the sum_F c_F cnt(F) with
+    sum_F c_F = 0, as residue needs."""
+    across = [[] for _ in Q.faces]
+    for arrow, plus, minus in cuts:
+        across[plus].append((arrow, minus))
+        across[minus].append((arrow, plus))
+    fixed = [(arrow, faces[0]) for arrow, faces in Q.faces_by_arrow.items() if len(faces) == 1][:1]
     known_faces = [face for _, face in fixed]
+    seen, derived = set(known_faces), []
     for known in known_faces:  # grows as the faces are fixed
-        for arrow in Q.faces[known].cycle:
-            faces = Q.faces_by_arrow[arrow]
-            for face in faces if len(faces) == 2 else ():
-                if face not in seen:
-                    seen.add(face)
-                    derived.append((arrow, face, known))
-                    known_faces.append(face)
+        for arrow, face in across[known]:
+            if face not in seen:
+                seen.add(face)
+                derived.append((arrow, face, known))
+                known_faces.append(face)
     if len(seen) != len(Q.faces):
         raise RewriteError(f"{len(Q.faces) - len(seen)} faces are not reached from the boundary")
     return tuple(fixed), tuple(derived)
-
-
-def _check_face_pairs(Q, relations: tuple, faces: tuple) -> None:
-    """Raise RewriteError unless faces holds one (F+, F-) pair per
-    relation, each relation's sides are its F+ and its F- less one shared
-    arrow, and the pairs connect all faces of Q.  Then the relation
-    lattice is the sum_F c_F cnt(F) with sum_F c_F = 0, as residue needs."""
-    if len(faces) != len(relations):
-        raise RewriteError(f"{len(relations)} relations but {len(faces)} face pairs")
-    root = list(range(len(Q.faces)))
-
-    def find(face):
-        while root[face] != face:
-            root[face] = face = root[root[face]]
-        return face
-
-    for ridx, ((lhs, rhs), (plus, minus)) in enumerate(zip(relations, faces)):
-        cut = _cut_arrow(Q.faces[plus].cycle, lhs.arrows)
-        if cut is None or cut != _cut_arrow(Q.faces[minus].cycle, rhs.arrows):
-            raise RewriteError(
-                f"relation {ridx} is not cut from faces {plus} and {minus} along one shared arrow"
-            )
-        root[find(plus)] = find(minus)
-    if len({find(face) for face in range(len(root))}) > 1:
-        raise RewriteError("the relations' face pairs do not connect all faces")
-
-
-def _cut_arrow(cycle: tuple, side: tuple):
-    """The arrow a of cycle with side the rest of the cycle read from
-    after a, or None when there is none.  The rest starts at side[0], so a
-    is the arrow before side[0] in the cycle (a face holds each arrow once;
-    where an arrow repeats, only its first occurrence is tried)."""
-    if len(side) + 1 != len(cycle) or (side and side[0] not in cycle):
-        return None
-    k = cycle.index(side[0]) if side else 0
-    return cycle[k - 1] if (cycle[k:] + cycle[:k])[:-1] == side else None
 
 
 def _check_quiver(R: RelationSet, *paths: Path) -> None:

@@ -460,6 +460,14 @@ def test_from_json_rejects_a_face_through_an_arrow_it_does_not_have():
     assert str(exc.value) == "face 1's cycle (14, 3, 4) leaves the arrow ids 0..13"
 
 
+@pytest.mark.parametrize("end", ["source", "target"])
+def test_from_json_rejects_an_arrow_end_that_is_not_a_listed_vertex(end):
+    data = fan_4_2_quiver_json()
+    data["arrows"][0][end] = 99
+    with pytest.raises(QuiverError, match=r"^arrow 0 runs .*, not between listed vertices$"):
+        QuiverWithFaces.from_json(data)
+
+
 def test_relations_refuse_an_arrow_on_no_face():
     # an arrow is a boundary arrow only on exactly one face, so one on no
     # face has no relation and no +/- face pair either

@@ -30,3 +30,13 @@ def test_two_runs_print_the_same_line_over_every_report():
     assert count == 20
     assert first.startswith(f"{count} reports sha256 ")
     assert len(first.split()[-1]) == 64
+
+
+def test_the_digest_of_the_sweep_grid_is_pinned():
+    # every verify and flip report of the grid of `sweep --max-n 7 --m 2 3`,
+    # byte for byte.  A change that means to alter report bytes regenerates
+    # this value, and states the old and new values in CHANGES.md
+    line = run_digest("--max-n", "7", "--m", "2", "3", hash_seed="0")
+    assert line == (
+        "376 reports sha256 2533d6a4b41795173aa38bb2985d0da7d31474a2823e52dde23623363f453b62\n"
+    )

@@ -700,24 +700,28 @@ def test_the_budget_ends_an_infinite_class():
     assert (v.outcome, v.visited) == (UNKNOWN, 1_000)
 
 
-def test_unsound_face_pairs_are_refused():
-    # a pair that does not cut its relation, a missing pair, and pairs that
-    # leave faces apart would each make the residue split or merge classes
-    # silently: with the first, p rewrites to q in one step, yet the face
-    # chain between them does not sum to 0
+def test_unsound_cuts_are_refused():
+    # a cut whose arrow is not on exactly its two faces has no relation, and
+    # cuts that leave faces apart would make the residue split or merge
+    # classes silently
     _, _, Q, R = fan_pipeline(3, 2)
-    p = Q.path((arrow_by_endpoints(Q, 1, 2),))
-    q = p * chordless_cycle_at(Q, 2)
-    with pytest.raises(RewriteError, match=f"relation {len(R)} is not cut from faces"):
-        RelationSet(Q, R.relations + ((p, q),), R.faces + (R.faces[0],))
-    with pytest.raises(RewriteError, match=f"{len(R)} relations but {len(R) - 1} face pairs"):
-        RelationSet(Q, R.relations, R.faces[1:])
-    with pytest.raises(RewriteError, match="do not connect all faces"):
-        RelationSet(Q, R.relations[1:], R.faces[1:])
-    swapped = tuple((minus, plus) for plus, minus in R.faces)
-    with pytest.raises(RewriteError, match="relation 0 is not cut from faces"):
-        RelationSet(Q, R.relations, swapped)
-    assert RelationSet(Q, R.relations, R.faces).faces == R.faces
+    internal = [aid for aid in range(len(Q.arrows)) if Q.arrow_kind(aid) == "internal"]
+    boundary = min(set(range(len(Q.arrows))) - set(internal))
+    cuts = [(aid, *pair) for aid, pair in zip(internal, R.faces)]
+    assert len(cuts) == 3
+    rebuilt = RelationSet(Q, cuts=cuts)
+    assert (rebuilt.relations, rebuilt.faces) == (R.relations, R.faces)
+    with pytest.raises(RewriteError, match="^give relations or cuts, not both$"):
+        RelationSet(Q, R.relations, cuts=cuts)
+    for arrow in (boundary, 99):
+        with pytest.raises(RewriteError, match=f"^arrow {arrow} does not lie on exactly faces"):
+            RelationSet(Q, cuts=cuts + [(arrow, *R.faces[0])])
+    for k in range(len(cuts)):
+        with pytest.raises(RewriteError, match="faces are not reached from the boundary"):
+            RelationSet(Q, cuts=cuts[:k] + cuts[k + 1 :])
+    # F+ and F- swapped only swap each relation's sides
+    swapped = RelationSet(Q, cuts=[(aid, minus, plus) for aid, plus, minus in cuts])
+    assert swapped.relations == tuple((rhs, lhs) for lhs, rhs in R.relations)
 
 
 def test_faces_out_of_reach_of_the_boundary_are_refused():
@@ -730,11 +734,20 @@ def test_faces_out_of_reach_of_the_boundary_are_refused():
         [Face((0,), "w"), Face((0,), "b")],
     )
     with pytest.raises(RewriteError, match="2 faces are not reached from the boundary"):
-        RelationSet(Q, [], faces=[])
+        RelationSet(Q, cuts=[])
     # loops b, x with x on three faces: the count of x does not fix one
     # face from another, so only b's face is reached
     arrows = [Arrow(1, 1, ("t", (0, 0, 0), k)) for k in range(2)]
     faces = [Face((0, 1), "w"), Face((1,), "b"), Face((1,), "b")]
     Q = QuiverWithFaces(1, 1, {1: "internal"}, arrows, faces)
     with pytest.raises(RewriteError, match="2 faces are not reached from the boundary"):
-        RelationSet(Q, [], faces=[])
+        RelationSet(Q, cuts=[])
+    # two triangles of boundary arrows: each face has a boundary arrow, but
+    # with no cuts between them the walk from one never reaches the other
+    ends = [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)]
+    arrows = [Arrow(u, v, ("t", (0, 0, 0), k)) for k, (u, v) in enumerate(ends)]
+    faces = [Face((0, 1, 2), "w"), Face((3, 4, 5), "b")]
+    Q = QuiverWithFaces(1, 1, dict.fromkeys(range(1, 7), "boundary"), arrows, faces)
+    assert all(Q.arrow_kind(aid) == "boundary" for aid in range(6))
+    with pytest.raises(RewriteError, match="1 faces are not reached from the boundary"):
+        RelationSet(Q, cuts=[])
