@@ -13,6 +13,7 @@ from .polygon import (
     fan_triangulation,
     flip,
     flip_sequence,
+    rotate,
 )
 from .dimer import (
     AsymmetricRotationError,

@@ -31,16 +31,18 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 
 from .dimer import ValidationReport, build_dimer, reduce_dimer
-from .polygon import Triangulation, flip
+from .polygon import Triangulation, flip, rotate
 from .quiver import QuiverWithFaces, chordless_cycles, dual_quiver, potential_relations, rim_pos
 from .rewrite import (
     DISTINCT,
     EQUAL,
     UNKNOWN,
     EqualityVerdict,
+    OracleSoundnessError,
     Path,
     RelationSet,
     SearchBudget,
+    _replay,
     class_contains,
     paths_equal,
 )
@@ -439,7 +441,10 @@ class RelationReport:
 
 
 def verify_theorem_relations(
-    BP: BoundaryPresentation, budget: SearchBudget = SearchBudget()
+    BP: BoundaryPresentation,
+    budget: SearchBudget = SearchBudget(),
+    *,
+    like: VerificationOutcome | None = None,
 ) -> RelationReport:
     """Check every instance of the main theorem's relation families.
 
@@ -451,7 +456,12 @@ def verify_theorem_relations(
       V    y_{k+2+2k'} y_k = x_{k+2m+1} .. x_k    k != 1 (mod m)
     For m = 2 families I-III are empty and IV degenerates to
     x_{k+1} x_{k+2} y_k = y_{k-2} x_{k-1} x_k.
+
+    like, the outcome of a rotation of BP's triangulation (see
+    verify_boundary_algebra), lends each instance the certificate of its
+    rotated instance, replayed before any search.
     """
+    carried = _Rotation(BP, like)
     report = RelationReport()
     for family, k, *sides, text in _gamma_tables(BP.m, BP.n)[2]:
         # one path per side, from its representatives' arrows in one tuple
@@ -459,7 +469,8 @@ def verify_theorem_relations(
             Path(BP.quiver, [a for name in side for a in BP.named[name].rep.arrows])
             for side in sides
         )
-        verdict = paths_equal(lhs, rhs, BP.relation_set, budget)
+        steps = carried.theorem(family, k)
+        verdict = _equal(lhs, rhs, BP.relation_set, budget, steps)
         report.instances.append(RelationInstance(family, k, text, verdict))
     return report
 
@@ -487,20 +498,129 @@ class CentralElementReport:
 
 
 def verify_central_element(
-    BP: BoundaryPresentation, budget: SearchBudget = SearchBudget()
+    BP: BoundaryPresentation,
+    budget: SearchBudget = SearchBudget(),
+    *,
+    like: VerificationOutcome | None = None,
 ) -> CentralElementReport:
     """Check u_{s(a)} a = a u_{t(a)} for every boundary generator a.
 
     This is the generator-wise restatement of the centrality of the sum of
-    one chordless cycle per boundary vertex.
+    one chordless cycle per boundary vertex.  like, as for
+    verify_theorem_relations, lends each generator the certificate of the
+    generator of like with the rotated ends.
     """
     Q, R = BP.quiver, BP.relation_set
     u = chordless_cycles(Q, Q.boundary_vertices)
+    carried = _Rotation(BP, like)
     report = CentralElementReport()
     for c in BP.classes:
-        verdict = paths_equal(u[c.source] * c.rep, c.rep * u[c.target], R, budget)
+        steps = carried.central(c.source, c.target)
+        verdict = _equal(u[c.source] * c.rep, c.rep * u[c.target], R, budget, steps)
         report.entries.append((c.describe(), verdict))
     return report
+
+
+def _equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget, steps) -> EqualityVerdict:
+    """paths_equal(p, q, R, budget), unless steps, a certificate carried
+    from a rotation (or None), replays on R from p to q: that is Equal,
+    with those steps as its certificate and no state visited."""
+    if steps is not None:
+        try:
+            if _replay(p.arrows, steps, R) == q.arrows:
+                return EqualityVerdict(EQUAL, certificate=steps, visited=0)
+        except OracleSoundnessError:  # a step that does not match
+            pass
+    return paths_equal(p, q, R, budget)
+
+
+def _turn(tag: tuple, r: int, n: int) -> tuple:
+    """The construction tag (triangle, point, side) of an arrow, carried by
+    rotate(., r) of its n-gon.  The turned corners are a cyclic shift s of
+    the ascending triple (turning keeps the counterclockwise order), so
+    the point's coordinates shift by s and side j becomes side j - s."""
+    tri, p, j = tag
+    turned = [(x - 1 + r) % n + 1 for x in tri]
+    s = turned.index(min(turned))
+    return tuple(turned[s:] + turned[:s]), p[s:] + p[:s], (j - s) % 3
+
+
+def _rotation_offset(like: VerificationOutcome, m: int, n: int, triangles) -> int:
+    """The r with rotate(like.triangulation, r) made of these triangles of
+    the n-gon; raises BoundaryError when like is of another m or n, or no
+    rotation of its triangulation has them."""
+    T0, triangles = like.triangulation, tuple(sorted(triangles))
+    if (like.m, T0.n) == (m, n):
+        for r in range(n):
+            if rotate(T0, r).triangles == triangles:
+                return r
+    raise BoundaryError(
+        f"like= is the outcome of {T0!r} at m={like.m}, "
+        f"no rotation of a triangulation with triangles {list(triangles)} at m={m}"
+    )
+
+
+class _Rotation:
+    """The Equal certificates of like, the outcome of rotate(T0, r) for BP's
+    triangulation T, carried onto BP's relation set: a rotation carries
+    T0's dimer, quiver and potential onto T's, and boundary label k onto
+    k + m*r.  Each arrow maps by its turned tag (_turn), and each relation
+    by the first arrow of its left side: that arrow lies on one + face,
+    which with the arrow before it there fixes the relation's cut.  A
+    certificate with a relation that has no image is not carried, and one
+    whose images are wrong does not replay.  Without like nothing is
+    carried."""
+
+    def __init__(self, BP: BoundaryPresentation, like: VerificationOutcome | None):
+        # like's verdicts, keyed by T's (family, k) and by T's generator ends
+        self.instances, self.ends = {}, {}
+        if like is None:
+            return
+        Q, R = BP.quiver, BP.relation_set
+        self.r = _rotation_offset(like, Q.m, Q.n, {a.dual[0] for a in Q.arrows})
+        mn = Q.m * Q.n
+
+        def turned(label: int) -> int:
+            return modl(label + Q.m * self.r, mn)
+
+        if like.relations is not None:
+            for i in like.relations.instances:
+                self.instances[i.family, turned(i.k)] = i.verdict
+        if like.central is not None:
+            for c, (_, verdict) in zip(like.presentation.classes, like.central.entries):
+                self.ends[turned(c.source), turned(c.target)] = verdict
+        self.source = like.presentation and like.presentation.relation_set
+        self.by_tag = {a.dual: aid for aid, a in enumerate(Q.arrows)}
+        self.by_head = {lhs.arrows[0]: i for i, (lhs, _) in enumerate(R.relations)}
+        self.images = {}  # relation of like -> its image in R, or None
+
+    def theorem(self, family: str, k: int) -> tuple | None:
+        """The steps carried from like's instance (family, k - m*r)."""
+        return self._carry(self.instances.get((family, k)))
+
+    def central(self, source: int, target: int) -> tuple | None:
+        """The steps carried from the entry of like's generator with ends
+        (source - m*r, target - m*r)."""
+        return self._carry(self.ends.get((source, target)))
+
+    def _carry(self, verdict: EqualityVerdict | None) -> tuple | None:
+        if verdict is None or verdict.outcome != EQUAL:
+            return None
+        steps = []
+        for pos, ridx, direction in verdict.certificate:
+            if ridx not in self.images:
+                self.images[ridx] = self._image(ridx)
+            if self.images[ridx] is None:
+                return None
+            steps.append((pos, self.images[ridx], direction))
+        return tuple(steps)
+
+    def _image(self, ridx: int) -> int | None:
+        R0 = self.source
+        if not 0 <= ridx < len(R0.relations):
+            return None
+        Q0, head = R0.quiver, R0.relations[ridx][0].arrows[0]
+        return self.by_head.get(self.by_tag.get(_turn(Q0.arrows[head].dual, self.r, Q0.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -749,10 +869,32 @@ def _extract(T: Triangulation, m: int, budget: SearchBudget) -> BoundaryPresenta
 
 
 def verify_boundary_algebra(
-    T: Triangulation, m: int, budget: SearchBudget = SearchBudget()
+    T: Triangulation,
+    m: int,
+    budget: SearchBudget = SearchBudget(),
+    *,
+    like: VerificationOutcome | None = None,
 ) -> VerificationOutcome:
     """Run the full pipeline on one triangulation: build, reduce, dualize,
-    extract, match against Gamma(m, n), verify relations and centrality."""
+    extract, match against Gamma(m, n), verify relations and centrality.
+
+    like, when given, is the outcome of this function on T0 at the same m,
+    with T = rotate(T0, r) for some r; BoundaryError is raised for any
+    other.  A rotation carries T0's dimer, quiver and potential onto T's,
+    and boundary label k onto k + m*r, so a certificate found for T0 is,
+    relabelled, one for T.  T's presentation is still built and extracted
+    under budget, since a generator verdict rests on an exhausted closure
+    that no certificate replaces.  Then each theorem instance (F, k) and
+    each central-element entry first replays, on T's own relation set, the
+    Equal certificate of like's instance (F, k - m*r) or of like's
+    generator with its ends shifted back by m*r, and searches only when
+    there is none, or it does not carry over or does not replay.  A
+    replayed Equal visits no state, so under a starved budget a T whose
+    own search would end Unknown can pass with like.  Without like every
+    query is searched.
+    """
+    if like is not None:
+        _rotation_offset(like, m, T.n, T.triangles)
     outcome = VerificationOutcome(m=m, triangulation=T)
     try:
         BP = _extract(T, m, budget)
@@ -762,8 +904,8 @@ def verify_boundary_algebra(
     outcome.presentation = BP
     if not BP.matched:
         return outcome
-    outcome.relations = verify_theorem_relations(BP, budget)
-    outcome.central = verify_central_element(BP, budget)
+    outcome.relations = verify_theorem_relations(BP, budget, like=like)
+    outcome.central = verify_central_element(BP, budget, like=like)
     outcome.inconclusive.extend(outcome.relations.inconclusive())
     outcome.inconclusive.extend(f"central {d}" for d in outcome.central.unknowns())
     return outcome

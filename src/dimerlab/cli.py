@@ -28,6 +28,7 @@ from .polygon import (
     enumerate_triangulations,
     fan_triangulation,
     normalize_diagonal,
+    rotate,
 )
 from .quiver import QuiverError, dual_quiver
 from .rewrite import DEFAULT_MAX_VISITED, RewriteError, SearchBudget
@@ -158,26 +159,48 @@ def _budget_json(budget: SearchBudget) -> dict:
     return {"max_visited": budget.max_visited, "max_path_length": "per-query"}
 
 
-def _sweep_row(task) -> dict:
-    T, m, index, budget, timings = task
-    t0 = time.monotonic()
-    outcome = verify_boundary_algebra(T, m, budget=budget)
-    row = {
-        "n": T.n,
-        "m": m,
-        "index": index,
-        "diagonals": [list(d) for d in T.sorted_diagonals],
-        "matched": outcome.matched,
-        "generators": outcome.generator_count,
-        "relations": outcome.relations.passed if outcome.relations else False,
-        "central_element": outcome.central.passed if outcome.central else False,
-        "inconclusive": outcome.inconclusive,
-        "passed": outcome.passed,
-    }
-    if timings:
-        # runtimes are excluded in canonical mode so reports stay byte-identical
-        row["runtime_ms"] = round(1000 * (time.monotonic() - t0), 3)
-    return row
+def _orbits(n: int) -> list[list[tuple[int, Triangulation]]]:
+    """The triangulations of the n-gon with their enumeration indexes, in
+    rotation orbits: each orbit in enumeration order, the orbits in the
+    order of their first members."""
+    triangulations = enumerate_triangulations(n)
+    index = {T: i for i, T in enumerate(triangulations)}
+    orbits, placed = [], set()
+    for i, T in enumerate(triangulations):
+        if i not in placed:
+            members = sorted({index[rotate(T, r)] for r in range(n)})
+            placed.update(members)
+            orbits.append([(j, triangulations[j]) for j in members])
+    return orbits
+
+
+def _sweep_orbit(task) -> list[dict]:
+    """The rows of one rotation orbit: its first member is verified on its
+    own, and each other member with like= that outcome."""
+    orbit, m, budget, timings = task
+    rows, first = [], None
+    for index, T in orbit:
+        t0 = time.monotonic()
+        outcome = verify_boundary_algebra(T, m, budget=budget, like=first)
+        if first is None:
+            first = outcome
+        row = {
+            "n": T.n,
+            "m": m,
+            "index": index,
+            "diagonals": [list(d) for d in T.sorted_diagonals],
+            "matched": outcome.matched,
+            "generators": outcome.generator_count,
+            "relations": outcome.relations.passed if outcome.relations else False,
+            "central_element": outcome.central.passed if outcome.central else False,
+            "inconclusive": outcome.inconclusive,
+            "passed": outcome.passed,
+        }
+        if timings:
+            # runtimes are excluded in canonical mode so reports stay byte-identical
+            row["runtime_ms"] = round(1000 * (time.monotonic() - t0), 3)
+        rows.append(row)
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -187,22 +210,19 @@ def cmd_sweep(args) -> int:
         raise CliError(f"--workers must be at least 1, got {args.workers}")
     budget = SearchBudget(args.budget_visited)
     ms = sorted(set(args.m))  # a repeated value runs once
-    # a Triangulation pickles as it is, so the pool needs no conversion
-    tasks = [
-        (T, m, index, budget, args.timings)
-        for m in ms
-        for n in range(3, args.max_n + 1)
-        for index, T in enumerate(enumerate_triangulations(n))
-    ]
+    orbits = {n: _orbits(n) for n in range(3, args.max_n + 1)}
+    # one task per rotation orbit; a Triangulation pickles as it is
+    tasks = [(orbit, m, budget, args.timings) for m in ms for n in orbits for orbit in orbits[n]]
     # a pool starts all its workers at once, so it never gets more than tasks
     workers = min(args.workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
+            rows = [row for rows in pool.map(_sweep_orbit, tasks) for row in rows]
     else:
-        rows = [_sweep_row(t) for t in tasks]
+        rows = [row for task in tasks for row in _sweep_orbit(task)]
+    rows.sort(key=lambda row: (row["m"], row["n"], row["index"]))
     report = {
         "version": __version__,
         "budget": _budget_json(budget),

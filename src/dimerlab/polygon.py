@@ -66,8 +66,9 @@ class Triangulation:
 
     Invariants (checked at construction): exactly n-3 diagonals, none
     given twice, pairwise noncrossing.  Instances are immutable and
-    hashable.  `flip` builds its result with `_flipped`, which trusts
-    them: a flip of a valid triangulation is valid.
+    hashable.  `flip` and `rotate` build their results with `_flipped`,
+    which trusts them: a flip or a rotation of a valid triangulation is
+    valid.
     """
 
     n: int
@@ -95,7 +96,8 @@ class Triangulation:
 
     @classmethod
     def _flipped(cls, n: int, diagonals: frozenset, triangles: tuple) -> "Triangulation":
-        """A triangulation known to be valid, with its triangles given, unchecked."""
+        """A triangulation known to be valid, with its triangles given,
+        unchecked: a flip or a rotation of a valid one."""
         T = object.__new__(cls)
         object.__setattr__(T, "n", n)
         object.__setattr__(T, "diagonals", diagonals)
@@ -222,6 +224,19 @@ def flip(T: Triangulation, d) -> tuple[Triangulation, FlipMove]:
     move = FlipMove(removed=d, inserted=inserted)
     triangles = tuple(sorted(kept + [tuple(sorted(inserted + (v,))) for v in d]))
     return Triangulation._flipped(T.n, (T.diagonals - {d}) | {inserted}, triangles), move
+
+
+def rotate(T: Triangulation, r: int) -> Triangulation:
+    """The triangulation T turned by r steps counterclockwise: vertex x is
+    relabelled (x - 1 + r) mod n + 1, so r = 0 (mod n) gives T back.  The
+    cyclic order, and so validity, is kept: the result is not revalidated."""
+    n = T.n
+
+    def turned(corners: tuple) -> tuple:
+        return tuple(sorted((x - 1 + r) % n + 1 for x in corners))
+
+    triangles = tuple(sorted(map(turned, T.triangles)))
+    return Triangulation._flipped(n, frozenset(map(turned, T.diagonals)), triangles)
 
 
 @cache

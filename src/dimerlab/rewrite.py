@@ -337,13 +337,19 @@ def apply_step(arrows: tuple, step: tuple, R: RelationSet) -> tuple:
     return arrows[:pos] + dst + arrows[pos + len(src) :]
 
 
+def _replay(arrows: tuple, certificate, R: RelationSet) -> tuple:
+    """The arrow tuple that certificate's steps make of arrows; raises
+    OracleSoundnessError at the first step that does not match."""
+    for step in certificate:
+        arrows = apply_step(arrows, step, R)
+    return arrows
+
+
 def replay_certificate(p: Path, certificate, R: RelationSet) -> Path:
     """Apply a certificate's steps to p; raises if any step fails to match,
     or if p is not a word of R's quiver."""
     _check_quiver(R, p)
-    arrows = p.arrows
-    for step in certificate:
-        arrows = apply_step(arrows, step, R)
+    arrows = _replay(p.arrows, certificate, R)
     if arrows:
         return Path(p.quiver, arrows)
     return Path(p.quiver, (), anchor=p.anchor)
@@ -524,7 +530,7 @@ def paths_equal(
         into = _steps(mine.parents, previous) + (step,)
         out = _steps(other.parents, meet)
         steps = into + _invert(out) if side == 0 else out + _invert(into)
-        if replay_certificate(p, steps, R).key() != q.key():
+        if _replay(p.arrows, steps, R) != q.arrows:
             raise OracleSoundnessError("certificate replay did not reach the target path")
         return EqualityVerdict(EQUAL, certificate=steps, visited=visited)
     separating = "exhausted_closure" if outcome == DISTINCT else None

@@ -689,3 +689,107 @@ def test_verify_boundary_algebra_outcome_json():
     data = out.to_json()
     assert data["passed"] and data["matched"]
     assert data["generators"] == 12
+
+
+# ---------------------------------------------------------------------------
+# Certificates carried from a rotation (verify_boundary_algebra's like=)
+
+
+def canonical(outcome):
+    return json.dumps(outcome.to_json(), sort_keys=True)
+
+
+def recorded_queries(T, m, like):
+    """The outcome of verify_boundary_algebra(T, m, like=like), with the
+    two sides and the relation set of each equality query, by verdict."""
+    queries = {}
+    equal = dl.boundary._equal
+
+    def recorded(p, q, R, budget, steps):
+        verdict = equal(p, q, R, budget, steps)
+        queries[id(verdict)] = (p, q, R)
+        return verdict
+
+    with mock.patch.object(dl.boundary, "_equal", recorded):
+        outcome = dl.verify_boundary_algebra(T, m, like=like)
+    return outcome, queries
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_rotation_lends_its_certificates_and_changes_no_byte(m):
+    # each triangulation with n <= 6, verified with like= the outcome of
+    # every member of its rotation orbit (itself too): the same JSON as the
+    # plain run, and each carried certificate replays on T's own relations
+    carried = searched = 0
+    for n in range(3, 7):
+        for orbit in cli._orbits(n):
+            plain = {T: dl.verify_boundary_algebra(T, m) for _, T in orbit}
+            for T, mine in plain.items():
+                for like in plain.values():
+                    outcome, queries = recorded_queries(T, m, like)
+                    assert canonical(outcome) == canonical(mine)
+                    R = outcome.presentation.relation_set
+                    verdicts = [i.verdict for i in outcome.relations.instances]
+                    verdicts += [v for _, v in outcome.central.entries]
+                    for verdict in verdicts:
+                        p, q, R_used = queries[id(verdict)]
+                        assert R_used is R and verdict.outcome == EQUAL
+                        assert replay_certificate(p, verdict.certificate, R) == q
+                        if verdict.visited == 0:
+                            carried += 1
+                        else:
+                            searched += 1
+                    # every theorem instance carries over; at m = 2 every
+                    # central entry too (at m = 3 some chordless cycles of
+                    # T are not the turned ones of like)
+                    assert all(i.verdict.visited == 0 for i in outcome.relations.instances)
+                    if m == 2:
+                        assert all(v.visited == 0 for _, v in outcome.central.entries)
+    assert carried > 10 * searched
+
+
+def test_a_certificate_that_does_not_replay_is_searched_again():
+    T0 = dl.fan_triangulation(5, 1)
+    T = dl.rotate(T0, 2)
+    like = dl.verify_boundary_algebra(T0, 3)
+    plain = dl.verify_boundary_algebra(T, 3)
+    at = next(i for i, inst in enumerate(like.relations.instances) if inst.verdict.certificate)
+    instance = like.relations.instances[at]
+    (pos, ridx, direction), *rest = instance.verdict.certificate
+    flipped = {"lr": "rl", "rl": "lr"}[direction]
+    broken = replace(instance.verdict, certificate=((pos, ridx, flipped), *rest))
+    instances = list(like.relations.instances)
+    instances[at] = replace(instance, verdict=broken)
+    altered = replace(like, relations=replace(like.relations, instances=instances))
+    outcome = dl.verify_boundary_algebra(T, 3, like=altered)
+    assert canonical(outcome) == canonical(plain)
+    k = modl(instance.k + 2 * 3, 15)
+    (redone,) = [i for i in outcome.relations.instances if (i.family, i.k) == (instance.family, k)]
+    assert redone.verdict.outcome == EQUAL and redone.verdict.visited > 0
+    others = [i for i in outcome.relations.instances if i is not redone]
+    assert all(i.verdict.visited == 0 for i in others)
+
+
+def test_a_like_that_is_no_rotation_is_refused():
+    T = dl.fan_triangulation(6, 1)
+    zigzag = dl.Triangulation(6, [(1, 3), (3, 6), (4, 6)])
+    for other, m in ((zigzag, 2), (dl.rotate(T, 1), 3), (dl.fan_triangulation(5, 1), 2)):
+        like = dl.verify_boundary_algebra(other, m)
+        with pytest.raises(BoundaryError, match="no rotation"):
+            dl.verify_boundary_algebra(T, 2, like=like)
+    # the check comes first, so it holds where T's presentation is inconclusive
+    assert dl.verify_boundary_algebra(T, 3, SearchBudget(2)).presentation is None
+    with pytest.raises(BoundaryError):
+        dl.verify_boundary_algebra(T, 3, SearchBudget(2), like=dl.verify_boundary_algebra(zigzag, 3))
+
+
+def test_a_carried_certificate_passes_where_a_starved_search_would_not():
+    # a replayed Equal visits no state, so with like= a row can pass under
+    # a budget its own search runs out of; the presentation is still T's own
+    T0 = dl.fan_triangulation(6, 1)
+    T, starved = dl.rotate(T0, 2), SearchBudget(2)
+    alone = dl.verify_boundary_algebra(T, 2, starved)
+    assert not alone.passed and alone.inconclusive
+    lent = dl.verify_boundary_algebra(T, 2, starved, like=dl.verify_boundary_algebra(T0, 2))
+    assert lent.passed and not lent.inconclusive
+    assert canonical(lent) == canonical(dl.verify_boundary_algebra(T, 2))

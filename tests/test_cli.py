@@ -141,17 +141,20 @@ def test_sweep_rejects_fewer_than_one_worker(capsys, workers):
 
 
 def test_sweep_deterministic_and_parallel_agrees():
-    _, serial = run_cli(["sweep", "--max-n", "5", "--m", "2"])
-    _, serial2 = run_cli(["sweep", "--max-n", "5", "--m", "2"])
+    # 12 rotation orbits, so the pool runs several tasks of several rows
+    argv = ["sweep", "--max-n", "6", "--m", "2", "3"]
+    _, serial = run_cli(argv)
+    _, serial2 = run_cli(argv)
     assert serial == serial2
-    _, parallel = run_cli(["sweep", "--max-n", "5", "--m", "2", "--workers", "2"])
+    _, parallel = run_cli(argv + ["--workers", "2"])
     assert parallel == serial
 
 
 def test_sweep_never_starts_more_workers_than_tasks(monkeypatch):
     # a process pool starts all of its workers at once, so --workers is
-    # capped at the number of rows, and one row runs without a pool; the
-    # pool here records its size and maps in-process, so nothing forks
+    # capped at the number of tasks, one per rotation orbit (at --max-n 4,
+    # the triangle's and the square's), and one task runs without a pool;
+    # the pool here records its size and maps in-process, so nothing forks
     import concurrent.futures
 
     sizes = []
@@ -170,7 +173,7 @@ def test_sweep_never_starts_more_workers_than_tasks(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    for max_n, pools in (("3", []), ("4", [3])):
+    for max_n, pools in (("3", []), ("4", [2])):
         _, serial = run_cli(["sweep", "--max-n", max_n, "--m", "2"])
         sizes.clear()
         code, pooled = run_cli(["sweep", "--max-n", max_n, "--m", "2", "--workers", "100000"])
@@ -216,6 +219,16 @@ def test_sweep_output_matches_the_benchmark_reference():
     code, out = run_cli(argv)
     assert code == ref["exit_code"]
     assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"]
+
+
+def test_sweep_output_at_m_4_is_pinned():
+    # a grid the benchmark does not cover, by the sha256 of its stdout
+    code, out = run_cli(["sweep", "--max-n", "6", "--m", "4"])
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "9d91c5325b81a7d8c980017059c521641e418a7d0a0958975c83bc7bf8a59d4f"
+    )
 
 
 def test_sweep_m3():

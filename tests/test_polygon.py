@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dimerlab as dl
+from dimerlab import cli
 from dimerlab.polygon import (
     FlipMove,
     IncompatiblePolygonsError,
@@ -17,6 +18,7 @@ from dimerlab.polygon import (
     apply_moves,
     diagonals_cross,
     flip,
+    rotate,
 )
 
 from helpers import plain_bfs_moves, plain_bfs_tree, triangulations
@@ -141,6 +143,47 @@ def test_flip_equals_validated_construction(T):
         fresh = dl.Triangulation(T.n, T2.diagonals)
         assert T2.key() == fresh.key()
         assert T2.triangles == fresh.triangles
+
+
+def turned(n, d, r):
+    return tuple(sorted((x - 1 + r) % n + 1 for x in d))
+
+
+@settings(max_examples=60)
+@given(triangulations(12), st.integers(-30, 30), st.integers(-30, 30))
+def test_rotations_compose_and_a_full_turn_is_the_identity(T, r, s):
+    # rotate builds its result unchecked; it must be what the validating
+    # constructor makes of the turned diagonals
+    R = rotate(T, r)
+    fresh = dl.Triangulation(T.n, [turned(T.n, d, r) for d in T.diagonals])
+    assert R == fresh and R.triangles == fresh.triangles
+    assert rotate(R, s) == rotate(T, r + s)
+    assert rotate(T, 0) == rotate(T, T.n * s) == T
+
+
+@settings(max_examples=60)
+@given(triangulations(12), st.integers(0, 11))
+def test_flipping_commutes_with_rotating(T, r):
+    for d in T.sorted_diagonals:
+        (flipped, move), (turned_flip, turned_move) = flip(T, d), flip(rotate(T, r), turned(T.n, d, r))
+        assert turned_flip == rotate(flipped, r)
+        assert turned_flip.triangles == rotate(flipped, r).triangles
+        assert turned_move.inserted == turned(T.n, move.inserted, r)
+
+
+@pytest.mark.parametrize("n, sizes", [(3, [1]), (4, [2]), (5, [5]), (6, [6, 3, 2, 3]), (7, [7] * 6)])
+def test_the_rotation_orbits_partition_the_triangulations(n, sizes):
+    # orbits in the order of their first members, as sweep runs them
+    tris = dl.enumerate_triangulations(n)
+    orbits = []
+    for T in tris:
+        if not any(T in orbit for orbit in orbits):
+            orbits.append({rotate(T, r) for r in range(n)})
+    assert [len(orbit) for orbit in orbits] == sizes
+    assert sorted(map(tris.index, set().union(*orbits))) == list(range(len(tris)))
+    assert [[T for _, T in orbit] for orbit in cli._orbits(n)] == [
+        [T for T in tris if T in orbit] for orbit in orbits
+    ]
 
 
 def test_a_flip_move_is_the_two_diagonals_of_four_corners():
