@@ -32,7 +32,14 @@ from functools import cache, cached_property, lru_cache
 
 from .dimer import ValidationReport, build_dimer, reduce_dimer
 from .polygon import Triangulation, flip, rotate
-from .quiver import QuiverWithFaces, chordless_cycles, dual_quiver, potential_relations, rim_pos
+from .quiver import (
+    QuiverWithFaces,
+    _normalize_cycle,
+    chordless_cycles,
+    dual_quiver,
+    potential_relations,
+    rim_pos,
+)
 from .rewrite import (
     DISTINCT,
     EQUAL,
@@ -293,10 +300,6 @@ def boundary_generators(
     classes: list[GeneratorClass] = []
     placed: set[tuple] = set()
 
-    def primitive(arrows: tuple) -> bool:
-        stops = [Q.arrow_target[a] for a in arrows[:-1]]
-        return len(set(stops)) == len(stops)
-
     def walk(prefix: list[int], at, seen: set) -> None:
         for aid in Q.out_arrows[at]:
             tgt = Q.arrow_target[aid]
@@ -323,14 +326,28 @@ def boundary_generators(
                 )
             placed.update(states)
             if verdict == "generator":
-                members = [a for a in states if primitive(a)]
-                rep = Path(Q, min(members, key=lambda a: (len(a), a)))
-                classes.append(GeneratorClass(rep, size=len(members)))
+                classes.append(_generator_class(Q, states))
 
     for s in Q.boundary_vertices:
         walk([], s, set())
-    classes.sort(key=lambda c: (c.target, c.source, c.rep.arrows))
-    return BoundaryPresentation(relation_set=R, classes=tuple(classes))
+    return BoundaryPresentation(relation_set=R, classes=_sorted(classes))
+
+
+def _generator_class(Q: QuiverWithFaces, states) -> GeneratorClass:
+    """The class of a complete closure's states: its primitive members (no
+    intermediate vertex repeated), represented by the least in (length,
+    arrows) order."""
+    members = []
+    for arrows in states:
+        stops = [Q.arrow_target[a] for a in arrows[:-1]]
+        if len(set(stops)) == len(stops):
+            members.append(arrows)
+    return GeneratorClass(Path(Q, min(members, key=lambda a: (len(a), a))), size=len(members))
+
+
+def _sorted(classes) -> tuple[GeneratorClass, ...]:
+    """The classes in presentation order: by target, source, then arrows."""
+    return tuple(sorted(classes, key=lambda c: (c.target, c.source, c.rep.arrows)))
 
 
 def factors_through_boundary(
@@ -444,7 +461,7 @@ def verify_theorem_relations(
     BP: BoundaryPresentation,
     budget: SearchBudget = SearchBudget(),
     *,
-    like: VerificationOutcome | None = None,
+    like: VerificationOutcome | _Symmetry | None = None,
 ) -> RelationReport:
     """Check every instance of the main theorem's relation families.
 
@@ -459,9 +476,10 @@ def verify_theorem_relations(
 
     like, the outcome of a rotation of BP's triangulation (see
     verify_boundary_algebra), lends each instance the certificate of its
-    rotated instance, replayed before any search.
+    rotated instance, replayed before any search; verify_boundary_algebra
+    hands over the _Symmetry it built from one instead.
     """
-    carried = _Rotation(BP, like)
+    carried = _symmetry(BP, like)
     report = RelationReport()
     for family, k, *sides, text in _gamma_tables(BP.m, BP.n)[2]:
         # one path per side, from its representatives' arrows in one tuple
@@ -469,7 +487,7 @@ def verify_theorem_relations(
             Path(BP.quiver, [a for name in side for a in BP.named[name].rep.arrows])
             for side in sides
         )
-        steps = carried.theorem(family, k)
+        steps = carried and carried.theorem(family, k)
         verdict = _equal(lhs, rhs, BP.relation_set, budget, steps)
         report.instances.append(RelationInstance(family, k, text, verdict))
     return report
@@ -501,7 +519,7 @@ def verify_central_element(
     BP: BoundaryPresentation,
     budget: SearchBudget = SearchBudget(),
     *,
-    like: VerificationOutcome | None = None,
+    like: VerificationOutcome | _Symmetry | None = None,
 ) -> CentralElementReport:
     """Check u_{s(a)} a = a u_{t(a)} for every boundary generator a.
 
@@ -512,10 +530,10 @@ def verify_central_element(
     """
     Q, R = BP.quiver, BP.relation_set
     u = chordless_cycles(Q, Q.boundary_vertices)
-    carried = _Rotation(BP, like)
+    carried = _symmetry(BP, like)
     report = CentralElementReport()
     for c in BP.classes:
-        steps = carried.central(c.source, c.target)
+        steps = carried and carried.central(c.source, c.target)
         verdict = _equal(u[c.source] * c.rep, c.rep * u[c.target], R, budget, steps)
         report.entries.append((c.describe(), verdict))
     return report
@@ -534,15 +552,22 @@ def _equal(p: Path, q: Path, R: RelationSet, budget: SearchBudget, steps) -> Equ
     return paths_equal(p, q, R, budget)
 
 
-def _turn(tag: tuple, r: int, n: int) -> tuple:
-    """The construction tag (triangle, point, side) of an arrow, carried by
-    rotate(., r) of its n-gon.  The turned corners are a cyclic shift s of
-    the ascending triple (turning keeps the counterclockwise order), so
-    the point's coordinates shift by s and side j becomes side j - s."""
-    tri, p, j = tag
-    turned = [(x - 1 + r) % n + 1 for x in tri]
-    s = turned.index(min(turned))
-    return tuple(turned[s:] + turned[:s]), p[s:] + p[:s], (j - s) % 3
+def _turned_tags(Q: QuiverWithFaces, r: int) -> list[tuple]:
+    """The construction tag (triangle, point, side) of each arrow of Q,
+    carried by rotate(., r) of its n-gon, by arrow id.  A triangle's turned
+    corners are a cyclic shift s of the ascending triple (turning keeps the
+    counterclockwise order), so the point's coordinates shift by s and
+    side j becomes side j - s; each triangle is turned once."""
+    turns, tags = {}, []
+    for a in Q.arrows:
+        tri, p, j = a.dual
+        if tri not in turns:
+            turned = [(x - 1 + r) % Q.n + 1 for x in tri]
+            s = turned.index(min(turned))
+            turns[tri] = tuple(turned[s:] + turned[:s]), s
+        tri, s = turns[tri]
+        tags.append((tri, p[s:] + p[:s], (j - s) % 3))
+    return tags
 
 
 def _rotation_offset(like: VerificationOutcome, m: int, n: int, triangles) -> int:
@@ -560,39 +585,135 @@ def _rotation_offset(like: VerificationOutcome, m: int, n: int, triangles) -> in
     )
 
 
-class _Rotation:
-    """The Equal certificates of like, the outcome of rotate(T0, r) for BP's
-    triangulation T, carried onto BP's relation set: a rotation carries
-    T0's dimer, quiver and potential onto T's, and boundary label k onto
-    k + m*r.  Each arrow maps by its turned tag (_turn), and each relation
-    by the first arrow of its left side: that arrow lies on one + face,
-    which with the arrow before it there fixes the relation's cut.  A
-    certificate with a relation that has no image is not carried, and one
-    whose images are wrong does not replay.  Without like nothing is
-    carried."""
+def _isomorphism(R0: RelationSet, R: RelationSet, r: int) -> tuple[list, list] | None:
+    """phi, the map of each arrow of R0's quiver Q0 to the arrow of R's
+    quiver Q with its tag turned by r (_turned_tags), with the relation images,
+    both as lists by R0's ids; None unless phi is certified, in one pass:
 
-    def __init__(self, BP: BoundaryPresentation, like: VerificationOutcome | None):
-        # like's verdicts, keyed by T's (family, k) and by T's generator ends
+    - phi is a bijection of the arrows;
+    - the vertex map it induces is well defined and one to one, keeps
+      each vertex's kind, and sends boundary label k to k + m*r;
+    - each face cycle of Q0 goes, up to a cyclic shift, onto its own face
+      cycle of Q with the same orientation;
+    - each relation of R0, known by its face pair (F+, F-) and the first
+      arrow of its left side, which follows its cut arrow on F+, goes onto
+      the relation of R with phi's face pair and first arrow, one to one.
+
+    A relation is cut from its face pair, so phi then sends R0's relations
+    onto R's, each equality class onto an equality class, and keeps
+    primitivity and the boundary vertices a word visits strictly inside."""
+    Q0, Q = R0.quiver, R.quiver
+    if R0.faces is None or R.faces is None or (Q0.m, Q0.n) != (Q.m, Q.n):
+        return None
+
+    def sizes(S: RelationSet) -> tuple:
+        return len(S.quiver.vertices), len(S.quiver.arrows), len(S.quiver.faces), len(S)
+
+    if sizes(R0) != sizes(R):
+        return None
+    by_tag = {a.dual: aid for aid, a in enumerate(Q.arrows)}
+    phi = [by_tag.get(tag) for tag in _turned_tags(Q0, r)]
+    if None in phi or len(set(phi)) != len(phi):
+        return None
+    mn, source, target = Q.m * Q.n, Q.arrow_source, Q.arrow_target
+    vertex = {k: modl(k + Q.m * r, mn) for k in Q0.boundary_vertex_set}
+    for a, aid in zip(Q0.arrows, phi):
+        if vertex.setdefault(a.source, source[aid]) != source[aid]:
+            return None
+        if vertex.setdefault(a.target, target[aid]) != target[aid]:
+            return None
+    if len(set(vertex.values())) != len(Q0.vertices) or any(
+        Q.vertices.get(v) != Q0.vertices.get(v0) for v0, v in vertex.items()
+    ):
+        return None
+    cycles = {_normalize_cycle(list(f.cycle)): fi for fi, f in enumerate(Q.faces)}
+    faces = []
+    for f in Q0.faces:
+        fi = cycles.get(_normalize_cycle([phi[a] for a in f.cycle]))
+        if fi is None or Q.faces[fi].orientation != f.orientation:
+            return None
+        faces.append(fi)
+    if len(set(faces)) != len(faces):
+        return None
+    relation = {
+        (plus, minus, lhs.arrows[0]): ridx
+        for ridx, ((lhs, _), (plus, minus)) in enumerate(zip(R.relations, R.faces))
+    }
+    images = [
+        relation.get((faces[plus], faces[minus], phi[lhs.arrows[0]]))
+        for (lhs, _), (plus, minus) in zip(R0.relations, R0.faces)
+    ]
+    if None in images or len(set(images)) != len(images):
+        return None
+    return phi, images
+
+
+def _carried_classes(
+    classes: tuple[GeneratorClass, ...], phi: list, R: RelationSet, budget: SearchBudget
+) -> tuple[GeneratorClass, ...] | None:
+    """The generator classes of R, from those of R0 under a certified phi
+    (_isomorphism): a class of one member whose image has no rewrite site
+    is that one word, and any other gets one factors_through_boundary
+    closure from its image, which must end 'generator' with the class's
+    size, and is represented by its least primitive member in R's own
+    (length, arrows) order.  None when a closure does not."""
+    Q = R.quiver
+    carried = []
+    for c in classes:
+        image = tuple(phi[a] for a in c.rep.arrows)
+        if c.size == 1 and not R.sites(image):
+            carried.append(GeneratorClass(Path(Q, image), size=1))
+            continue
+        verdict, _, states = factors_through_boundary(Path(Q, image), R, budget)
+        if verdict != "generator":
+            return None
+        closed = _generator_class(Q, states)
+        if closed.size != c.size:
+            return None
+        carried.append(closed)
+    return _sorted(carried)
+
+
+class _Symmetry:
+    """rotate(., r) from like, the outcome of a triangulation T0, onto R,
+    the relation set of T = rotate(T0, r), built once per row: phi and the
+    relation images when _isomorphism certifies them, and like's verdicts,
+    keyed by T's (family, k) and by T's generator ends (a rotation sends
+    boundary label k to k + m*r).  A carried certificate maps each step's
+    relation to its image; one whose steps do not match does not replay.
+    Without a certified phi nothing is carried: T's presentation is walked
+    and every query is searched."""
+
+    def __init__(self, like: VerificationOutcome, R: RelationSet, r: int):
+        self.like, self.relation_set = like, R
         self.instances, self.ends = {}, {}
-        if like is None:
+        BP0 = like.presentation
+        self.phi, self.images = (BP0 and _isomorphism(BP0.relation_set, R, r)) or (None, None)
+        if self.phi is None:
             return
-        Q, R = BP.quiver, BP.relation_set
-        self.r = _rotation_offset(like, Q.m, Q.n, {a.dual[0] for a in Q.arrows})
+        Q = R.quiver
         mn = Q.m * Q.n
 
         def turned(label: int) -> int:
-            return modl(label + Q.m * self.r, mn)
+            return modl(label + Q.m * r, mn)
 
         if like.relations is not None:
             for i in like.relations.instances:
                 self.instances[i.family, turned(i.k)] = i.verdict
         if like.central is not None:
-            for c, (_, verdict) in zip(like.presentation.classes, like.central.entries):
+            for c, (_, verdict) in zip(BP0.classes, like.central.entries):
                 self.ends[turned(c.source), turned(c.target)] = verdict
-        self.source = like.presentation and like.presentation.relation_set
-        self.by_tag = {a.dual: aid for aid, a in enumerate(Q.arrows)}
-        self.by_head = {lhs.arrows[0]: i for i, (lhs, _) in enumerate(R.relations)}
-        self.images = {}  # relation of like -> its image in R, or None
+
+    def presentation(self, budget: SearchBudget) -> BoundaryPresentation:
+        """T's presentation: like's classes carried along phi
+        (_carried_classes), or boundary_generators' walk when phi is not
+        certified or a carried class is not confirmed."""
+        R, classes = self.relation_set, None
+        if self.phi is not None:
+            classes = _carried_classes(self.like.presentation.classes, self.phi, R, budget)
+        if classes is None:
+            return boundary_generators(R, budget)
+        return BoundaryPresentation(relation_set=R, classes=classes)
 
     def theorem(self, family: str, k: int) -> tuple | None:
         """The steps carried from like's instance (family, k - m*r)."""
@@ -606,21 +727,25 @@ class _Rotation:
     def _carry(self, verdict: EqualityVerdict | None) -> tuple | None:
         if verdict is None or verdict.outcome != EQUAL:
             return None
-        steps = []
-        for pos, ridx, direction in verdict.certificate:
-            if ridx not in self.images:
-                self.images[ridx] = self._image(ridx)
-            if self.images[ridx] is None:
-                return None
-            steps.append((pos, self.images[ridx], direction))
-        return tuple(steps)
-
-    def _image(self, ridx: int) -> int | None:
-        R0 = self.source
-        if not 0 <= ridx < len(R0.relations):
+        images = self.images
+        if not all(0 <= ridx < len(images) for _, ridx, _ in verdict.certificate):
             return None
-        Q0, head = R0.quiver, R0.relations[ridx][0].arrows[0]
-        return self.by_head.get(self.by_tag.get(_turn(Q0.arrows[head].dual, self.r, Q0.n)))
+        return tuple((pos, images[ridx], direction) for pos, ridx, direction in verdict.certificate)
+
+
+def _symmetry(BP: BoundaryPresentation, like) -> _Symmetry | None:
+    """like as a _Symmetry onto BP's relation set: None without like, like
+    itself when verify_boundary_algebra has built it for this row (so r and
+    phi are found once per row), else built from the outcome like."""
+    if isinstance(like, _Symmetry):
+        if like.relation_set is not BP.relation_set:
+            raise BoundaryError("a symmetry of another relation set")
+        return like
+    if like is None:
+        return None
+    Q = BP.quiver
+    r = _rotation_offset(like, Q.m, Q.n, {a.dual[0] for a in Q.arrows})
+    return _Symmetry(like, BP.relation_set, r)
 
 
 # ---------------------------------------------------------------------------
@@ -858,14 +983,18 @@ class VerificationOutcome:
         }
 
 
+def _relations(T: Triangulation, m: int) -> RelationSet:
+    """Build, reduce and dualize T's GL_m-dimer; its potential's relations."""
+    return potential_relations(dual_quiver(reduce_dimer(build_dimer(T, m))))
+
+
 @lru_cache(maxsize=1)
 def _extract(T: Triangulation, m: int, budget: SearchBudget) -> BoundaryPresentation:
     """Build, reduce, dualize and extract the presentation; raises
     InconclusivePresentationError, which is never kept.  The last result is
     kept, with its Gamma match once read: along a flip walk each move's
     before-side is the previous move's after-side."""
-    Q = dual_quiver(reduce_dimer(build_dimer(T, m)))
-    return boundary_generators(potential_relations(Q), budget)
+    return boundary_generators(_relations(T, m), budget)
 
 
 def verify_boundary_algebra(
@@ -880,32 +1009,45 @@ def verify_boundary_algebra(
 
     like, when given, is the outcome of this function on T0 at the same m,
     with T = rotate(T0, r) for some r; BoundaryError is raised for any
-    other.  A rotation carries T0's dimer, quiver and potential onto T's,
-    and boundary label k onto k + m*r, so a certificate found for T0 is,
-    relabelled, one for T.  T's presentation is still built and extracted
-    under budget, since a generator verdict rests on an exhausted closure
-    that no certificate replaces.  Then each theorem instance (F, k) and
-    each central-element entry first replays, on T's own relation set, the
-    Equal certificate of like's instance (F, k - m*r) or of like's
-    generator with its ends shifted back by m*r, and searches only when
-    there is none, or it does not carry over or does not replay.  A
-    replayed Equal visits no state, so under a starved budget a T whose
-    own search would end Unknown can pass with like.  Without like every
-    query is searched.
+    other, before anything is built.  A rotation carries T0's dimer, quiver
+    and potential onto T's, and boundary label k onto k + m*r.  T's quiver
+    and relations are still built, and the map phi of T0's arrows onto T's
+    by their turned tags is certified against them in one pass: phi is a
+    bijection, its vertex map is one to one and sends label k to k + m*r,
+    and each face cycle goes onto a face cycle of the same orientation, so
+    each relation goes onto a relation (see _isomorphism).  Then T's
+    generator classes are phi of like's: a class of one word without a
+    rewrite site is that word, any other is closed once under T's
+    relations, and no extraction walk runs.  When phi fails, or like has
+    no presentation, T's presentation is extracted as without like.  Each
+    theorem instance (F, k) and each central-element entry then first
+    replays, on T's own relation set, the Equal certificate of like's
+    instance (F, k - m*r) or of like's generator with its ends shifted back
+    by m*r, each relation mapped through phi, and searches only when there
+    is none, or it does not carry over or does not replay.  Neither a
+    carried class of one word nor a replayed Equal visits a state, so under
+    a starved budget a T whose own walk or search would be inconclusive
+    can pass with like.  Without like every query is searched.
     """
-    if like is not None:
-        _rotation_offset(like, m, T.n, T.triangles)
+    if like is not None:  # refused before anything is built
+        r = _rotation_offset(like, m, T.n, T.triangles)
     outcome = VerificationOutcome(m=m, triangulation=T)
+    symmetry = None
     try:
-        BP = _extract(T, m, budget)
+        if like is None:
+            BP = _extract(T, m, budget)
+        else:
+            symmetry = _Symmetry(like, _relations(T, m), r)
+            BP = symmetry.presentation(budget)
     except InconclusivePresentationError as exc:
         outcome.inconclusive.append(f"presentation: {exc}")
         return outcome
     outcome.presentation = BP
     if not BP.matched:
         return outcome
-    outcome.relations = verify_theorem_relations(BP, budget, like=like)
-    outcome.central = verify_central_element(BP, budget, like=like)
+    # the public checks, handed the row's symmetry so r and phi are found once
+    outcome.relations = verify_theorem_relations(BP, budget, like=symmetry)
+    outcome.central = verify_central_element(BP, budget, like=symmetry)
     outcome.inconclusive.extend(outcome.relations.inconclusive())
     outcome.inconclusive.extend(f"central {d}" for d in outcome.central.unknowns())
     return outcome

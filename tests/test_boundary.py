@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -18,7 +19,9 @@ from dimerlab.boundary import (
     GeneratorClass,
     IncompatibleGammaError,
     InconclusivePresentationError,
+    _carried_classes,
     _extract,
+    _isomorphism,
     factors_through_boundary,
     gamma_tail,
     modl,
@@ -785,7 +788,8 @@ def test_a_like_that_is_no_rotation_is_refused():
 
 def test_a_carried_certificate_passes_where_a_starved_search_would_not():
     # a replayed Equal visits no state, so with like= a row can pass under
-    # a budget its own search runs out of; the presentation is still T's own
+    # a budget its own search runs out of; T's classes are like's carried
+    # along the certified arrow map, each one word without a rewrite site
     T0 = dl.fan_triangulation(6, 1)
     T, starved = dl.rotate(T0, 2), SearchBudget(2)
     alone = dl.verify_boundary_algebra(T, 2, starved)
@@ -793,3 +797,82 @@ def test_a_carried_certificate_passes_where_a_starved_search_would_not():
     lent = dl.verify_boundary_algebra(T, 2, starved, like=dl.verify_boundary_algebra(T0, 2))
     assert lent.passed and not lent.inconclusive
     assert canonical(lent) == canonical(dl.verify_boundary_algebra(T, 2))
+
+
+def test_a_carried_presentation_stands_where_a_starved_walk_would_not():
+    # at (6, 3) under SearchBudget(2), T's own extraction walk runs out;
+    # with like= no walk runs, and only the central entries whose turned
+    # chordless cycles are not T's are searched, and run out
+    T0 = dl.fan_triangulation(6, 1)
+    T, starved = dl.rotate(T0, 2), SearchBudget(2)
+    assert dl.verify_boundary_algebra(T, 3, starved).presentation is None
+    lent = dl.verify_boundary_algebra(T, 3, starved, like=dl.verify_boundary_algebra(T0, 3))
+    plain = dl.verify_boundary_algebra(T, 3)
+    assert lent.presentation.to_json() == plain.presentation.to_json()
+    assert lent.relations.passed
+    assert lent.inconclusive and all(d.startswith("central ") for d in lent.inconclusive)
+
+
+def generator_calls(T, m, like):
+    """The outcome of verify_boundary_algebra(T, m, like=like), with the
+    number of boundary_generators walks it ran."""
+    with mock.patch.object(
+        dl.boundary, "boundary_generators", wraps=dl.boundary.boundary_generators
+    ) as walk:
+        outcome = dl.verify_boundary_algebra(T, m, like=like)
+    return outcome, walk.call_count
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_a_rotated_triangulation_takes_its_classes_from_like(data):
+    # the classes are carried along the certified arrow map: no walk, and
+    # the same bytes as extracting them
+    m = data.draw(st.integers(2, 5), label="m")
+    T0 = data.draw(triangulations(8, min_n=4), label="T0")
+    T = dl.rotate(T0, data.draw(st.integers(1, T0.n - 1), label="r"))
+    outcome, walks = generator_calls(T, m, dl.verify_boundary_algebra(T0, m))
+    assert walks == 0
+    assert canonical(outcome) == canonical(dl.verify_boundary_algebra(T, m))
+
+
+def test_a_like_with_an_altered_face_is_no_isomorphism():
+    # two arrows of one face cycle of like's quiver swapped: the arrow map
+    # is still a bijection, but that face goes onto no face, so the walk
+    # runs, nothing is carried, and the bytes are the plain call's
+    T0 = dl.fan_triangulation(6, 1)
+    T, m = dl.rotate(T0, 2), 3
+    like = dl.verify_boundary_algebra(T0, m)
+    R0 = like.presentation.relation_set
+    Q0 = R0.quiver
+    at = next(i for i, f in enumerate(Q0.faces) if len(f.cycle) >= 3)
+    faces = list(Q0.faces)
+    a, b, *rest = faces[at].cycle
+    faces[at] = replace(faces[at], cycle=(b, a, *rest))
+    altered_R0 = copy.copy(R0)
+    altered_R0.quiver = QuiverWithFaces(Q0.m, Q0.n, Q0.vertices, Q0.arrows, faces)
+    altered = replace(like, presentation=replace(like.presentation, relation_set=altered_R0))
+    R = dl.boundary._relations(T, m)
+    assert _isomorphism(R0, R, 2) is not None
+    assert _isomorphism(altered_R0, R, 2) is None
+    outcome, walks = generator_calls(T, m, altered)
+    assert walks == 1
+    assert canonical(outcome) == canonical(dl.verify_boundary_algebra(T, m))
+    assert all(i.verdict.visited > 0 for i in outcome.relations.instances)
+
+
+def test_a_carried_class_of_several_words_is_closed_again():
+    # the quiver of a = c d = b, with the arrow map that swaps a and b: the
+    # class's image b has rewrite sites, so it is closed, and represented
+    # by its least member a, not by b; a class whose closure does not give
+    # its size is not carried
+    vertices = {1: "boundary", 2: "boundary", 3: "internal"}
+    arrows = [Arrow(1, 2, ("t", (0, 0, 0), j)) for j in (0, 1)]
+    arrows += [Arrow(1, 3, ("t", (0, 0, 0), 2)), Arrow(3, 2, ("t", (0, 0, 0), 3))]
+    Q = QuiverWithFaces(2, 3, vertices, arrows, [])
+    a, b, cd = Path(Q, (0,)), Path(Q, (1,)), Path(Q, (2, 3))
+    R = RelationSet(Q, [(a, cd), (b, cd)])
+    swap = [1, 0, 2, 3]
+    (c,) = _carried_classes(dl.boundary_generators(R).classes, swap, R, SearchBudget())
+    assert (c.rep, c.size) == (a, 3)
+    assert _carried_classes((GeneratorClass(a, size=2),), swap, R, SearchBudget()) is None

@@ -1,9 +1,11 @@
+import contextlib
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -229,6 +231,35 @@ def test_sweep_output_at_m_4_is_pinned():
         hashlib.sha256(out.encode()).hexdigest()
         == "9d91c5325b81a7d8c980017059c521641e418a7d0a0958975c83bc7bf8a59d4f"
     )
+
+
+def test_sweep_output_at_n_8_is_pinned():
+    # a larger grid of the benchmark's m, where most rows are rotations
+    code, out = run_cli(["sweep", "--max-n", "8", "--m", "2", "3"])
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "739c959d167baf2725bb2c44f3e9ff17a54b1f252d9082bb75f2cf3208b8d627"
+    )
+
+
+def test_sweep_walks_and_searches_only_what_no_rotation_carries():
+    # the benchmark's sweep, by counts the same on every machine: the 26
+    # first members of its rotation orbits are extracted by the walk and
+    # its 1,560 closures, and the 102 other rows take their classes from
+    # their first member; 1,566 equality queries are left to search
+    names = ("boundary_generators", "factors_through_boundary", "paths_equal")
+    dl.boundary._extract.cache_clear()  # a walk kept from an earlier test is not run again
+    with contextlib.ExitStack() as stack:
+        spies = {
+            name: stack.enter_context(
+                mock.patch.object(dl.boundary, name, wraps=getattr(dl.boundary, name))
+            )
+            for name in names
+        }
+        code, _ = run_cli(["sweep", "--max-n", "7", "--m", "2", "3"])
+    assert code == 0
+    assert [spies[name].call_count for name in names] == [26, 1_560, 1_566]
 
 
 def test_sweep_m3():
