@@ -737,12 +737,8 @@ def _symmetry(BP: BoundaryPresentation, like) -> _Symmetry | None:
     """like as a _Symmetry onto BP's relation set: None without like, like
     itself when verify_boundary_algebra has built it for this row (so r and
     phi are found once per row), else built from the outcome like."""
-    if isinstance(like, _Symmetry):
-        if like.relation_set is not BP.relation_set:
-            raise BoundaryError("a symmetry of another relation set")
+    if like is None or isinstance(like, _Symmetry):
         return like
-    if like is None:
-        return None
     Q = BP.quiver
     r = _rotation_offset(like, Q.m, Q.n, {a.dual[0] for a in Q.arrows})
     return _Symmetry(like, BP.relation_set, r)
