@@ -28,7 +28,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import KeysView
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, reduce
+from operator import mul
 
 from .dimer import ValidationReport, build_dimer, reduce_dimer
 from .polygon import Triangulation, flip, rotate
@@ -482,11 +483,9 @@ def verify_theorem_relations(
     carried = _symmetry(BP, like)
     report = RelationReport()
     for family, k, *sides, text in _gamma_tables(BP.m, BP.n)[2]:
-        # one path per side, from its representatives' arrows in one tuple
-        lhs, rhs = (
-            Path(BP.quiver, [a for name in side for a in BP.named[name].rep.arrows])
-            for side in sides
-        )
+        # one path per side, its representatives composed: each join is
+        # checked, and the representatives are paths already
+        lhs, rhs = (reduce(mul, [BP.named[name].rep for name in side]) for side in sides)
         steps = carried and carried.theorem(family, k)
         verdict = _equal(lhs, rhs, BP.relation_set, budget, steps)
         report.instances.append(RelationInstance(family, k, text, verdict))

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cache
+from operator import itemgetter
 
 from .polygon import Triangulation, is_polygon_edge
 
@@ -117,7 +118,9 @@ class GLmDimer:
         return [b for b in self.blacks() if self.location(b) != LOC_BOUNDARY]
 
     def contractible_blacks(self) -> list[NodeId]:
-        return [b for b in self.internal_blacks() if self.degree(b) == 2]
+        # the degree is read first, so only the few 2-valent nodes are sorted
+        two = [v for v, r in self.rotation.items() if len(r) == 2]
+        return sorted(v for v in two if color(v) == BLACK and self.location(v) != LOC_BOUNDARY)
 
     def is_reduced(self) -> bool:
         return not self.contractible_blacks()
@@ -221,38 +224,32 @@ def _minus_e(p: tuple, j: int) -> tuple:
 
 
 @cache
-def _triangle_tables(m: int) -> tuple[tuple, tuple]:
+def _triangle_tables(m: int) -> tuple[tuple, tuple, tuple]:
     """One triangle's local geometry at order m, in its own frame, built
-    once per m.  up: each upward small triangle's barycentric point p (sum
-    m - 1) with its black neighbour across side j (opposite corner j) for
-    j = 0, 1, 2, ('d', p - e_j) where p[j] > 0 and otherwise the side's
-    segment ('b', u, v, p[v]), u < v the other two corners.  down: each
-    downward small triangle's point q (sum m - 2) with its white
-    neighbours q + e_j."""
-    up, down = [], []
-    for i in range(m):
-        for j in range(m - i):
-            p = (i, j, m - 1 - i - j)
-            sides = []
-            for c in range(3):
-                u, v = [x for x in range(3) if x != c]
-                sides.append(("d", _minus_e(p, c)) if p[c] > 0 else ("b", u, v, p[v]))
-            up.append((p, tuple(sides)))
-            if i + j < m - 1:
-                q = (i, j, m - 2 - i - j)
-                down.append((q, tuple(_plus_e(q, c) for c in range(3))))
-    return tuple(up), tuple(down)
-
-
-def _black_id(tri: tuple, side: tuple) -> NodeId:
-    """The id of the black neighbour across `side` (from _triangle_tables)
-    in triangle `tri`.  Segments of an edge are indexed 0..m-1 from the
-    smaller vertex label; the barycentric coordinate of the larger-labelled
-    corner is exactly that index."""
-    if side[0] == "d":
-        return ("d", tri, side[1])
-    _, u, v, s = side
-    return ("b", (tri[u], tri[v]), s)
+    once per m.  up: each upward small triangle's point p (sum m - 1) with
+    a getter of its blacks across sides j = 0, 1, 2 (opposite corner j),
+    ('d', p - e_j) where p[j] > 0 and otherwise segment p[v] of the side
+    (u, v), u < v the other two corners.  A triangle's blacks are listed
+    as down, then segments.  down: each downward small triangle's point q
+    (sum m - 2) with a getter of its whites q + e_j, listed as up.
+    segments: each side (u, v) with s = 0..m-1, the barycentric coordinate
+    of the larger-labelled corner, so segments count from the smaller
+    vertex label."""
+    points = [(i, j, m - 1 - i - j) for i in range(m) for j in range(m - i)]
+    downs = [(i, j, m - 2 - i - j) for i in range(m - 1) for j in range(m - 1 - i)]
+    sides = [[x for x in range(3) if x != c] for c in range(3)]
+    down = tuple(
+        (q, itemgetter(*(points.index(_plus_e(q, c)) for c in range(3)))) for q in downs
+    )
+    segments = tuple((u, v, s) for u, v in sides for s in range(m))
+    up = []
+    for p in points:
+        across = [
+            downs.index(_minus_e(p, c)) if p[c] > 0 else len(downs) + c * m + p[sides[c][1]]
+            for c in range(3)
+        ]
+        up.append((p, itemgetter(*across)))
+    return tuple(up), down, segments
 
 
 def build_dimer(T: Triangulation, m: int) -> GLmDimer:
@@ -265,23 +262,24 @@ def build_dimer(T: Triangulation, m: int) -> GLmDimer:
     """
     if m < 2:
         raise UnsupportedOrderError(f"GL_m-dimers need m >= 2, got {m}")
-    up, down = _triangle_tables(m)
+    up, down, segments = _triangle_tables(m)
     rotation: dict[NodeId, tuple[NodeId, ...]] = {}
     edge_tags: dict[frozenset, tuple] = {}
     seg_whites: dict[NodeId, list[NodeId]] = defaultdict(list)
 
     for tri in T.triangles:
-        for p, sides in up:
-            w = ("w", tri, p)
-            nbrs = tuple(_black_id(tri, side) for side in sides)
+        whites = [("w", tri, p) for p, _ in up]
+        blacks = [("d", tri, q) for q, _ in down]
+        blacks += [("b", (tri[u], tri[v]), s) for u, v, s in segments]
+        for w, (p, across) in zip(whites, up):
+            nbrs = across(blacks)
             for j, nb in enumerate(nbrs):
                 if nb[0] == "b":
                     seg_whites[nb].append(w)
                 edge_tags[frozenset((w, nb))] = (tri, p, j)
             rotation[w] = nbrs
-        for q, whites in down:
-            d = ("d", tri, q)
-            rotation[d] = tuple(("w", tri, p) for p in whites)
+        for d, (_, around) in zip(blacks, down):
+            rotation[d] = around(whites)
 
     for b, ws in seg_whites.items():
         rotation[b] = tuple(sorted(ws))
@@ -311,7 +309,7 @@ def reduce_dimer(D: GLmDimer, order: list[NodeId] | None = None) -> GLmDimer:
     by default contractions run in sorted id order.  Idempotent on reduced
     inputs.  Boundary blacks are never touched.
     """
-    rotation = {v: list(r) for v, r in D.rotation.items()}
+    rotation = dict(D.rotation)
     edge_tags = dict(D.edge_tags)
     # built first so that R.host reads the hosts merged so far
     R = GLmDimer(D.m, D.triangulation, rotation, edge_tags, dict(D.hosts))
@@ -333,7 +331,7 @@ def reduce_dimer(D: GLmDimer, order: list[NodeId] | None = None) -> GLmDimer:
         del edge_tags[frozenset((w2, beta))]
         rotation[new] = spliced
         # the rotation indexes a node's edges: only the merged-away white's
-        # edges are re-keyed
+        # edges are re-keyed, and only its neighbours list it
         for other in old_nbrs:
             if other == beta:
                 continue
@@ -341,8 +339,7 @@ def reduce_dimer(D: GLmDimer, order: list[NodeId] | None = None) -> GLmDimer:
             if fresh in edge_tags:
                 raise DimerError("contraction would create a double edge")
             edge_tags[fresh] = edge_tags.pop(frozenset((old, other)))
-        for nb in spliced:
-            rotation[nb] = [new if x in (w1, w2) else x for x in rotation[nb]]
+            rotation[other] = tuple([new if x == old else x for x in rotation[other]])
 
     # One pass suffices: a contraction merges two whites and leaves every
     # black's degree alone (a case that would change one raises DimerError
@@ -354,44 +351,62 @@ def reduce_dimer(D: GLmDimer, order: list[NodeId] | None = None) -> GLmDimer:
         todo = list(order)
     for beta in todo:
         contract(beta)
-
-    for v, r in rotation.items():
-        rotation[v] = tuple(r)
     return R
 
 
-def trace_faces(rotation: dict[NodeId, tuple[NodeId, ...]]) -> list[list[tuple]]:
-    """Faces of an embedded graph from its rotation system.
+def indexed_rotation(rotation: dict) -> tuple[list, dict, list[tuple[int, ...]]]:
+    """The nodes in id order, each node's index, and the rotation system on
+    the indexes, for trace_faces.  Raises AsymmetricRotationError for the
+    first neighbour, in the rotation's order, with no rotation of its own."""
+    ids = sorted(rotation)
+    index = {v: i for i, v in enumerate(ids)}
+    try:
+        rot = [tuple(map(index.__getitem__, r)) for r in map(rotation.__getitem__, ids)]
+    except KeyError:
+        v, w = next((v, w) for v, r in rotation.items() for w in r if w not in index)
+        raise AsymmetricRotationError(v, w) from None
+    return ids, index, rot
 
-    A dart is a directed edge (u, v).  The dart following (u, v) in its face
-    is (v, w) where w precedes u in the counterclockwise rotation at v; with
-    this convention interior faces come out counterclockwise and the outer
-    face clockwise.  Returns the list of dart cycles, deterministically.
-    Raises AsymmetricRotationError for a dart with no dart back.
+
+def trace_faces(rotation: list[tuple[int, ...]]) -> tuple[dict[int, int], int]:
+    """Faces of an embedded graph on the nodes 0..N-1 from its rotation
+    system (see indexed_rotation).
+
+    A dart is a directed edge u -> v, the integer u * N + v.  The dart
+    following u -> v in its face is v -> w where w precedes u in the
+    counterclockwise rotation at v; with this convention interior faces
+    come out counterclockwise and the outer face clockwise.  Returns each
+    dart's face, numbered in the order of first darts (by u, then u's
+    rotation), and the number of faces.  Raises AsymmetricRotationError,
+    on node indexes, for a dart with no dart back.
     """
+    N = len(rotation)
     following = {}
-    for v, nbrs in rotation.items():
-        for i, u in enumerate(nbrs):
-            following[u, v] = (v, nbrs[i - 1])
-    darts = [(u, v) for u in sorted(rotation) for v in rotation[u]]
-    seen: set[tuple] = set()
-    faces = []
-    for start in darts:
-        if start in seen:
-            continue
-        cycle = []
-        cur = start
-        try:
-            while cur not in seen:
-                seen.add(cur)
-                cycle.append(cur)
-                cur = following[cur]
-        except KeyError:
-            raise AsymmetricRotationError(*cur) from None
-        if cur != start:
-            raise DimerError("rotation system does not close up into faces")
-        faces.append(cycle)
-    return faces
+    for v, r in enumerate(rotation):
+        at = v * N
+        prev = r[-1] if r else None
+        for u in r:
+            # u -> v is followed by v -> prev, the neighbour before u at v
+            following[u * N + v] = at + prev
+            prev = u
+    face: dict[int, int] = {}
+    count = 0
+    for u, r in enumerate(rotation):
+        at = u * N
+        for v in r:
+            start = cur = at + v
+            if start in face:
+                continue
+            try:
+                while cur not in face:
+                    face[cur] = count
+                    cur = following[cur]
+            except KeyError:
+                raise AsymmetricRotationError(*divmod(cur, N)) from None
+            if cur != start:
+                raise DimerError("rotation system does not close up into faces")
+            count += 1
+    return face, count
 
 
 @dataclass
@@ -481,8 +496,8 @@ def validate_dimer(D: GLmDimer) -> ValidationReport:
     )
 
     if rep.passed:
-        faces = trace_faces(D.rotation)
-        euler = len(D.rotation) - len(D.edge_tags) + len(faces)
+        _, faces = trace_faces(indexed_rotation(D.rotation)[2])
+        euler = len(D.rotation) - len(D.edge_tags) + faces
         rep.add("euler", euler == 2, f"V - E + F = {euler}, expected 2")
     else:
         rep.add("euler", False, "skipped: earlier structural failures")

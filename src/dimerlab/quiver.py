@@ -22,10 +22,9 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 from .dimer import (
-    BLACK,
     AsymmetricRotationError,
     DimerError,
     GLmDimer,
@@ -36,6 +35,7 @@ from .dimer import (
     _encode,
     _plus_e,
     color,
+    indexed_rotation,
     trace_faces,
 )
 from .rewrite import Path, RelationSet
@@ -98,17 +98,36 @@ class QuiverWithFaces:
         self.faces = tuple(faces)
         self.arrow_source = [a.source for a in self.arrows]
         self.arrow_target = [a.target for a in self.arrows]
-        out, inc = defaultdict(list), defaultdict(list)
-        for aid, a in enumerate(self.arrows):
-            out[a.source].append(aid)
-            inc[a.target].append(aid)
-        self.out_arrows = {v: tuple(out[v]) for v in self.vertices}
-        self.in_arrows = {v: tuple(inc[v]) for v in self.vertices}
         byarrow = defaultdict(list)
         for fi, f in enumerate(self.faces):
             for aid in f.cycle:
                 byarrow[aid].append(fi)
         self.faces_by_arrow = {aid: tuple(byarrow[aid]) for aid in range(len(self.arrows))}
+
+    # the arrows at each vertex serve walks over the quiver, which a row that
+    # carries its presentation never makes, so they are built on first use
+
+    @cached_property
+    def out_arrows(self) -> dict:
+        return _arrows_at(self.vertices, self.arrow_source)
+
+    @cached_property
+    def in_arrows(self) -> dict:
+        return _arrows_at(self.vertices, self.arrow_target)
+
+    @cached_property
+    def chain_breaks(self) -> tuple:
+        """For each face, the first arrow of its cycle that is no arrow of
+        the quiver or whose head is not the next arrow's tail, or None where
+        the cycle chains head-to-tail.  Found once, on first use: dual_quiver
+        checks it, and a RelationSet reads it for the faces it cuts."""
+        k, source, target = len(self.arrows), self.arrow_source, self.arrow_target
+        breaks = []
+        for f in self.faces:
+            turns = zip(f.cycle, f.cycle[1:] + f.cycle[:1])
+            bad = (a for a, b in turns if not (0 <= a < k and 0 <= b < k) or target[a] != source[b])
+            breaks.append(next(bad, None))
+        return tuple(breaks)
 
     @property
     def boundary_vertices(self) -> list[int]:
@@ -237,6 +256,14 @@ class QuiverWithFaces:
         return "\n".join(lines) + "\n"
 
 
+def _arrows_at(vertices: dict, ends: list) -> dict:
+    """Each vertex's arrow ids, ascending, of the arrows with that end."""
+    at = defaultdict(list)
+    for aid, v in enumerate(ends):
+        at[v].append(aid)
+    return {v: tuple(at[v]) for v in vertices}
+
+
 def rim_pos(v: int, mn: int) -> str:
     """DOT pin of boundary vertex v of mn on a rim of radius max(2, mn/4):
     label 1 sits near polygon vertex 1, the others go counterclockwise."""
@@ -286,16 +313,10 @@ def dual_quiver(D: GLmDimer) -> QuiverWithFaces:
     m, n = D.m, D.n
     mn = m * n
 
-    # faces are traced on integer node indexes, given in sorted-id order so
-    # that the faces come out in the same order as on the ids
-    ids = sorted(D.rotation)
-    index = {v: i for i, v in enumerate(ids)}
-    try:
-        own = {index[v]: tuple(index[w] for w in r) for v, r in D.rotation.items()}
-    except KeyError:  # a node listed with no rotation of its own
-        v, w = next((v, w) for v, r in D.rotation.items() for w in r if w not in index)
-        raise AsymmetricRotationError(v, w) from None
-    rot = dict(own)  # with the boundary circle's arcs
+    # faces are traced on integer node indexes in sorted-id order, with the
+    # boundary circle's arcs added, so that they come out in the same order
+    # as on the ids
+    ids, index, rot = indexed_rotation(D.rotation)
     for b in D.boundary:
         if len(D.rotation.get(b, ())) != 1:
             raise DimerError(
@@ -306,82 +327,78 @@ def dual_quiver(D: GLmDimer) -> QuiverWithFaces:
         (white,) = D.rotation[b]
         rot[bdry[k]] = (bdry[(k + 1) % mn], index[white], bdry[(k - 1) % mn])
     try:
-        dart_faces = trace_faces(rot)
+        face, count = trace_faces(rot)
     except AsymmetricRotationError as exc:
         raise AsymmetricRotationError(ids[exc.v], ids[exc.w]) from None
+    N = len(ids)
 
-    face_of_dart = {}
-    for fi, cyc in enumerate(dart_faces):
-        for dart in cyc:
-            face_of_dart[dart] = fi
-    outer = face_of_dart[(bdry[0], bdry[-1])]
-
+    outer = face[bdry[0] * N + bdry[-1]]
     # boundary label k <-> the face crossed by the arc from the (k-1)-th to
     # the k-th boundary black
     label_of_face = {}
     for k in range(1, mn + 1):
-        fi = face_of_dart[(bdry[k - 2], bdry[k - 1])]
+        fi = face[bdry[k - 2] * N + bdry[k - 1]]
         if fi == outer:
             raise QuiverError("boundary arc traced into the outer face")
         label_of_face[fi] = k
 
     # internal faces: identify each with its lattice point via the edge tags;
-    # every dart of a face must agree, which pins down the embedding
-    points = [set() for _ in dart_faces]
-    edges = []  # (white index, black index, tag), in tag order
-    for e, tag in sorted(D.edge_tags.items(), key=lambda kv: kv[1]):
-        u, v = e
-        w, b = (u, v) if D.color(u) == WHITE else (v, u)
-        assert D.color(w) == WHITE and D.color(b) == BLACK
+    # every dart of a face must agree with the face's first, which pins down
+    # the embedding
+    point = [None] * count
+    clash = {}  # face -> its points, where its darts disagree
+    edges = []  # (tag, face on the white-to-black dart, face on the other), in tag order
+    arrow_at = {}  # dart -> the arrow of its edge
+    for (u, v), tag in sorted(D.edge_tags.items(), key=lambda kv: kv[1]):
+        if u[0] != "w":  # the colour, read off the id as color does
+            u, v = v, u
+        assert u[0] == "w" and v[0] != "w"
+        iw, ib = index[u], index[v]
+        to_b, to_w = iw * N + ib, ib * N + iw
         tri, p, j = tag
         at_w, at_b = _edge_points(p, j)
-        iw, ib = index[w], index[b]
-        points[face_of_dart[iw, ib]].add(lattice_id(tri, at_w))
-        points[face_of_dart[ib, iw]].add(lattice_id(tri, at_b))
-        edges.append((iw, ib, tag))
+        fw, fb = face[to_b], face[to_w]
+        for fi, pt in (fw, lattice_id(tri, at_w)), (fb, lattice_id(tri, at_b)):
+            if point[fi] is None:
+                point[fi] = pt
+            elif pt != point[fi]:
+                clash.setdefault(fi, {point[fi]}).add(pt)
+        arrow_at[to_b] = arrow_at[to_w] = len(edges)
+        edges.append((tag, fw, fb))
 
-    vertex_of_face = {}
-    for fi, pts in enumerate(points):
+    vertex_of_face, vertices = {}, {}
+    for fi, pt in enumerate(point):
         if fi == outer:
             continue
-        if len(pts) != 1:
-            raise QuiverError(f"face {fi} has inconsistent lattice points {sorted(pts)}")
-        (pt,) = pts
+        if pt is None or fi in clash:
+            pts = sorted(clash.get(fi, ()))
+            raise QuiverError(f"face {fi} has inconsistent lattice points {pts}")
         if fi in label_of_face:
             lbl = label_of_face[fi]
             if pt != _expected_boundary_lattice(lbl, m, n):
                 raise QuiverError(f"boundary face {lbl} sits at unexpected point {pt}")
             vertex_of_face[fi] = lbl
+            vertices[lbl] = "boundary"
         else:
             vertex_of_face[fi] = pt
+            vertices[pt] = "internal"
 
-    vertices = {}
-    for fi, vid in vertex_of_face.items():
-        vertices[vid] = "boundary" if fi in label_of_face else "internal"
+    arrows = [Arrow(vertex_of_face[fb], vertex_of_face[fw], tag) for tag, fw, fb in edges]
 
-    arrows = []
-    aid_of_dart = {}  # (white index, black index) -> arrow id
-    for iw, ib, tag in edges:
-        src = vertex_of_face[face_of_dart[ib, iw]]
-        tgt = vertex_of_face[face_of_dart[iw, ib]]
-        aid_of_dart[iw, ib] = len(arrows)
-        arrows.append(Arrow(src, tgt, tag))
-
+    # a white's face runs along its darts, an internal black's against them
     white_faces, black_faces = [], []
     for i, v in enumerate(ids):
-        if D.color(v) == WHITE:
-            cyc = [aid_of_dart[i, nb] for nb in own[i]]
-            white_faces.append(Face(_normalize_cycle(cyc), v))
+        at = i * N
+        if v[0] == "w":  # the colour, read off the id as color does
+            white_faces.append(Face(_normalize_cycle([arrow_at[at + nb] for nb in rot[i]]), v))
         elif D.location(v) != LOC_BOUNDARY:
-            cyc = [aid_of_dart[nb, i] for nb in reversed(own[i])]
+            cyc = [arrow_at[at + nb] for nb in reversed(rot[i])]
             black_faces.append(Face(_normalize_cycle(cyc), v))
 
     Q = QuiverWithFaces(m, n, vertices, arrows, white_faces + black_faces)
-    for f in Q.faces:
-        for i, aid in enumerate(f.cycle):
-            nxt = f.cycle[(i + 1) % len(f.cycle)]
-            if Q.arrow_target[aid] != Q.arrow_source[nxt]:
-                raise QuiverError(f"face {f} does not chain at arrow {aid}")
+    for f, aid in zip(Q.faces, Q.chain_breaks):
+        if aid is not None:
+            raise QuiverError(f"face {f} does not chain at arrow {aid}")
     if sorted(v for v, k in Q.vertices.items() if k == "boundary") != list(range(1, mn + 1)):
         raise QuiverError("boundary labels do not cover 1..m*n")
     return Q
@@ -471,15 +488,14 @@ def potential_relations(Q: QuiverWithFaces) -> RelationSet:
     (p1..pk, q1..ql) from the two faces along a, and keeps the faces,
     which guide its equality search.
     """
+    plus = [f.orientation == "+" for f in Q.faces]
     cuts = []
     for aid, fis in Q.faces_by_arrow.items():
-        if Q.arrow_kind(aid) == "boundary":
+        if len(fis) == 1:  # a boundary arrow (see arrow_kind)
             continue
-        plus = [fi for fi in fis if Q.faces[fi].orientation == "+"]
-        minus = [fi for fi in fis if Q.faces[fi].orientation == "-"]
-        if len(plus) != 1 or len(minus) != 1:
+        if len(fis) != 2 or plus[fis[0]] == plus[fis[1]]:
             raise MalformedQuiverError(f"internal arrow {aid} lacks a +/- face pair")
-        cuts.append((aid, plus[0], minus[0]))
+        cuts.append((aid, *fis) if plus[fis[0]] else (aid, fis[1], fis[0]))
     return RelationSet(Q, cuts=cuts)
 
 

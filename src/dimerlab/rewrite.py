@@ -14,7 +14,8 @@ internal arrow, so rewriting moves the arrow-count vector by cnt(F+) -
 cnt(F-).  The quiver tiles a disk, so any two words p and q with the
 same ends differ by a unique integer face chain, cnt(p) - cnt(q) =
 sum_F c_F cnt(F), found in one linear pass (RelationSet.face_chain).
-A RelationSet checks that its cuts connect the faces, so the
+A RelationSet checks that each face it cuts is a cycle chained
+head-to-tail, once per face, and that its cuts connect the faces, so the
 relation lattice holds exactly the sum_F c_F cnt(F) with sum_F c_F = 0:
 p and q share their abelian residue exactly when c sums to 0, and
 otherwise they are Distinct.  The residue itself (RelationSet.residue)
@@ -138,17 +139,23 @@ class Path:
                 f"cannot compose: target {self.target!r} != source {other.source!r}"
             )
         # two paths that meet compose, so the product skips __init__'s checks
-        product = Path.__new__(Path)
-        product.quiver = self.quiver
-        product.arrows = self.arrows + other.arrows
-        product.anchor = None if product.arrows else self.anchor
-        product.source, product.target = self.source, other.target
-        return product
+        arrows = self.arrows + other.arrows
+        anchor = None if arrows else self.anchor
+        return _chained(self.quiver, arrows, self.source, other.target, anchor)
 
     def __repr__(self):
         if not self.arrows:
             return f"Path(e_{self.anchor!r})"
         return f"Path({self.source!r}->{self.target!r} via {list(self.arrows)})"
+
+
+def _chained(quiver, arrows: tuple, source, target, anchor=None) -> Path:
+    """The path of arrows, which are known to chain from source to target,
+    built without Path's checks; anchor is for an empty path only."""
+    path = Path.__new__(Path)
+    path.quiver, path.arrows, path.anchor = quiver, arrows, anchor
+    path.source, path.target = source, target
+    return path
 
 
 class RelationSet:
@@ -171,7 +178,7 @@ class RelationSet:
         if cuts is not None:
             if relations is not None:
                 raise RewriteError("give relations or cuts, not both")
-            relations = [_cut(quiver, *cut) for cut in cuts]
+            relations = _cut(quiver, cuts)
             self.faces = tuple((plus, minus) for _, plus, minus in cuts)
             self._propagation = _propagation_order(quiver, cuts)
         self.relations = tuple(relations or ())
@@ -181,13 +188,9 @@ class RelationSet:
         # pattern index: first arrow id -> [(side, replacement, relation, direction)]
         self._patterns: dict[int, list] = {}
         for ridx, (lhs, rhs) in enumerate(self.relations):
-            for side, other, direction in (
-                (lhs.arrows, rhs.arrows, "lr"),
-                (rhs.arrows, lhs.arrows, "rl"),
-            ):
-                self._patterns.setdefault(side[0], []).append(
-                    (side, other, ridx, direction)
-                )
+            left, right = lhs.arrows, rhs.arrows
+            self._patterns.setdefault(left[0], []).append((left, right, ridx, "lr"))
+            self._patterns.setdefault(right[0], []).append((right, left, ridx, "rl"))
 
     def __len__(self):
         return len(self.relations)
@@ -259,19 +262,31 @@ class RelationSet:
         return (sum(c), *d)
 
 
-def _cut(Q, arrow, plus: int, minus: int) -> tuple[Path, Path]:
-    """The relation cut from faces plus and minus along arrow: the rest of
-    each face's cycle after arrow.  Raises RewriteError unless arrow lies
-    on exactly those two faces, once on each (so a boundary arrow or an id
-    that is no arrow of Q is refused)."""
-    if plus == minus or Q.faces_by_arrow.get(arrow) not in ((plus, minus), (minus, plus)):
-        raise RewriteError(f"arrow {arrow!r} does not lie on exactly faces {plus!r} and {minus!r}")
-    sides = []
-    for face in (plus, minus):
-        cycle = Q.faces[face].cycle
-        k = cycle.index(arrow)
-        sides.append(Path(Q, cycle[k + 1 :] + cycle[:k]))
-    return tuple(sides)
+def _cut(Q, cuts) -> list[tuple[Path, Path]]:
+    """For each cut (arrow, plus, minus), the relation cut from faces plus
+    and minus along arrow: the rest of each face's cycle after arrow.
+    Raises RewriteError unless arrow lies on exactly those two faces, once
+    on each (so a boundary arrow or an id that is no arrow of Q is
+    refused), or for a face that is not two or more arrows chained
+    head-to-tail (Q.chain_breaks, found once per face), so the sides need
+    no Path checks."""
+    source, target = Q.arrow_source, Q.arrow_target
+    relations = []
+    for arrow, plus, minus in cuts:
+        if plus == minus or Q.faces_by_arrow.get(arrow) not in ((plus, minus), (minus, plus)):
+            raise RewriteError(f"arrow {arrow!r} does not lie on exactly faces {plus!r} and {minus!r}")
+        head, tail = target[arrow], source[arrow]
+        sides = []
+        for face in (plus, minus):
+            cycle = Q.faces[face].cycle
+            if len(cycle) < 2 or Q.chain_breaks[face] is not None:
+                raise RewriteError(
+                    f"face {face}'s cycle {cycle} is not two or more arrows chained head-to-tail"
+                )
+            k = cycle.index(arrow)
+            sides.append(_chained(Q, cycle[k + 1 :] + cycle[:k], head, tail))
+        relations.append(tuple(sides))
+    return relations
 
 
 def _propagation_order(Q, cuts) -> tuple[tuple, tuple]:

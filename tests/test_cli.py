@@ -247,8 +247,15 @@ def test_sweep_walks_and_searches_only_what_no_rotation_carries():
     # the benchmark's sweep, by counts the same on every machine: the 26
     # first members of its rotation orbits are extracted by the walk and
     # its 1,560 closures, and the 102 other rows take their classes from
-    # their first member; 1,566 equality queries are left to search
-    names = ("boundary_generators", "factors_through_boundary", "paths_equal")
+    # their first member; 1,566 equality queries are left to search.  Each
+    # of the 128 rows reduces its dimer and builds its quiver once
+    names = (
+        "boundary_generators",
+        "factors_through_boundary",
+        "paths_equal",
+        "reduce_dimer",
+        "dual_quiver",
+    )
     dl.boundary._extract.cache_clear()  # a walk kept from an earlier test is not run again
     with contextlib.ExitStack() as stack:
         spies = {
@@ -259,7 +266,7 @@ def test_sweep_walks_and_searches_only_what_no_rotation_carries():
         }
         code, _ = run_cli(["sweep", "--max-n", "7", "--m", "2", "3"])
     assert code == 0
-    assert [spies[name].call_count for name in names] == [26, 1_560, 1_566]
+    assert [spies[name].call_count for name in names] == [26, 1_560, 1_566, 128, 128]
 
 
 def test_sweep_m3():

@@ -13,6 +13,7 @@ from dimerlab.dimer import (
     LOC_INTERIOR,
     DimerError,
     UnsupportedOrderError,
+    indexed_rotation,
     trace_faces,
 )
 
@@ -135,8 +136,8 @@ def test_reduction_preserves_boundary_and_euler():
         R = dl.reduce_dimer(D)
         assert R.boundary == D.boundary
         for graph in (D, R):
-            faces = trace_faces(graph.rotation)
-            assert len(graph.rotation) - len(graph.edge_tags) + len(faces) == 2
+            _, faces = trace_faces(indexed_rotation(graph.rotation)[2])
+            assert len(graph.rotation) - len(graph.edge_tags) + faces == 2
 
 
 def test_reduction_confluence_random_orders():

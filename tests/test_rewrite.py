@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -655,15 +656,25 @@ def test_a_rewrite_moves_one_unit_between_its_two_faces(pair):
         assert moved == {face_plus: -unit, face_minus: unit}
 
 
-def test_relations_are_cut_from_their_two_faces():
+@settings(max_examples=30)
+@given(T=triangulations(9), m=st.integers(2, 4))
+def test_relations_are_cut_from_their_two_faces(T, m):
     # each relation's sides are its + and its - face less the one arrow
-    # they share
-    _, _, Q, R = fan_pipeline(5, 3)
+    # they share.  The sides are built without Path's checks, so each is
+    # validated again here, and the quiver they come from is checked to
+    # round-trip and to satisfy the dimer-model axioms
+    Q = dl.dual_quiver(dl.reduce_dimer(dl.build_dimer(T, m)))
+    R = dl.potential_relations(Q)
     for (lhs, rhs), (face_plus, face_minus) in zip(R.relations, R.faces):
         plus, minus = Q.faces[face_plus], Q.faces[face_minus]
         assert (plus.orientation, minus.orientation) == ("+", "-")
         arrow = Counter(plus.cycle) - Counter(lhs.arrows)
         assert len(arrow) == 1 and arrow == Counter(minus.cycle) - Counter(rhs.arrows)
+        for side in (lhs, rhs):
+            checked = Path(Q, side.arrows)
+            assert (checked.source, checked.target) == (side.source, side.target)
+    assert QuiverWithFaces.from_json(Q.to_json()) == Q
+    assert dl.validate_dimer_model(Q).passed
 
 
 def test_a_relation_set_without_faces_has_no_face_chain():
@@ -722,6 +733,19 @@ def test_unsound_cuts_are_refused():
     # F+ and F- swapped only swap each relation's sides
     swapped = RelationSet(Q, cuts=[(aid, minus, plus) for aid, plus, minus in cuts])
     assert swapped.relations == tuple((rhs, lhs) for lhs, rhs in R.relations)
+    # a face whose cycle does not chain (two of its arrows swapped) is
+    # refused by name, not by a PathError from one of its sides
+    at = next(i for i, f in enumerate(Q.faces) if len(f.cycle) >= 3)
+    faces = list(Q.faces)
+    a, b, *rest = faces[at].cycle
+    faces[at] = replace(faces[at], cycle=(b, a, *rest))
+    broken = QuiverWithFaces(Q.m, Q.n, Q.vertices, Q.arrows, faces)
+    with pytest.raises(RewriteError) as exc:
+        RelationSet(broken, cuts=cuts)
+    assert type(exc.value) is RewriteError
+    assert str(exc.value) == (
+        f"face {at}'s cycle {faces[at].cycle} is not two or more arrows chained head-to-tail"
+    )
 
 
 def test_faces_out_of_reach_of_the_boundary_are_refused():
